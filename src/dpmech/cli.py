@@ -36,10 +36,11 @@ from .errors import (
     AssertionFailed,
     ConfigInvalid,
     EnumerationBudgetExceeded,
+    GridTooCoarse,
     ParamContractViolated,
     ResolutionBudgetExceeded,
 )
-from .exponential import exponential_mechanism
+from .exponential import exp_mech_rate, exponential_mechanism
 from .facility import (
     build_grid_env,
     dyad_facility_commitment,
@@ -59,6 +60,7 @@ from .verify import (
     constant_map,
     expected_utility,
     find_dominating_strategy,
+    histogram_gap,
     implementation_gap,
     truthful_profile,
 )
@@ -130,6 +132,9 @@ def validate_config(config: dict) -> dict:
             raise ConfigInvalid(f"{exp} needs exactly one of 'facility'/'pricing'")
     if exp == "sweep" and not config.get("n_list"):
         raise ConfigInvalid("sweep needs a non-empty n_list")
+    fac = config.get("facility", {})
+    if fac.get("mechanism") == "loc2" and fac["K"] < 2:
+        raise ConfigInvalid("mechanism loc2 needs facility.K >= 2")
     return config
 
 
@@ -140,13 +145,18 @@ def task_rng(seed: int, experiment: str, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def sample_probes(env, count: int, rng: np.random.Generator) -> list[tuple]:
-    """Uniform i.i.d. type vectors, vectorized over the population."""
-    lens = np.asarray([len(s) for s in env.type_spaces])
-    idx = (rng.random((count, len(lens))) * lens).astype(int)
-    return [
-        tuple(env.type_spaces[j][k] for j, k in enumerate(row)) for row in idx
-    ]
+def sample_probes(objective, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Histograms of uniform i.i.d. type vectors, a (count x cells) matrix.
+
+    Row k decodes the k-th ``rng.random(n)`` draw into per-agent type
+    indices, the same draws ``rng.random((count, n))`` gives, one row at a
+    time so memory stays O(n).
+    """
+    lens = np.tile([len(s) for s in objective.member_types], objective.units)
+    return np.array([
+        objective.histogram((rng.random(lens.size) * lens).astype(int))
+        for _ in range(count)
+    ])
 
 
 def _fmt(x) -> str:
@@ -266,30 +276,25 @@ def run_verify(config: dict) -> tuple[list[dict], list[dict]]:
 
 
 def _sweep_point(config: dict, n: int, index: int) -> tuple[dict, dict]:
-    budget = config.get("budget", DEFAULT_BUDGET)
     probes = config.get("probes", DEFAULT_PROBES)
     t0 = time.monotonic()
     if "facility" in config:
         inst, P = _facility_pair(config["facility"], n)
-        env, F = inst.env, inst.F
-        gamma = inst.gamma_declared
         kind = "facility"
     else:
         # n counts agents; round down to whole cohorts
         cohorts = max(1, n // config["pricing"]["cohort_size"])
         inst = _pricing_instance(config["pricing"], n_override=cohorts)
         P = uniform_price_commitment(inst)
-        env, F = inst.env, inst.F
-        gamma = inst.gamma_declared
         kind = "pricing"
+    env, F, objective = inst.env, inst.F, inst.objective
+    gamma = inst.gamma_declared
     params = schedule_params(env, F, P, gamma, n=env.n)
-    mech = build_combined(env, F, P, gamma, params.eps, params.q, impose=False)
-    rng = task_rng(config["seed"], "sweep", index)
-    probe_vectors = sample_probes(env, probes, rng)
-    beta_measured, worst_t = implementation_gap(
-        mech, env, F, truthful_profile(env), type_vectors=probe_vectors,
-        budget=budget,
-    )
+    # checks q and the incentive contract of the lottery measured below
+    build_combined(env, F, P, gamma, params.eps, params.q, impose=False)
+    counts = sample_probes(objective, probes, task_rng(config["seed"], "sweep", index))
+    rate = exp_mech_rate(env.n, params.eps, F.sensitivity_d)
+    beta_measured, worst = histogram_gap(objective, counts, rate, P, params.q)
     n0 = compute_n0(P.p_tilde, gamma, F.sensitivity_d, len(env.alternatives))
     ok = beta_measured <= params.beta_bound + 1e-9
     row = {
@@ -307,7 +312,11 @@ def _sweep_point(config: dict, n: int, index: int) -> tuple[dict, dict]:
         "wall_clock": time.monotonic() - t0,
         "probe_count": probes,
         "beta_measured_kind": "lower-bound estimate of beta_measured",
-        "worst_probe": repr(worst_t[:8]) + ("..." if len(worst_t) > 8 else ""),
+        # agents (facility) or cohorts (pricing) per type cell
+        "worst_probe": {
+            ",".join(map(_fmt, cell)): int(c)
+            for cell, c in zip(objective.cells, counts[worst])
+        },
     }
     return row, side
 
@@ -440,15 +449,16 @@ def atomic_write(path: str, data: str):
         raise
 
 
+def sidecar_path(out_path: str) -> str:
+    return os.path.splitext(out_path)[0] + ".json"
+
+
 def write_outputs(rows, sides, out_path: str | None):
     if not out_path:
         sys.stdout.write(render_csv(rows))
         return
     atomic_write(out_path, render_csv(rows))
-    atomic_write(
-        os.path.splitext(out_path)[0] + ".json",
-        json.dumps(sides, indent=2, default=str) + "\n",
-    )
+    atomic_write(sidecar_path(out_path), json.dumps(sides, indent=2, default=str) + "\n")
 
 
 def run_config(config: dict, jobs: int = 1) -> tuple[list[dict], list[dict]]:
@@ -482,6 +492,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    if not isinstance(config, dict):
+        print("config error: the config must be a JSON object", file=sys.stderr)
+        return 2
 
     if args.seed is not None:
         config["seed"] = args.seed
@@ -495,6 +508,12 @@ def main(argv=None) -> int:
         return 2
 
     out = args.out or config.get("out")
+    if out and os.path.realpath(args.config) in {
+        os.path.realpath(p) for p in (out, sidecar_path(out))
+    }:
+        print(f"config error: output {out!r} would overwrite the config",
+              file=sys.stderr)
+        return 2
     try:
         config = validate_config(config)
         rows, sides = run_config(config, jobs=args.jobs)
@@ -504,7 +523,7 @@ def main(argv=None) -> int:
     except (EnumerationBudgetExceeded, ResolutionBudgetExceeded) as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
-    except ParamContractViolated as e:
+    except (ParamContractViolated, GridTooCoarse) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except AssertionFailed as e:

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
+
+import numpy as np
 
 from .errors import EnumerationBudgetExceeded, NotNonTrivial
 
@@ -120,6 +123,55 @@ class ObjectiveFunction:
     def __post_init__(self):
         if self.sensitivity_d <= 0:
             raise ValueError("sensitivity bound must be positive")
+
+
+class HistogramObjective:
+    """An anonymous objective, exact from the type histogram at any n.
+
+    Agents come in ``units`` consecutive groups (one agent for facility
+    location, one cohort for pricing) whose members have the type spaces
+    ``member_types``.  A group's cell is the index of its members' types in
+    ``itertools.product(*member_types)``.  With ``c`` the cell counts of t,
+
+        F(t, alternatives[k]) = offset + weights[k] * (c @ matrix[:, k]) / denom
+
+    where ``matrix`` is an integer (cells x alternatives) score table.
+    """
+
+    def __init__(self, member_types, alternatives, matrix, offset, weights, denom, units):
+        self.member_types = tuple(tuple(s) for s in member_types)
+        self.alternatives = tuple(alternatives)
+        self.matrix = np.asarray(matrix, dtype=np.int64)
+        self.offset = offset
+        self.weights = tuple(weights)
+        self.denom = denom
+        self.units = units
+        self.cells = tuple(itertools.product(*self.member_types))
+        self.index = {s: k for k, s in enumerate(self.alternatives)}
+        self._cell = {X: c for c, X in enumerate(self.cells)}
+        self._columns = self.matrix.T.tolist()
+        self._sizes = tuple(len(s) for s in self.member_types)
+        self._offset_f = float(offset)
+        self._weights_f = np.asarray([float(w) for w in self.weights])
+
+    def eval(self, t: tuple, s):
+        """Exact F(t, s): an int or Fraction whenever offset and weights are."""
+        D = len(self.member_types)
+        hist = Counter(self._cell[t[j:j + D]] for j in range(0, len(t), D))
+        k = self.index[s]
+        total = sum(self._columns[k][c] * count for c, count in hist.items())
+        return self.offset + self.weights[k] * Fraction(total, self.denom)
+
+    def histogram(self, idx: np.ndarray) -> np.ndarray:
+        """Cell counts of one type vector given as per-agent type indices."""
+        # row-major, like itertools.product
+        cells = np.ravel_multi_index(idx.reshape(self.units, -1).T, self._sizes)
+        return np.bincount(cells, minlength=len(self.cells))
+
+    def scores(self, counts: np.ndarray) -> np.ndarray:
+        """Float F for every row of a (vectors x cells) count matrix and
+        every alternative, as a (vectors x alternatives) array."""
+        return self._offset_f + self._weights_f * (counts @ self.matrix) / self.denom
 
 
 @dataclass(frozen=True)

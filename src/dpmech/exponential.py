@@ -36,6 +36,11 @@ class DpAuditReport:
     passed: bool
 
 
+def exp_mech_rate(n: int, eps: float, d: float) -> float:
+    """The rate n*eps/(2d) that makes the mechanism eps-DP on a d-sensitive F."""
+    return n * eps / (2 * d)
+
+
 def exp_mech_distribution(
     F: ObjectiveFunction, alternatives, t: tuple, rate: float
 ) -> OutcomeDistribution:
@@ -59,7 +64,7 @@ def exponential_mechanism(
     """Mechanism t -> exponential distribution at rate n*eps/(2d)."""
     if d is None:
         d = F.sensitivity_d
-    rate = env.n * eps / (2 * d)
+    rate = exp_mech_rate(env.n, eps, d)
     alternatives = env.alternatives
 
     def mech(t: tuple) -> OutcomeDistribution:
@@ -190,7 +195,7 @@ def accuracy_bound_check(
         raise EnumerationBudgetExceeded(env.num_type_vectors() * s_count, budget)
 
     bound = (4 * d / (n * eps)) * math.log(n * eps * s_count / (2 * d))
-    rate = n * eps / (2 * d)
+    rate = exp_mech_rate(n, eps, d)
     worst = math.inf
     witness = None
     passed = True

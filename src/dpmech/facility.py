@@ -21,14 +21,12 @@ from .commitment import CommitmentDistribution
 from .environment import (
     PRIVATE_VALUES,
     Environment,
+    HistogramObjective,
     ObjectiveFunction,
 )
 from .errors import PopulationTooSmall, ResolutionBudgetExceeded
 from .outcomes import Outcome, OutcomeDistribution
 from .verify import Mechanism
-
-# exact arithmetic below this population size, numpy floats above
-EXACT_N_LIMIT = 64
 
 DEFAULT_RHO = Fraction(1, 1024)
 DEFAULT_SUPPORT_CAP = 2**17
@@ -42,6 +40,7 @@ def grid(m: int) -> tuple:
 class FacilityInstance:
     env: Environment
     F: ObjectiveFunction
+    objective: HistogramObjective  # F.eval's exact definition, batchable
     n: int
     m: int
     K: int
@@ -53,7 +52,8 @@ def build_grid_env(n: int, m: int, K: int) -> FacilityInstance:
 
     Utility is 1 - |t_i - r_i| when the chosen facility r_i is in s, else 0
     (the raw -|t_i - r_i| / -1 form shifted by +1 into [0, 1]).  F is the
-    average utility under nearest-facility reactions, with sensitivity 1.
+    average utility under nearest-facility reactions, with sensitivity 1,
+    computed exactly from the counts of agents per grid point.
     """
     if n < 1 or m < 1 or K < 1:
         raise ValueError("need n, m, K >= 1")
@@ -65,24 +65,13 @@ def build_grid_env(n: int, m: int, K: int) -> FacilityInstance:
             return 1 - abs(t[i] - r)
         return 0 if isinstance(t[i], Fraction) else 0.0
 
-    if n <= EXACT_N_LIMIT:
-
-        def objective(t: tuple, s: tuple):
-            return 1 - Fraction(sum(min(abs(x - f) for f in s) for x in t), n) \
-                if all(isinstance(x, Fraction) for x in t) \
-                else 1 - sum(min(abs(x - f) for f in s) for x in t) / n
-    else:
-        cache: dict = {}
-
-        def objective(t: tuple, s: tuple):
-            arr = cache.get(t)
-            if arr is None:
-                if len(cache) > 4096:
-                    cache.clear()
-                arr = np.asarray([float(x) for x in t])
-                cache[t] = arr
-            fac = np.asarray([float(f) for f in s])
-            return 1.0 - float(np.abs(arr[:, None] - fac[None, :]).min(axis=1).mean())
+    # J[g, s]: grid steps from point g/m to the nearest facility of s
+    J = [[min(abs(g - int(f * m)) for f in s) for s in alternatives]
+         for g in range(m + 1)]
+    objective = HistogramObjective(
+        (locs,), alternatives, J, offset=1, weights=(-1,) * len(alternatives),
+        denom=m * n, units=n,
+    )
 
     env = Environment(
         type_spaces=tuple(locs for _ in range(n)),
@@ -91,8 +80,10 @@ def build_grid_env(n: int, m: int, K: int) -> FacilityInstance:
         utility=utility,
         values_kind=PRIVATE_VALUES,
     )
-    F = ObjectiveFunction(eval=objective, sensitivity_d=1)
-    return FacilityInstance(env=env, F=F, n=n, m=m, K=K, gamma_declared=Fraction(1, m))
+    F = ObjectiveFunction(eval=objective.eval, sensitivity_d=1)
+    return FacilityInstance(
+        env=env, F=F, objective=objective, n=n, m=m, K=K, gamma_declared=Fraction(1, m)
+    )
 
 
 def uniform_facility_commitment(inst: FacilityInstance) -> CommitmentDistribution:

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from .commitment import CommitmentDistribution
 from .environment import (
     INTERDEPENDENT,
     PRIVATE_VALUES,
     Environment,
+    HistogramObjective,
     ObjectiveFunction,
     optimal_reaction,
 )
@@ -48,6 +47,7 @@ class PricingInstance:
 
     env: Environment
     F: ObjectiveFunction
+    objective: HistogramObjective  # F.eval's exact definition, batchable
     N: int
     D: int
     prices: tuple
@@ -111,28 +111,7 @@ def build_pricing_env(
         V = table[t[c * D:(c + 1) * D]][j]
         return _normalized_utility(V, p, r, vmax)
 
-    if n <= 64:
-
-        def revenue(t: tuple, p):
-            buyers = sum(
-                _buyer_count(table[t[c * D:(c + 1) * D]], p) for c in range(N)
-            )
-            return p * Fraction(buyers, n) if isinstance(p, Fraction) else p * buyers / n
-    else:
-        float_table = {X: np.asarray([float(v) for v in vals])
-                       for X, vals in table.items()}
-        cache: dict = {}
-
-        def revenue(t: tuple, p):
-            vals = cache.get(t)
-            if vals is None:
-                if len(cache) > 2048:
-                    cache.clear()
-                vals = np.concatenate(
-                    [float_table[t[c * D:(c + 1) * D]] for c in range(N)]
-                )
-                cache[t] = vals
-            return float(p) * int((vals > float(p)).sum()) / n
+    objective = _revenue_objective(signal_spaces, table, prices, N)
 
     env = Environment(
         type_spaces=tuple(signal_spaces[i % D] for i in range(n)),
@@ -141,11 +120,25 @@ def build_pricing_env(
         utility=utility,
         values_kind=PRIVATE_VALUES if D == 1 else INTERDEPENDENT,
     )
-    F = ObjectiveFunction(eval=revenue, sensitivity_d=D)
+    F = ObjectiveFunction(eval=objective.eval, sensitivity_d=D)
     scale = Fraction(1, 1) / (1 + vmax) if not isinstance(vmax, float) else 1 / (1 + vmax)
     return PricingInstance(
-        env=env, F=F, N=N, D=D, prices=prices, vmax=vmax, scale=scale,
-        gamma_declared=Fraction(1, m) * scale, m=m,
+        env=env, F=F, objective=objective, N=N, D=D, prices=prices, vmax=vmax,
+        scale=scale, gamma_declared=Fraction(1, m) * scale, m=m,
+    )
+
+
+def _revenue_objective(signal_spaces, table, prices, N, scale=1) -> HistogramObjective:
+    """Average revenue per agent times ``scale``, from the cohort histogram.
+
+    B[X, p] counts the members of a cohort with signal vector X who value
+    the good strictly above p; F(t, p) = scale * p * (c @ B[:, p]) / n.
+    """
+    B = [[_buyer_count(table[X], p) for p in prices]
+         for X in itertools.product(*signal_spaces)]
+    return HistogramObjective(
+        signal_spaces, prices, B, offset=0, weights=[scale * p for p in prices],
+        denom=N * len(signal_spaces), units=N,
     )
 
 
@@ -209,9 +202,9 @@ def _two_level_instance(n: int, v_low, v_high, prices, mu) -> PricingInstance:
     def utility(i: int, t: tuple, p, r):
         return _normalized_utility(t[i], p, r, vmax)
 
-    def revenue(t: tuple, p):
-        return p * Fraction(_buyer_count(t, p), n) / (1 + mu)
-
+    objective = _revenue_objective(
+        (types,), {(v,): (v,) for v in types}, prices, n, scale=1 / (1 + mu)
+    )
     env = Environment(
         type_spaces=tuple(types for _ in range(n)),
         alternatives=tuple(prices),
@@ -219,11 +212,11 @@ def _two_level_instance(n: int, v_low, v_high, prices, mu) -> PricingInstance:
         utility=utility,
         values_kind=PRIVATE_VALUES,
     )
-    F = ObjectiveFunction(eval=revenue, sensitivity_d=1)
+    F = ObjectiveFunction(eval=objective.eval, sensitivity_d=1)
     scale = Fraction(1, 1) / (1 + vmax)
     return PricingInstance(
-        env=env, F=F, N=n, D=1, prices=tuple(prices), vmax=vmax, scale=scale,
-        gamma_declared=None, mu=mu,
+        env=env, F=F, objective=objective, N=n, D=1, prices=tuple(prices),
+        vmax=vmax, scale=scale, gamma_declared=None, mu=mu,
     )
 
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
+
+import numpy as np
 
 from .environment import (
     ABS_TOL,
@@ -23,6 +25,7 @@ from .environment import (
     PRIVATE_REACTIONS,
     PRIVATE_VALUES,
     Environment,
+    HistogramObjective,
     ObjectiveFunction,
     optimal_reaction,
 )
@@ -34,9 +37,6 @@ Mechanism = Callable[[tuple], OutcomeDistribution]
 EXPOST_NASH = "expost_nash"
 DOMINANT = "dominant"
 STRICTLY_DOMINANT = "strictly_dominant"
-DOMINATED = "dominated"
-DP = "dp"
-BETA_IMPLEMENTATION = "beta_implementation"
 
 
 @dataclass(frozen=True)
@@ -250,22 +250,18 @@ def implementation_gap(
     env: Environment,
     F: ObjectiveFunction,
     W: tuple,
-    type_vectors: Sequence[tuple] | None = None,
     budget: int = DEFAULT_BUDGET,
 ):
     """Worst shortfall of E[F] under W from the pointwise optimum.
 
-    Enumerates the full type space unless explicit probe vectors are given.
-    Returns (beta_measured, worst type vector).
+    Enumerates the full type space.  Returns (beta_measured, worst type
+    vector).
     """
-    if type_vectors is None:
-        _budget_check(env.num_type_vectors() * len(env.alternatives), budget)
-        type_vectors = env.type_vectors()
+    _budget_check(env.num_type_vectors() * len(env.alternatives), budget)
     worst = -math.inf
     worst_t = None
     dists: dict = {}
-    for t in type_vectors:
-        t = tuple(t)
+    for t in env.type_vectors():
         b = announce(W, t)
         dist = dists.get(b)
         if dist is None:
@@ -278,3 +274,25 @@ def implementation_gap(
             worst = gap
             worst_t = t
     return float(worst), worst_t
+
+
+def histogram_gap(
+    objective: HistogramObjective, counts: np.ndarray, rate: float, P, q: float
+) -> tuple[float, int]:
+    """Worst shortfall of the lottery's E[F] from max F over type histograms.
+
+    Vectorized ``implementation_gap`` for truthful announcements on probe
+    histograms (rows of ``counts``): the lottery puts 1 - q on the
+    exponential mechanism at ``rate`` and q on the commitment distribution
+    ``P``'s alternative marginal.  Returns (beta_measured, worst row).
+    """
+    F = objective.scores(counts)
+    x = rate * F
+    w = np.exp(x - x.max(axis=1, keepdims=True))
+    expmech = (w / w.sum(axis=1, keepdims=True) * F).sum(axis=1)
+    marginal = np.zeros(len(objective.alternatives))
+    for s, p in zip(P.alternatives, P.probs):
+        marginal[objective.index[s]] += float(p)
+    gaps = F.max(axis=1) - ((1 - q) * expmech + q * (F @ marginal))
+    worst = int(np.argmax(gaps))
+    return float(gaps[worst]), worst

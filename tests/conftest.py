@@ -60,6 +60,18 @@ def cohort_pricing_instance(N=2, D=2, m=4):
     return dm.build_pricing_env(N, D, m, spaces, valuation)
 
 
+def two_signal_valuation(X):
+    """Both cohort members informative: each signal moves both valuations."""
+    return (Fraction(1, 10) + Fraction(4, 10) * X[0] + Fraction(4, 10) * X[1],
+            Fraction(1, 10) + Fraction(4, 10) * X[0] + Fraction(3, 10) * X[1])
+
+
+def two_signal_pricing_instance(N=2):
+    """Cohorts of two informative members, so a cohort's type cell needs
+    both signals; the grid m=20 is the coarsest that passes fineness."""
+    return dm.build_pricing_env(N, 2, 20, [(0, 1), (0, 1)], two_signal_valuation)
+
+
 # one line per acceptance criterion, echoed after the run (capture ends
 # before the terminal summary, so these survive plain `pytest -v`)
 ACCEPTANCE_LINES: list[str] = []

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import dpmech.cli as cli
@@ -69,11 +74,34 @@ def test_sample_probes_draws_valid_types():
     import dpmech as dm
 
     inst = dm.build_grid_env(3, 2, 1)
-    probes = sample_probes(inst.env, 50, task_rng(0, "sweep", 0))
-    assert len(probes) == 50
-    for t in probes:
-        assert len(t) == 3
-        assert all(x in inst.env.type_spaces[i] for i, x in enumerate(t))
+    counts = sample_probes(inst.objective, 50, task_rng(0, "sweep", 0))
+    # one histogram over the 3 grid points per probe, each of 3 agents
+    assert counts.shape == (50, 3)
+    assert (counts >= 0).all() and (counts.sum(axis=1) == 3).all()
+
+
+def _decoded_tuples(env, count, rng):
+    """Probe type vectors decoded from one (count x n) draw, as the sweep
+    once materialized them."""
+    lens = np.asarray([len(s) for s in env.type_spaces])
+    idx = (rng.random((count, len(lens))) * lens).astype(int)
+    return [tuple(env.type_spaces[j][k] for j, k in enumerate(row)) for row in idx]
+
+
+@pytest.mark.parametrize("kind", ["facility", "pricing"])
+def test_sample_probes_counts_match_decoded_tuples(kind):
+    import dpmech as dm
+    from tests.conftest import two_signal_pricing_instance
+
+    if kind == "facility":
+        inst, D = dm.build_grid_env(150, 3, 2), 1
+    else:
+        inst, D = two_signal_pricing_instance(N=40), 2
+    counts = sample_probes(inst.objective, 30, task_rng(4, "sweep", 1))
+    tuples = _decoded_tuples(inst.env, 30, task_rng(4, "sweep", 1))
+    for row, t in zip(counts, tuples):
+        hist = Counter(t[j:j + D] for j in range(0, len(t), D))
+        assert list(row) == [hist[cell] for cell in inst.objective.cells]
 
 
 def test_fmt_and_render_csv_golden_row():
@@ -205,7 +233,7 @@ def test_example_subcommands(tmp_path):
     for name in ("example1", "example3"):
         cfg = {"experiment": name, "seed": 11}
         out = str(tmp_path / f"{name}.csv")
-        rc = main([name, "--config", write_config(tmp_path, cfg, f"{name}.json"),
+        rc = main([name, "--config", write_config(tmp_path, cfg, f"{name}-config.json"),
                    "--out", out])
         assert rc == 0
         fields = dict(zip(CSV_COLUMNS, open(out).read().splitlines()[1].split(",")))
@@ -219,3 +247,66 @@ def test_stdout_when_no_out(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert captured.startswith("experiment,")
     assert "example3,4," in captured
+
+
+# beta_measured of the sweep before it evaluated probes from histograms
+# (per-probe type tuples, float objectives above n = 64); the histogram path
+# changes it only by float rounding
+PINNED_SWEEP_BETAS = [
+    ({"seed": 7, "facility": {"n": 200, "m": 2, "K": 2, "mechanism": "loc2"},
+      "n_list": [200, 2000, 6000], "probes": 10},
+     [0.047902132464910263, 0.01156901075054817, 0.0030063461843129469]),
+    ({"seed": 91, "facility": {"n": 3, "m": 2, "K": 2, "mechanism": "loc2"},
+      "n_list": [300, 500], "probes": 40},
+     [0.035414403866710686, 0.027144175412293525]),
+    ({"seed": 7, "pricing": {"cohorts": 2, "cohort_size": 2, "grid_m": 4},
+      "n_list": [6000, 12000], "probes": 200},
+     [0.14605395459094977, 0.1033525751499364]),
+]
+
+
+@pytest.mark.parametrize("cfg,betas", PINNED_SWEEP_BETAS)
+def test_sweep_beta_measured_pinned(cfg, betas):
+    rows, _ = cli.run_config({"experiment": "sweep", **cfg})
+    for row, want in zip(rows, betas, strict=True):
+        assert abs(row["beta_measured"] - want) <= 1e-12
+
+
+def test_sweep_sidecar_names_worst_probe_histogram(tmp_path):
+    cfg = {"experiment": "sweep", "seed": 5, "n_list": [6000], "probes": 5,
+           "pricing": {"cohorts": 2, "cohort_size": 2, "grid_m": 4}}
+    out = str(tmp_path / "s.csv")
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
+    worst = json.loads(open(str(tmp_path / "s.json")).read())[0]["worst_probe"]
+    # cohorts per signal vector (informative member first)
+    assert set(worst) == {"0,0", "1,0"} and sum(worst.values()) == 3000
+
+
+def run_cli(*args):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "dpmech.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("cfg", [
+    [1, 2],
+    {"experiment": "verify", "seed": 0,
+     "pricing": {"cohorts": 2, "cohort_size": 1, "grid_m": 1}},
+    {"experiment": "verify", "seed": 0,
+     "facility": {"n": 3, "m": 2, "K": 1, "mechanism": "loc2"}},
+], ids=["not-an-object", "pricing-grid-too-coarse", "loc2-single-facility"])
+def test_bad_config_exits_2_without_traceback(tmp_path, cfg):
+    proc = run_cli("verify", "--config", write_config(tmp_path, cfg))
+    assert proc.returncode == 2
+    assert "config error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_refuses_output_that_would_overwrite_config(tmp_path, capsys):
+    path = write_config(tmp_path, FACILITY_VERIFY, "run.json")
+    before = open(path).read()
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "run.csv")]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert open(path).read() == before
+    assert not (tmp_path / "run.csv").exists()

@@ -1,0 +1,99 @@
+"""The histogram-based facility and pricing objectives against brute force."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import dpmech as dm
+from tests.conftest import (
+    MASTER_SEED,
+    cohort_pricing_instance,
+    two_signal_pricing_instance,
+    two_signal_valuation,
+)
+
+# population sizes on both sides of 64, where the objectives once switched
+# from exact to float arithmetic
+SIZES = (10, 100)
+
+
+def facility_brute_force(t, s):
+    """1 - average distance to the nearest facility, agent by agent."""
+    return 1 - sum(min(abs(x - f) for f in s) for x in t) / Fraction(len(t))
+
+
+def cohort_valuation(X):
+    """The 2x2 cohort family: the first member's signal sets both values."""
+    v = Fraction(9, 10) if X[0] == 1 else Fraction(1, 5)
+    return (v, v)
+
+
+def pricing_brute_force(valuation, t, p):
+    """p times the share of agents valuing the good above p, agent by agent."""
+    vals = [v for c in range(0, len(t), 2) for v in valuation(t[c:c + 2])]
+    return p * Fraction(sum(v > p for v in vals), len(t))
+
+
+def random_vectors(env, count, seed):
+    rng = np.random.default_rng(seed)
+    return [tuple(space[int(rng.integers(len(space)))] for space in env.type_spaces)
+            for _ in range(count)]
+
+
+def facility_cases():
+    return [dm.build_grid_env(n, m, K) for n in SIZES for m in (2, 3) for K in (1, 2)]
+
+
+def pricing_cases():
+    return [(cohort_pricing_instance(N=n // 2, D=2), cohort_valuation) for n in SIZES] + [
+        (two_signal_pricing_instance(N=n // 2), two_signal_valuation) for n in SIZES
+    ]
+
+
+@pytest.mark.parametrize("inst", facility_cases(), ids=lambda i: f"n{i.n}-m{i.m}-K{i.K}")
+def test_facility_eval_is_exact(inst):
+    for t in random_vectors(inst.env, 8, MASTER_SEED + inst.n):
+        for s in inst.env.alternatives:
+            got = inst.F.eval(t, s)
+            assert isinstance(got, Fraction)
+            assert got == facility_brute_force(t, s)
+
+
+@pytest.mark.parametrize("inst,valuation", pricing_cases(),
+                         ids=lambda x: f"n{x.n}" if hasattr(x, "n") else x.__name__)
+def test_pricing_eval_is_exact(inst, valuation):
+    for t in random_vectors(inst.env, 8, MASTER_SEED + inst.n):
+        for p in inst.env.alternatives:
+            got = inst.F.eval(t, p)
+            assert isinstance(got, Fraction)
+            assert got == pricing_brute_force(valuation, t, p)
+
+
+def _counts(objective, t):
+    """Cell counts of a type vector, through per-agent type indices."""
+    D = len(objective.member_types)
+    idx = np.asarray([objective.member_types[j % D].index(x) for j, x in enumerate(t)])
+    return objective.histogram(idx)
+
+
+@pytest.mark.parametrize("inst", facility_cases() + [i for i, _ in pricing_cases()],
+                         ids=lambda i: f"{type(i).__name__}-n{i.n}")
+def test_batched_scores_match_eval(inst):
+    vectors = random_vectors(inst.env, 8, MASTER_SEED)
+    counts = np.array([_counts(inst.objective, t) for t in vectors])
+    scores = inst.objective.scores(counts)
+    assert scores.shape == (len(vectors), len(inst.env.alternatives))
+    # two float roundings (product, then offset) against one
+    for row, t in zip(scores, vectors):
+        want = [float(inst.F.eval(t, s)) for s in inst.env.alternatives]
+        np.testing.assert_allclose(row, want, rtol=0, atol=2 * np.finfo(float).eps)
+
+
+def test_example_revenue_stays_exact():
+    inst = dm.example3_env(5)
+    low, high = inst.env.type_spaces[0]
+    t = (low, high, high, low, high)
+    for p in inst.prices:
+        buyers = sum(v > p for v in t)
+        assert inst.F.eval(t, p) == p * Fraction(buyers, 5) / (1 + inst.mu)
