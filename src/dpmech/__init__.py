@@ -81,6 +81,7 @@ from .facility import (
     uniform_facility_commitment,
 )
 from .outcomes import Outcome, OutcomeDistribution, mix
+from .payoffs import Mechanism, PayoffTable
 from .pricing import (
     BUY,
     NOT_BUY,

@@ -17,7 +17,6 @@ import sys
 import tempfile
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +45,7 @@ from .facility import (
     dyad_facility_commitment,
     uniform_facility_commitment,
 )
+from .payoffs import PayoffTable
 from .pricing import (
     build_pricing_env,
     example1_env,
@@ -235,17 +235,24 @@ def run_verify(config: dict) -> tuple[list[dict], list[dict]]:
     if gap.gamma > 0:
         eps, q = saturating_params(env, P, gap.gamma)
         mech = build_combined(env, F, P, gap.gamma, eps, q)
-        reports["expost_nash"] = check_expost_nash_truthful(mech, env, budget=budget)
+        # every expected utility ex-post Nash needs, strict dominance needs too
+        table = PayoffTable(mech, env)
+        reports["expost_nash"] = check_expost_nash_truthful(
+            mech, env, budget=budget, table=table
+        )
         if env.values_kind != "interdependent":
             reports["strictly_dominant"] = check_strictly_dominant_truthful(
-                mech, env, budget=budget
+                mech, env, budget=budget, table=table
             )
         beta_measured, _ = implementation_gap(
             mech, env, F, truthful_profile(env), budget=budget
         )
     else:
         mech = commitment_mechanism(P, env)
-        reports["expost_nash"] = check_expost_nash_truthful(mech, env, budget=budget)
+        table = PayoffTable(mech, env)
+        reports["expost_nash"] = check_expost_nash_truthful(
+            mech, env, budget=budget, table=table
+        )
         reports["trivial"] = "gap-zero"
     n0 = compute_n0(P.p_tilde, gap.gamma, F.sensitivity_d, len(env.alternatives)) \
         if gap.gamma > 0 else None
@@ -266,6 +273,7 @@ def run_verify(config: dict) -> tuple[list[dict], list[dict]]:
             name: repr(getattr(rep, "witness", None))
             for name, rep in reports.items()
         },
+        "payoff_table": {**table.stats(), "budget": budget},
     }
     failed = any(
         hasattr(rep, "passed") and not rep.passed for rep in reports.values()
@@ -321,16 +329,8 @@ def _sweep_point(config: dict, n: int, index: int) -> tuple[dict, dict]:
     return row, side
 
 
-def run_sweep(config: dict, jobs: int = 1) -> tuple[list[dict], list[dict]]:
-    n_list = config["n_list"]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda a: _sweep_point(config, *a),
-                         [(n, i) for i, n in enumerate(n_list)])
-            )
-    else:
-        results = [_sweep_point(config, n, i) for i, n in enumerate(n_list)]
+def run_sweep(config: dict) -> tuple[list[dict], list[dict]]:
+    results = [_sweep_point(config, n, i) for i, n in enumerate(config["n_list"])]
     rows = [r for r, _ in results]
     sides = [s for _, s in results]
     if any("fail" in r["properties"] for r in rows):
@@ -349,9 +349,10 @@ def run_example1(config: dict) -> tuple[list[dict], list[dict]]:
     eps = 0.1
     mech = exponential_mechanism(F, env, eps)
     low = env.type_spaces[0][0]
-    nash = check_expost_nash_truthful(mech, env, budget=budget)
+    table = PayoffTable(mech, env)
+    nash = check_expost_nash_truthful(mech, env, budget=budget, table=table)
     dominating = find_dominating_strategy(
-        mech, env, 0, dict(truthful_profile(env)[0]), budget=budget
+        mech, env, 0, dict(truthful_profile(env)[0]), budget=budget, table=table
     )
     is_const_low = dominating == constant_map(env, 0, low)
     reports = {
@@ -461,12 +462,12 @@ def write_outputs(rows, sides, out_path: str | None):
     atomic_write(sidecar_path(out_path), json.dumps(sides, indent=2, default=str) + "\n")
 
 
-def run_config(config: dict, jobs: int = 1) -> tuple[list[dict], list[dict]]:
+def run_config(config: dict) -> tuple[list[dict], list[dict]]:
     exp = config["experiment"]
     if exp == "verify":
         return run_verify(config)
     if exp == "sweep":
-        return run_sweep(config, jobs=jobs)
+        return run_sweep(config)
     if exp == "example1":
         return run_example1(config)
     return run_example3(config)
@@ -483,7 +484,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -516,7 +516,7 @@ def main(argv=None) -> int:
         return 2
     try:
         config = validate_config(config)
-        rows, sides = run_config(config, jobs=args.jobs)
+        rows, sides = run_config(config)
     except ConfigInvalid as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from .environment import Environment, ObjectiveFunction
 from .errors import ParamContractViolated
 from .exponential import exponential_mechanism
 from .outcomes import OutcomeDistribution, mix
-from .verify import Mechanism
+from .payoffs import Mechanism
 
 
 @dataclass(frozen=True)

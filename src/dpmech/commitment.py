@@ -23,8 +23,8 @@ from .environment import (
 )
 from .errors import NotNonTrivial
 from .outcomes import SUM_TOL, Outcome, OutcomeDistribution
+from .payoffs import Mechanism, PayoffTable
 from .verify import (
-    Mechanism,
     VerificationReport,
     check_expost_nash_truthful,
     check_strictly_dominant_truthful,
@@ -85,23 +85,18 @@ def commitment_mechanism(P: CommitmentDistribution, env: Environment) -> Mechani
     optimal reaction for the full announced vector, which collapses to a
     function of the agent's own announcement under private reactions.
     """
-    cache: dict = {}
 
     def mech(b: tuple) -> OutcomeDistribution:
-        dist = cache.get(b)
-        if dist is None:
-            outcomes = [
-                Outcome(
-                    s,
-                    restrictions=tuple(
-                        (optimal_reaction(env, i, b, s),) for i in env.agents
-                    ),
-                )
-                for s in P.alternatives
-            ]
-            dist = OutcomeDistribution(outcomes, P.probs)
-            cache[b] = dist
-        return dist
+        outcomes = [
+            Outcome(
+                s,
+                restrictions=tuple(
+                    (optimal_reaction(env, i, b, s),) for i in env.agents
+                ),
+            )
+            for s in P.alternatives
+        ]
+        return OutcomeDistribution(outcomes, P.probs)
 
     return mech
 
@@ -157,9 +152,12 @@ def verify_corollary1(
     if not gap.gamma > 0:
         raise NotNonTrivial(gap.argmin_witness)
     mech = commitment_mechanism(P, env)
-    reports = {"expost_nash": check_expost_nash_truthful(mech, env, budget=budget)}
+    table = PayoffTable(mech, env)
+    reports = {
+        "expost_nash": check_expost_nash_truthful(mech, env, budget=budget, table=table)
+    }
     if env.values_kind in (PRIVATE_REACTIONS, PRIVATE_VALUES):
         reports["strictly_dominant"] = check_strictly_dominant_truthful(
-            mech, env, budget=budget
+            mech, env, budget=budget, table=table
         )
     return reports

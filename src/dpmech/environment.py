@@ -230,7 +230,9 @@ def optimal_reaction_set(env: Environment, i: int, t: tuple, s, allowed=None) ->
     return tuple(r for r, u in utils if not _gt(best_u, u) or _close(u, best_u))
 
 
-def _check_budget(needed: int, budget: int):
+def check_budget(needed: int, budget: int):
+    """Raise EnumerationBudgetExceeded when an enumeration of ``needed``
+    evaluations exceeds ``budget``."""
     if needed > budget:
         raise EnumerationBudgetExceeded(needed, budget)
 
@@ -249,7 +251,7 @@ def verify_sensitivity(
         * math.prod(len(env.type_spaces[j]) for j in env.agents if j != i)
         for i, ts in enumerate(env.type_spaces)
     )
-    _check_budget(pair_count * len(env.alternatives), budget)
+    check_budget(pair_count * len(env.alternatives), budget)
 
     worst = 0.0
     witness = None
@@ -286,25 +288,30 @@ def compute_gap(env: Environment, budget: int = DEFAULT_BUDGET) -> Gap:
         * math.prod(len(env.type_spaces[j]) for j in env.agents if j != i)
         for i, ts in enumerate(env.type_spaces)
     )
-    _check_budget(triple_count * len(env.alternatives), budget)
+    check_budget(triple_count * len(env.alternatives), budget)
 
+    from .payoffs import PayoffTable  # payoffs builds on this module
+
+    table = PayoffTable(None, env)
+    alternatives = range(len(env.alternatives))
     gamma = None
     witness = None
     for i in env.agents:
-        for t_minus in env.opponent_vectors(i):
-            for t_i, b_i in itertools.permutations(env.type_spaces[i], 2):
-                t = env.insert_type(i, t_i, t_minus)
-                b = env.insert_type(i, b_i, t_minus)
+        types_i, stride = env.type_spaces[i], table.strides[i]
+        for k in table.bases[i]:
+            for t_i, b_i in itertools.permutations(range(len(types_i)), 2):
+                kt, kb = k + t_i * stride, k + b_i * stride
                 adv = None
-                for s in env.alternatives:
-                    r_truth = optimal_reaction(env, i, t, s)
-                    r_lie = optimal_reaction(env, i, b, s)
-                    d = env.utility(i, t, s, r_truth) - env.utility(i, t, s, r_lie)
+                for a in alternatives:
+                    # the truth-optimal payoff against the payoff of the
+                    # reaction that is optimal for the misreport
+                    lie = (table.reaction(i, kb, a),)
+                    d = table.payoff(i, kt, a)[0] - table.payoff(i, kt, a, lie)[0]
                     if adv is None or _gt(d, adv):
                         adv = d
                 if gamma is None or _gt(gamma, adv):
                     gamma = adv
-                    witness = (i, (t_i, b_i), t_minus)
+                    witness = (i, (types_i[t_i], types_i[b_i]), table.opponents(k, i))
     if gamma is None:
         # no agent has two types: max of an empty advantage set
         gamma = 0
@@ -331,7 +338,7 @@ def find_separating_set(
         * math.prod(len(env.type_spaces[j]) for j in env.agents if j != i)
         for i, ts in enumerate(env.type_spaces)
     )
-    _check_budget(triple_count * len(env.alternatives), budget)
+    check_budget(triple_count * len(env.alternatives), budget)
 
     chosen: list = []
     witness: dict = {}
@@ -369,7 +376,7 @@ def check_environment(env: Environment, budget: int = DEFAULT_BUDGET) -> None:
         * len(env.alternatives)
         * sum(len(r) for r in env.reaction_spaces)
     )
-    _check_budget(needed, budget)
+    check_budget(needed, budget)
 
     for t in env.type_vectors():
         for s in env.alternatives:

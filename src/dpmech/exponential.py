@@ -16,14 +16,12 @@ from .environment import (
     DEFAULT_BUDGET,
     Environment,
     ObjectiveFunction,
+    check_budget,
 )
-from .errors import (
-    EnumerationBudgetExceeded,
-    PopulationTooSmall,
-    ZeroProbabilityAsymmetry,
-)
+from .errors import PopulationTooSmall, ZeroProbabilityAsymmetry
 from .outcomes import Outcome, OutcomeDistribution
-from .verify import Mechanism, VerificationReport, _EUCache
+from .payoffs import Mechanism, payoff_table
+from .verify import VerificationReport
 
 DP_RATIO_TOL = 1e-9
 
@@ -91,8 +89,7 @@ def audit_dp(
         * math.prod(len(env.type_spaces[j]) for j in env.agents if j != i)
         for i, ts in enumerate(env.type_spaces)
     )
-    if pair_count * len(env.alternatives) > budget:
-        raise EnumerationBudgetExceeded(pair_count * len(env.alternatives), budget)
+    check_budget(pair_count * len(env.alternatives), budget)
 
     marginals: dict = {}
 
@@ -144,25 +141,18 @@ def near_indifference_bound_check(
     bound asserted is e^eps - 1, which is at most 2*eps for eps <= 1.
     """
     deviations = sum(len(ts) - 1 for ts in env.type_spaces)
-    if env.num_type_vectors() * max(deviations, 1) > budget:
-        raise EnumerationBudgetExceeded(
-            env.num_type_vectors() * max(deviations, 1), budget
-        )
+    table = payoff_table(
+        mech, env, "near_indifference", env.num_type_vectors() * max(deviations, 1),
+        budget,
+    )
     bound = math.exp(eps) - 1
-    cache = _EUCache(mech, env)
     worst = 0.0
     witness = None
-    for t in env.type_vectors():
-        for i in env.agents:
-            base = cache.eu(t, i, t)
-            for b_i in env.type_spaces[i]:
-                if b_i == t[i]:
-                    continue
-                dev = cache.eu(env.insert_type(i, b_i, t[:i] + t[i + 1:]), i, t)
-                swing = abs(float(base - dev))
-                if swing > worst:
-                    worst = swing
-                    witness = (i, t, b_i, base, dev)
+    for kt, i, b_i, base, dev in table.unilateral():
+        swing = abs(float(base - dev))
+        if swing > worst:
+            worst = swing
+            witness = (i, table.vectors[kt], env.type_spaces[i][b_i], base, dev)
     return VerificationReport(
         property="near_indifference",
         passed=worst <= bound + tol,
@@ -191,8 +181,7 @@ def accuracy_bound_check(
     required = 2 * math.e * d / (eps * s_count)
     if not n > required:
         raise PopulationTooSmall(n, required)
-    if env.num_type_vectors() * s_count > budget:
-        raise EnumerationBudgetExceeded(env.num_type_vectors() * s_count, budget)
+    check_budget(env.num_type_vectors() * s_count, budget)
 
     bound = (4 * d / (n * eps)) * math.log(n * eps * s_count / (2 * d))
     rate = exp_mech_rate(n, eps, d)

@@ -26,7 +26,7 @@ from .environment import (
 )
 from .errors import PopulationTooSmall, ResolutionBudgetExceeded
 from .outcomes import Outcome, OutcomeDistribution
-from .verify import Mechanism
+from .payoffs import Mechanism
 
 DEFAULT_RHO = Fraction(1, 1024)
 DEFAULT_SUPPORT_CAP = 2**17

@@ -1,0 +1,195 @@
+"""Mechanisms, and the payoff table the exhaustive incentive checkers share.
+
+A :class:`PayoffTable` addresses an environment's type vectors by their
+mixed-radix index in canonical order: with ``strides`` the place values of
+the per-agent type indices, agent i's unilateral deviation from vector
+``k`` (true type index ``t_i``) to type index ``b_i`` is vector
+``k + (b_i - t_i) * strides[i]``.  Keyed by such indices, the table
+memoizes
+
+- each announcement's outcome distribution, as (probability, alternative
+  index, per-agent restriction as reaction indices) entries;
+- each agent's optimal reaction and its payoff at a (true vector,
+  alternative, restriction);
+- each expected utility (announcement, agent, true vector);
+
+so no type tuple is hashed and no payoff is evaluated twice.  Everything a
+table holds is bounded by the enumeration of the checks it serves; build
+one per check, or one per run of checks on the same mechanism.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from functools import cached_property
+from typing import Callable, Iterator
+
+from .environment import Environment, check_budget, optimal_reaction
+from .outcomes import OutcomeDistribution
+
+Mechanism = Callable[[tuple], OutcomeDistribution]
+
+
+class PayoffTable:
+    """Index-keyed payoffs of one mechanism on one environment.
+
+    ``mech`` may be None when only payoffs and reactions are needed (no
+    expected utilities).  Expected utilities are exact sums in the
+    distribution's support order: a float probability multiplies the
+    payoff's float value (what ``p * u`` computes for a rational ``u``),
+    any other probability the payoff itself.
+    """
+
+    def __init__(self, mech: Mechanism | None, env: Environment):
+        self.mech = mech
+        self.env = env
+        self.sizes = tuple(len(ts) for ts in env.type_spaces)
+        self.strides = tuple(math.prod(self.sizes[i + 1:]) for i in env.agents)
+        self._alternative_index = {s: a for a, s in enumerate(env.alternatives)}
+        self._reaction_index = [
+            {r: j for j, r in enumerate(rs)} for rs in env.reaction_spaces
+        ]
+        self._unrestricted = [tuple(range(len(rs))) for rs in env.reaction_spaces]
+        self._dists: dict = {}
+        self._reactions: dict = {}
+        self._payoffs: dict = {}
+        self._eus: dict = {}
+        self.eu_lookups = 0
+        # evaluations each check enumerated, by check name
+        self.enumerated: dict = {}
+
+    @cached_property
+    def vectors(self) -> list:
+        """Every type vector, in canonical order; listed on first use, so
+        after a check has compared its enumeration with its budget."""
+        return list(self.env.type_vectors())
+
+    def digits(self) -> Iterator[tuple]:
+        """Per-agent type indices of every vector, in vector order."""
+        return itertools.product(*(range(k) for k in self.sizes))
+
+    @cached_property
+    def bases(self) -> list:
+        """Per agent i, the vectors whose agent-i type index is 0, in the
+        order of ``env.opponent_vectors(i)``; add t_i * strides[i] for type
+        index t_i."""
+        places = list(zip(self.sizes, self.strides))
+        return [
+            [sum(c) for c in itertools.product(
+                *(range(0, k * s, s) for j, (k, s) in enumerate(places) if j != i)
+            )]
+            for i in self.env.agents
+        ]
+
+    def opponents(self, k: int, i: int) -> tuple:
+        """The types of every agent but i in vector k."""
+        t = self.vectors[k]
+        return t[:i] + t[i + 1:]
+
+    def dist(self, k: int) -> list:
+        """The mechanism's nonzero-probability outcomes at vector k, as
+        (probability, whether it is a float, alternative index, per-agent
+        reaction-index restrictions or None)."""
+        d = self._dists.get(k)
+        if d is None:
+            d = self._dists[k] = [
+                (
+                    p,
+                    type(p) is float,
+                    self._alternative_index[o.alternative],
+                    None if o.restrictions is None else tuple(
+                        tuple(index[r] for r in allowed)
+                        for index, allowed in zip(self._reaction_index, o.restrictions)
+                    ),
+                )
+                for o, p in self.mech(self.vectors[k]).items() if p != 0
+            ]
+        return d
+
+    def reaction(self, i: int, k: int, a: int, restriction: tuple | None = None) -> int:
+        """Index of agent i's optimal reaction at vector k and alternative a,
+        among the reaction indices ``restriction`` (all when None)."""
+        allowed = self._unrestricted[i] if restriction is None else restriction
+        if len(allowed) == 1:
+            return allowed[0]
+        key = (i, k, a, restriction)
+        r = self._reactions.get(key)
+        if r is None:
+            space = self.env.reaction_spaces[i]
+            r = self._reactions[key] = self._reaction_index[i][optimal_reaction(
+                self.env, i, self.vectors[k], self.env.alternatives[a],
+                space if restriction is None else tuple(space[j] for j in allowed),
+            )]
+        return r
+
+    def payoff(self, i: int, k: int, a: int, restriction: tuple | None = None) -> tuple:
+        """Agent i's utility at true vector k and alternative a under its
+        optimal reaction within ``restriction``, as (exact, float)."""
+        key = (i, k, a, restriction)
+        hit = self._payoffs.get(key)
+        if hit is None:
+            u = self.env.utility(
+                i, self.vectors[k], self.env.alternatives[a],
+                self.env.reaction_spaces[i][self.reaction(i, k, a, restriction)],
+            )
+            hit = self._payoffs[key] = (u, float(u))
+        return hit
+
+    def eu(self, kb: int, i: int, kt: int):
+        """Agent i's exact expected utility with true vector kt when vector
+        kb is announced."""
+        self.eu_lookups += 1
+        key = (kb, i, kt)
+        v = self._eus.get(key)
+        if v is None:
+            v = self._eus[key] = sum(
+                p * self.payoff(i, kt, a, None if r is None else r[i])[is_float]
+                for p, is_float, a, r in self.dist(kb)
+            )
+        return v
+
+    def unilateral(self) -> Iterator[tuple]:
+        """(true vector, agent, misreport index, truthful EU, deviation EU)
+        for every unilateral misreport against truthful opponents, by true
+        vector, then agent, then misreport in type-space order."""
+        for kt, digits in enumerate(self.digits()):
+            for i, (t_i, stride) in enumerate(zip(digits, self.strides)):
+                base = self.eu(kt, i, kt)
+                for b_i in range(self.sizes[i]):
+                    if b_i != t_i:
+                        yield kt, i, b_i, base, self.eu(kt + (b_i - t_i) * stride, i, kt)
+
+    def stats(self) -> dict:
+        """Work counters: distributions built, payoffs evaluated, expected
+        utilities looked up and found, and each check's enumeration size."""
+        return {
+            "distributions_built": len(self._dists),
+            "utility_evaluations": len(self._payoffs),
+            "eu_lookups": self.eu_lookups,
+            "eu_hits": self.eu_lookups - len(self._eus),
+            "enumerated": dict(self.enumerated),
+        }
+
+
+def payoff_table(
+    mech: Mechanism,
+    env: Environment,
+    check: str,
+    needed: int,
+    budget: int,
+    table: PayoffTable | None = None,
+) -> PayoffTable:
+    """The table for a check that enumerates ``needed`` evaluations.
+
+    Raises EnumerationBudgetExceeded before building anything when
+    ``needed`` exceeds ``budget``; returns ``table`` (which must belong to
+    ``mech`` and ``env``) or, when None, a fresh table.
+    """
+    check_budget(needed, budget)
+    if table is None:
+        table = PayoffTable(mech, env)
+    elif table.mech is not mech or table.env is not env:
+        raise ValueError("payoff table belongs to another mechanism or environment")
+    table.enumerated[check] = needed
+    return table

@@ -26,7 +26,7 @@ from .environment import (
 )
 from .errors import GridTooCoarse
 from .outcomes import Outcome, OutcomeDistribution
-from .verify import Mechanism
+from .payoffs import Mechanism
 
 BUY = "buy"
 NOT_BUY = "not-buy"

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -27,12 +27,11 @@ from .environment import (
     Environment,
     HistogramObjective,
     ObjectiveFunction,
+    check_budget,
     optimal_reaction,
 )
-from .errors import EnumerationBudgetExceeded, WrongValuesKind
-from .outcomes import OutcomeDistribution
-
-Mechanism = Callable[[tuple], OutcomeDistribution]
+from .errors import WrongValuesKind
+from .payoffs import Mechanism, PayoffTable, payoff_table
 
 EXPOST_NASH = "expost_nash"
 DOMINANT = "dominant"
@@ -93,68 +92,34 @@ def expected_utility(mech: Mechanism, env: Environment, W: tuple, i: int, t: tup
     )
 
 
-def _budget_check(needed: int, budget: int):
-    if needed > budget:
-        raise EnumerationBudgetExceeded(needed, budget)
-
-
-class _EUCache:
-    """Memoizes mechanism distributions and per-(b, i, t) expected utilities."""
-
-    def __init__(self, mech: Mechanism, env: Environment):
-        self.mech = mech
-        self.env = env
-        self._dists: dict = {}
-        self._eu: dict = {}
-
-    def dist(self, b: tuple) -> OutcomeDistribution:
-        d = self._dists.get(b)
-        if d is None:
-            d = self.mech(b)
-            self._dists[b] = d
-        return d
-
-    def eu(self, b: tuple, i: int, t: tuple):
-        key = (b, i, t)
-        v = self._eu.get(key)
-        if v is None:
-            dist = self.dist(b)
-            v = sum(
-                p * _utility_at(self.env, i, t, o)
-                for o, p in dist.items()
-                if p != 0
-            )
-            self._eu[key] = v
-        return v
-
-
 def check_expost_nash_truthful(
-    mech: Mechanism, env: Environment, budget: int = DEFAULT_BUDGET
+    mech: Mechanism,
+    env: Environment,
+    budget: int = DEFAULT_BUDGET,
+    *,
+    table: PayoffTable | None = None,
 ) -> VerificationReport:
     """Truth is a best response to truthful opponents at every type vector.
 
     Margin is the minimum slack over all (t, i, b_i); a failing report
-    carries the witness (i, t, b_i, truthful EU, deviation EU).
+    carries the witness (i, t, b_i, truthful EU, deviation EU).  ``table``
+    shares payoffs with other checks of the same mechanism.
     """
     deviations = sum(len(ts) - 1 for ts in env.type_spaces)
-    _budget_check(env.num_type_vectors() * max(deviations, 1), budget)
-    cache = _EUCache(mech, env)
+    table = payoff_table(
+        mech, env, EXPOST_NASH, env.num_type_vectors() * max(deviations, 1),
+        budget, table,
+    )
     margin = math.inf
     witness = None
     passed = True
-    for t in env.type_vectors():
-        for i in env.agents:
-            base = cache.eu(t, i, t)
-            for b_i in env.type_spaces[i]:
-                if b_i == t[i]:
-                    continue
-                dev = cache.eu(env.insert_type(i, b_i, t[:i] + t[i + 1:]), i, t)
-                slack = base - dev
-                if slack < margin:
-                    margin = slack
-                    if slack < -ABS_TOL:
-                        passed = False
-                        witness = (i, t, b_i, base, dev)
+    for kt, i, b_i, base, dev in table.unilateral():
+        slack = base - dev
+        if slack < margin:
+            margin = slack
+            if slack < -ABS_TOL:
+                passed = False
+                witness = (i, table.vectors[kt], env.type_spaces[i][b_i], base, dev)
     return VerificationReport(EXPOST_NASH, passed, float(margin), witness)
 
 
@@ -163,6 +128,8 @@ def check_strictly_dominant_truthful(
     env: Environment,
     budget: int = DEFAULT_BUDGET,
     strict_tol: float = ABS_TOL,
+    *,
+    table: PayoffTable | None = None,
 ) -> VerificationReport:
     """Truth strictly beats every misreport against every opponent announcement.
 
@@ -178,24 +145,23 @@ def check_strictly_dominant_truthful(
     needed = env.num_type_vectors() * sum(
         (len(env.type_spaces[i]) - 1) * opp_counts[i] for i in env.agents
     )
-    _budget_check(max(needed, 1), budget)
-    cache = _EUCache(mech, env)
+    table = payoff_table(mech, env, STRICTLY_DOMINANT, max(needed, 1), budget, table)
     margin = math.inf
     witness = None
     passed = True
-    for t in env.type_vectors():
-        for i in env.agents:
-            for b_minus in env.opponent_vectors(i):
-                truth_b = env.insert_type(i, t[i], b_minus)
-                base = cache.eu(truth_b, i, t)
-                for b_i in env.type_spaces[i]:
-                    if b_i == t[i]:
+    for kt, digits in enumerate(table.digits()):
+        for i, (t_i, stride) in enumerate(zip(digits, table.strides)):
+            for k in table.bases[i]:
+                base = table.eu(k + t_i * stride, i, kt)
+                for b_i in range(table.sizes[i]):
+                    if b_i == t_i:
                         continue
-                    dev = cache.eu(env.insert_type(i, b_i, b_minus), i, t)
+                    dev = table.eu(k + b_i * stride, i, kt)
                     slack = base - dev
                     if slack < margin:
                         margin = slack
-                        witness = (i, t, b_i, b_minus, base, dev)
+                        witness = (i, table.vectors[kt], env.type_spaces[i][b_i],
+                                   table.opponents(k, i), base, dev)
                     if slack <= strict_tol:
                         passed = False
     return VerificationReport(STRICTLY_DOMINANT, passed, float(margin), witness)
@@ -208,6 +174,8 @@ def find_dominating_strategy(
     W_i: dict,
     budget: int = DEFAULT_BUDGET,
     strict_tol: float = ABS_TOL,
+    *,
+    table: PayoffTable | None = None,
 ) -> Optional[dict]:
     """First announcement map (canonical order) that dominates W_i, if any.
 
@@ -218,30 +186,31 @@ def find_dominating_strategy(
     types_i = env.type_spaces[i]
     map_count = len(types_i) ** len(types_i)
     opp = math.prod(len(env.type_spaces[j]) for j in env.agents if j != i)
-    _budget_check(map_count * env.num_type_vectors() * opp, budget)
-    cache = _EUCache(mech, env)
-
-    base_images = tuple(W_i[t] for t in types_i)
-    for images in itertools.product(types_i, repeat=len(types_i)):
-        if images == base_images:
+    table = payoff_table(
+        mech, env, "dominating_strategy", map_count * env.num_type_vectors() * opp,
+        budget, table,
+    )
+    index = {t: j for j, t in enumerate(types_i)}
+    old = tuple(index[W_i[t]] for t in types_i)
+    stride = table.strides[i]
+    for images in itertools.product(range(len(types_i)), repeat=len(types_i)):
+        if images == old:
             continue
-        cand = dict(zip(types_i, images))
         dominates = True
         strict_somewhere = False
-        for t in env.type_vectors():
+        for kt, digits in enumerate(table.digits()):
             if not dominates:
                 break
-            for b_minus in env.opponent_vectors(i):
-                b_old = env.insert_type(i, W_i[t[i]], b_minus)
-                b_new = env.insert_type(i, cand[t[i]], b_minus)
-                diff = cache.eu(b_new, i, t) - cache.eu(b_old, i, t)
+            b_old, b_new = old[digits[i]] * stride, images[digits[i]] * stride
+            for k in table.bases[i]:
+                diff = table.eu(k + b_new, i, kt) - table.eu(k + b_old, i, kt)
                 if diff < -ABS_TOL:
                     dominates = False
                     break
                 if diff > strict_tol:
                     strict_somewhere = True
         if dominates and strict_somewhere:
-            return cand
+            return {t: types_i[j] for t, j in zip(types_i, images)}
     return None
 
 
@@ -257,7 +226,7 @@ def implementation_gap(
     Enumerates the full type space.  Returns (beta_measured, worst type
     vector).
     """
-    _budget_check(env.num_type_vectors() * len(env.alternatives), budget)
+    check_budget(env.num_type_vectors() * len(env.alternatives), budget)
     worst = -math.inf
     worst_t = None
     dists: dict = {}

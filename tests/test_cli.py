@@ -190,7 +190,7 @@ def test_sweep_determinism_byte_identical(tmp_path):
     path = write_config(tmp_path, cfg)
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["sweep", "--config", path, "--out", out1]) == 0
-    assert main(["sweep", "--config", path, "--out", out2, "--jobs", "2"]) == 0
+    assert main(["sweep", "--config", path, "--out", out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
     fields = dict(zip(CSV_COLUMNS, open(out1).read().splitlines()[1].split(",")))
     assert fields["experiment"] == "sweep-facility"

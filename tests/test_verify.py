@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -110,3 +112,271 @@ def test_expost_nash_witness_on_failure():
     assert rep.witness is not None
     i, t, b_i, base, dev = rep.witness
     assert dev > base
+
+
+# ------------------------------------------------ payoff-table checkers
+
+
+# CSV and sidecar witnesses of the benchmark's two verify configs, as the
+# checkers computed them before they shared a payoff table
+PINNED_VERIFY = [
+    (
+        {"facility": {"n": 3, "m": 2, "K": 2, "mechanism": "loc2"}},
+        "verify-facility,3,0.0625,1/2,164,1/2,1/2,1,9,,0.26186955138235957,"
+        "sensitivity=pass|expost_nash=pass(0.12606)"
+        "|strictly_dominant=pass(0.12606),1",
+        {
+            "sensitivity": "(0, (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), "
+            "(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)), "
+            "(Fraction(0, 1), Fraction(0, 1)))",
+            "expost_nash": "None",
+            "strictly_dominant": "(2, (Fraction(0, 1), Fraction(0, 1), Fraction(1, 2)), "
+            "Fraction(0, 1), (Fraction(1, 2), Fraction(1, 2)), "
+            "0.8917743648200944, 0.7657145007674057)",
+        },
+        # distributions built, utility evaluations, EU lookups, EU hits
+        (27, 1053, 2430, 243),
+    ),
+    (
+        {"pricing": {"cohorts": 5, "cohort_size": 1, "grid_m": 4}},
+        "verify-pricing,5,0.014473684210526317,1/2,948,1/5,11/38,1,5,,"
+        "0.44845926444127171,sensitivity=pass|expost_nash=pass(0.0473913)"
+        "|strictly_dominant=pass(0.0473913),1",
+        {
+            "sensitivity": "(0, (0, 0, 0, 0, 0), (1, 0, 0, 0, 0), Fraction(3, 4))",
+            "expost_nash": "None",
+            "strictly_dominant": "(0, (0, 0, 0, 0, 0), 1, (1, 1, 1, 1), "
+            "0.5472770320864261, 0.4998857718967166)",
+        },
+        (32, 2080, 5440, 320),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "app,row,witnesses,counts", PINNED_VERIFY, ids=["facility", "pricing"]
+)
+def test_verify_outputs_pinned(tmp_path, app, row, witnesses, counts):
+    import json
+
+    from dpmech.cli import CSV_COLUMNS, main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "verify", "seed": 1, **app}))
+    out = tmp_path / "rows.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text() == ",".join(CSV_COLUMNS) + "\n" + row + "\n"
+    side = json.loads((tmp_path / "rows.json").read_text())[0]
+    assert side["witnesses"] == witnesses
+    # work counters live in the sidecar only; each distinct (agent, vector,
+    # alternative, restriction) payoff is evaluated once
+    table = side["payoff_table"]
+    assert (table["distributions_built"], table["utility_evaluations"],
+            table["eu_lookups"], table["eu_hits"]) == counts
+    assert set(table["enumerated"]) == {"expost_nash", "strictly_dominant"}
+    assert table["budget"] == dm.DEFAULT_BUDGET
+
+
+def _naive_expost(mech, env):
+    """Ex-post Nash margin and witness, and the near-indifference swing,
+    from the public expected_utility."""
+    W = dm.truthful_profile(env)
+    slack_min, witness, swing, swing_witness = None, None, 0.0, None
+    for t in env.type_vectors():
+        for i in env.agents:
+            base = dm.expected_utility(mech, env, W, i, t)
+            for b_i in env.type_spaces[i]:
+                if b_i == t[i]:
+                    continue
+                W_dev = dm.unilateral_deviation(env, i, t[i], b_i)
+                dev = dm.expected_utility(mech, env, W_dev, i, t)
+                if slack_min is None or base - dev < slack_min:
+                    slack_min = base - dev
+                    if slack_min < -dm.ABS_TOL:
+                        witness = (i, t, b_i, base, dev)
+                if abs(float(base - dev)) > swing:
+                    swing = abs(float(base - dev))
+                    swing_witness = (i, t, b_i, base, dev)
+    return slack_min, witness, swing, swing_witness
+
+
+def _naive_strict(mech, env):
+    """Strict-dominance minimum slack and its witness from expected_utility,
+    opponents announcing b_minus whatever their types."""
+    slack_min, witness = None, None
+    for t in env.type_vectors():
+        for i in env.agents:
+            for b_minus in env.opponent_vectors(i):
+                opp = [dm.constant_map(env, j, b_j)
+                       for j, b_j in zip([j for j in env.agents if j != i], b_minus)]
+
+                def profile(b_i):
+                    maps = list(opp)
+                    maps.insert(i, dm.constant_map(env, i, b_i))
+                    return tuple(maps)
+
+                base = dm.expected_utility(mech, env, profile(t[i]), i, t)
+                for b_i in env.type_spaces[i]:
+                    if b_i == t[i]:
+                        continue
+                    dev = dm.expected_utility(mech, env, profile(b_i), i, t)
+                    if slack_min is None or base - dev < slack_min:
+                        slack_min = base - dev
+                        witness = (i, t, b_i, b_minus, base, dev)
+    return slack_min, witness
+
+
+def _assert_matches_naive(mech, env, eps=None):
+    """The table-backed checkers reproduce the naive reference exactly:
+    same margins, and witnesses with the same values and number types."""
+    slack_min, witness, swing, swing_witness = _naive_expost(mech, env)
+    table = dm.PayoffTable(mech, env)
+    rep = dm.check_expost_nash_truthful(mech, env, table=table)
+    assert rep.margin == float(slack_min)
+    assert repr(rep.witness) == repr(witness)
+    if eps is not None:
+        ni = dm.near_indifference_bound_check(mech, env, eps)
+        assert ni.margin == math.exp(eps) - 1 - swing
+        assert repr(ni.witness) == repr(swing_witness)
+    if env.values_kind != dm.INTERDEPENDENT:
+        strict_min, strict_witness = _naive_strict(mech, env)
+        rep = dm.check_strictly_dominant_truthful(mech, env, table=table)
+        assert rep.margin == float(strict_min)
+        assert repr(rep.witness) == repr(strict_witness)
+        # the truthful-opponent expected utilities were looked up again
+        assert table.stats()["eu_hits"] >= env.num_type_vectors() * env.n
+    return slack_min
+
+
+def test_table_checkers_match_naive_on_seeded_instances(random_instances):
+    for k, (env, F) in enumerate(random_instances[:24]):
+        eps = (0.1, 0.5, 2.0)[k % 3]
+        _assert_matches_naive(dm.exponential_mechanism(F, env, eps), env, eps)
+
+
+def _lottery(inst, P):
+    env, F = inst.env, inst.F
+    gamma = dm.compute_gap(env).gamma
+    eps, q = dm.saturating_params(env, P, gamma)
+    return dm.build_combined(env, F, P, gamma, eps, q)
+
+
+def test_table_checkers_match_naive_on_lotteries():
+    from tests.conftest import cohort_pricing_instance
+
+    fac = dm.build_grid_env(2, 2, 2)
+    _assert_matches_naive(_lottery(fac, dm.dyad_facility_commitment(fac)), fac.env)
+    # interdependent values: ex-post Nash only
+    pricing = cohort_pricing_instance(N=2, D=2, m=4)
+    assert pricing.env.values_kind == dm.INTERDEPENDENT
+    _assert_matches_naive(
+        _lottery(pricing, dm.uniform_price_commitment(pricing)), pricing.env
+    )
+
+
+def test_table_checkers_stay_exact_on_gap_zero_commitment():
+    inst = dm.build_grid_env(2, 2, 1)
+    env = inst.env
+    assert dm.compute_gap(env).gamma == 0
+    mech = dm.commitment_mechanism(dm.uniform_facility_commitment(inst), env)
+    slack_min = _assert_matches_naive(mech, env)
+    assert isinstance(slack_min, Fraction) and slack_min == 0
+    rep = dm.check_strictly_dominant_truthful(mech, env)
+    *_, base, dev = rep.witness
+    assert isinstance(base, Fraction) and isinstance(dev, Fraction)
+    assert rep.margin == float(base - dev)
+
+
+def _naive_gap(env):
+    """compute_gap by direct optimal_reaction and utility calls."""
+    gamma, witness = None, None
+    for i in env.agents:
+        for t_minus in env.opponent_vectors(i):
+            for t_i, b_i in itertools.permutations(env.type_spaces[i], 2):
+                t = env.insert_type(i, t_i, t_minus)
+                b = env.insert_type(i, b_i, t_minus)
+                adv = max(
+                    env.utility(i, t, s, dm.optimal_reaction(env, i, t, s))
+                    - env.utility(i, t, s, dm.optimal_reaction(env, i, b, s))
+                    for s in env.alternatives
+                )
+                if gamma is None or adv < gamma:
+                    gamma, witness = adv, (i, (t_i, b_i), t_minus)
+    return gamma, witness
+
+
+def test_compute_gap_matches_naive():
+    from tests.conftest import cohort_pricing_instance, two_signal_pricing_instance
+
+    for inst in (dm.build_grid_env(2, 2, 2), dm.build_grid_env(3, 2, 1),
+                 dm.build_grid_env(2, 3, 2), cohort_pricing_instance(N=2, D=2, m=4),
+                 two_signal_pricing_instance(N=1)):
+        gap = dm.compute_gap(inst.env)
+        gamma, witness = _naive_gap(inst.env)
+        assert repr((gap.gamma, gap.argmin_witness)) == repr((gamma, witness))
+
+
+def test_dominating_strategy_through_shared_table():
+    inst = dm.example1_env(3)
+    env = inst.env
+    mech = dm.exponential_mechanism(inst.F, env, 0.1)
+    low, high = env.type_spaces[0]
+    W = dm.truthful_profile(env)
+    table = dm.PayoffTable(mech, env)
+    found = dm.find_dominating_strategy(mech, env, 0, dict(W[0]), table=table)
+    assert found == dm.constant_map(env, 0, low)
+    # against truthful opponents, the constant low map beats truth weakly
+    # everywhere and strictly somewhere
+    diffs = [
+        dm.expected_utility(mech, env, (found,) + W[1:], 0, t)
+        - dm.expected_utility(mech, env, W, 0, t)
+        for t in env.type_vectors()
+    ]
+    assert min(diffs) >= -dm.ABS_TOL and max(diffs) > dm.ABS_TOL
+
+
+def test_table_rejects_another_mechanism():
+    inst = dm.build_grid_env(2, 2, 1)
+    mech = dm.exponential_mechanism(inst.F, inst.env, 0.5)
+    other = dm.exponential_mechanism(inst.F, inst.env, 0.5)
+    table = dm.PayoffTable(other, inst.env)
+    with pytest.raises(ValueError):
+        dm.check_expost_nash_truthful(mech, inst.env, table=table)
+
+
+def test_budget_checks_report_needed_and_budget():
+    inst = dm.build_grid_env(2, 2, 2)
+    env, F = inst.env, inst.F
+    mech = dm.exponential_mechanism(F, env, 1.0)
+    W = dm.truthful_profile(env)
+    checks = {
+        36: lambda: dm.check_expost_nash_truthful(mech, env, budget=1),
+        108: lambda: dm.check_strictly_dominant_truthful(mech, env, budget=1),
+        729: lambda: dm.find_dominating_strategy(mech, env, 0, dict(W[0]), budget=1),
+        324: lambda: dm.compute_gap(env, budget=1),
+        162: lambda: dm.verify_sensitivity(F, env, budget=1),
+        486: lambda: dm.check_environment(env, budget=1),
+        81: lambda: dm.implementation_gap(mech, env, F, W, budget=1),
+    }
+    for needed, check in checks.items():
+        with pytest.raises(dm.EnumerationBudgetExceeded) as e:
+            check()
+        assert (e.value.needed, e.value.budget) == (needed, 1)
+    for needed, check in ((36, dm.near_indifference_bound_check), (162, dm.audit_dp)):
+        with pytest.raises(dm.EnumerationBudgetExceeded) as e:
+            check(mech, env, 1.0, budget=1)
+        assert (e.value.needed, e.value.budget) == (needed, 1)
+    with pytest.raises(dm.EnumerationBudgetExceeded) as e:
+        dm.accuracy_bound_check(F, env, 1.0, budget=1)
+    assert (e.value.needed, e.value.budget) == (81, 1)
+
+
+def test_shared_table_checks_budget_before_listing_vectors():
+    # 3^40 type vectors: listing them would never finish
+    inst = dm.build_grid_env(40, 2, 1)
+    mech = dm.commitment_mechanism(dm.uniform_facility_commitment(inst), inst.env)
+    table = dm.PayoffTable(mech, inst.env)
+    with pytest.raises(dm.EnumerationBudgetExceeded):
+        dm.check_expost_nash_truthful(mech, inst.env, table=table)
+    with pytest.raises(dm.EnumerationBudgetExceeded):
+        dm.check_strictly_dominant_truthful(mech, inst.env, table=table)
