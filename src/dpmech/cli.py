@@ -135,6 +135,8 @@ def validate_config(config: dict) -> dict:
     fac = config.get("facility", {})
     if fac.get("mechanism") == "loc2" and fac["K"] < 2:
         raise ConfigInvalid("mechanism loc2 needs facility.K >= 2")
+    if exp == "example3" and config.get("example", {}).get("n", 2) < 2:
+        raise ConfigInvalid("example3 needs example.n >= 2")
     return config
 
 

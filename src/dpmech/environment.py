@@ -96,12 +96,14 @@ class Environment:
     def num_type_vectors(self) -> int:
         return math.prod(len(t) for t in self.type_spaces)
 
-    def opponent_vectors(self, i: int):
-        """Iterate over T_{-i} as full vectors with a placeholder at i.
+    def num_deviations(self) -> int:
+        """Ordered unilateral pairs (t, t_hat), t_hat differing from t in one
+        agent's type: N * sum_i (|T_i| - 1) over the N type vectors."""
+        return self.num_type_vectors() * sum(len(t) - 1 for t in self.type_spaces)
 
-        Yields tuples ``t_minus`` of length n-1 in the order of the remaining
-        coordinates.
-        """
+    def opponent_vectors(self, i: int):
+        """Iterate over T_{-i}: the other agents' types, as tuples of length
+        n-1 in the order of the remaining coordinates."""
         spaces = [self.type_spaces[j] for j in self.agents if j != i]
         return itertools.product(*spaces)
 
@@ -245,28 +247,21 @@ def verify_sensitivity(
     Returns n * max |F(t,s) - F(t_hat,s)| over all neighbor pairs and s,
     and whether it is bounded by the declared d (absolute slack 1e-12).
     """
-    n = env.n
-    pair_count = sum(
-        (len(ts) * (len(ts) - 1) // 2)
-        * math.prod(len(env.type_spaces[j]) for j in env.agents if j != i)
-        for i, ts in enumerate(env.type_spaces)
-    )
-    check_budget(pair_count * len(env.alternatives), budget)
+    check_budget(env.num_deviations() // 2 * len(env.alternatives), budget)
 
+    from .payoffs import PayoffTable  # payoffs builds on this module
+
+    table = PayoffTable(None, env)
     worst = 0.0
     witness = None
-    for i in env.agents:
-        types_i = env.type_spaces[i]
-        for t_minus in env.opponent_vectors(i):
-            for a, b in itertools.combinations(types_i, 2):
-                ta = env.insert_type(i, a, t_minus)
-                tb = env.insert_type(i, b, t_minus)
-                for s in env.alternatives:
-                    delta = abs(F.eval(ta, s) - F.eval(tb, s))
-                    if delta > worst:
-                        worst = delta
-                        witness = (i, ta, tb, s)
-    tightest = n * worst
+    for i, ka, kb in table.pairs():
+        ta, tb = table.vectors[ka], table.vectors[kb]
+        for s in env.alternatives:
+            delta = abs(F.eval(ta, s) - F.eval(tb, s))
+            if delta > worst:
+                worst = delta
+                witness = (i, ta, tb, s)
+    tightest = env.n * worst
     return SensitivityReport(
         tightest_d=float(tightest),
         declared_d=float(F.sensitivity_d),
@@ -283,12 +278,7 @@ def compute_gap(env: Environment, budget: int = DEFAULT_BUDGET) -> Gap:
     optimal reaction over the misreport-consistent one; the gap is the outer
     minimum, with the argmin witness.
     """
-    triple_count = sum(
-        len(ts) * (len(ts) - 1)
-        * math.prod(len(env.type_spaces[j]) for j in env.agents if j != i)
-        for i, ts in enumerate(env.type_spaces)
-    )
-    check_budget(triple_count * len(env.alternatives), budget)
+    check_budget(env.num_deviations() * len(env.alternatives), budget)
 
     from .payoffs import PayoffTable  # payoffs builds on this module
 
@@ -333,34 +323,25 @@ def find_separating_set(
     separates a triple, the first separating alternative in canonical order
     is added.  Raises :class:`NotNonTrivial` if some triple has none.
     """
-    triple_count = sum(
-        (len(ts) * (len(ts) - 1) // 2)
-        * math.prod(len(env.type_spaces[j]) for j in env.agents if j != i)
-        for i, ts in enumerate(env.type_spaces)
-    )
-    check_budget(triple_count * len(env.alternatives), budget)
+    check_budget(env.num_deviations() // 2 * len(env.alternatives), budget)
 
+    from .payoffs import PayoffTable  # payoffs builds on this module
+
+    table = PayoffTable(None, env)
     chosen: list = []
     witness: dict = {}
-    for i in env.agents:
-        for t_minus in env.opponent_vectors(i):
-            for t_i, b_i in itertools.combinations(env.type_spaces[i], 2):
-                t = env.insert_type(i, t_i, t_minus)
-                t_hat = env.insert_type(i, b_i, t_minus)
-                found = None
-                for s in chosen:
-                    if _separates(env, i, t, t_hat, s):
-                        found = s
-                        break
-                if found is None:
-                    for s in env.alternatives:
-                        if _separates(env, i, t, t_hat, s):
-                            found = s
-                            chosen.append(s)
-                            break
-                if found is None:
-                    raise NotNonTrivial((i, (t_i, b_i), t_minus))
-                witness[(i, (t_i, b_i), t_minus)] = found
+    for i, ka, kb in table.pairs():
+        t, t_hat = table.vectors[ka], table.vectors[kb]
+        triple = (i, (t[i], t_hat[i]), table.opponents(ka, i))
+        found = next((s for s in chosen if _separates(env, i, t, t_hat, s)), None)
+        if found is None:
+            found = next(
+                (s for s in env.alternatives if _separates(env, i, t, t_hat, s)), None
+            )
+            if found is None:
+                raise NotNonTrivial(triple)
+            chosen.append(found)
+        witness[triple] = found
     return SeparationCertificate(separating_set=tuple(chosen), witness=witness)
 
 
@@ -389,30 +370,25 @@ def check_environment(env: Environment, budget: int = DEFAULT_BUDGET) -> None:
                         )
 
     if env.values_kind in (PRIVATE_REACTIONS, PRIVATE_VALUES):
-        for i in env.agents:
-            for t_i in env.type_spaces[i]:
+        from .payoffs import PayoffTable  # payoffs builds on this module
+
+        table = PayoffTable(None, env)
+        for i, stride in enumerate(table.strides):
+            for b, t_i in enumerate(env.type_spaces[i]):
+                # opponents at their first types
+                first = table.vectors[b * stride]
                 for s in env.alternatives:
-                    ref = None
-                    for t_minus in env.opponent_vectors(i):
-                        t = env.insert_type(i, t_i, t_minus)
-                        cur = optimal_reaction_set(env, i, t, s)
-                        if ref is None:
-                            ref = cur
-                        elif set(cur) != set(ref):
+                    ref = set(optimal_reaction_set(env, i, first, s))
+                    for k in table.bases[i]:
+                        t = table.vectors[k + b * stride]
+                        if set(optimal_reaction_set(env, i, t, s)) != ref:
                             raise ValueError(
                                 f"declared {env.values_kind} but argmax of agent "
                                 f"{i} at {(t_i, s)} depends on opponents"
                             )
                         if env.values_kind == PRIVATE_VALUES:
                             for r in env.reaction_spaces[i]:
-                                base = env.utility(
-                                    i,
-                                    env.insert_type(
-                                        i, t_i, next(iter(env.opponent_vectors(i)))
-                                    ),
-                                    s,
-                                    r,
-                                )
+                                base = env.utility(i, first, s, r)
                                 if not _close(env.utility(i, t, s, r), base):
                                     raise ValueError(
                                         f"declared private values but utility of "

@@ -8,7 +8,6 @@ n*eps/(2d) buys on a d-sensitive objective.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from .environment import (
 )
 from .errors import PopulationTooSmall, ZeroProbabilityAsymmetry
 from .outcomes import Outcome, OutcomeDistribution
-from .payoffs import Mechanism, payoff_table
+from .payoffs import Mechanism, PayoffTable, payoff_table
 from .verify import VerificationReport
 
 DP_RATIO_TOL = 1e-9
@@ -84,41 +83,32 @@ def audit_dp(
     every alternative of the marginal on S; raises
     :class:`ZeroProbabilityAsymmetry` when exactly one side of a ratio is 0.
     """
-    pair_count = sum(
-        len(ts) * (len(ts) - 1) // 2
-        * math.prod(len(env.type_spaces[j]) for j in env.agents if j != i)
-        for i, ts in enumerate(env.type_spaces)
-    )
-    check_budget(pair_count * len(env.alternatives), budget)
+    check_budget(env.num_deviations() // 2 * len(env.alternatives), budget)
 
-    marginals: dict = {}
+    table = PayoffTable(None, env)
+    marginals: list = [None] * env.num_type_vectors()
 
-    def marg(t: tuple) -> dict:
-        m = marginals.get(t)
-        if m is None:
-            m = mech(t).marginal_alternatives()
-            marginals[t] = m
-        return m
+    def marg(k: int) -> dict:
+        if marginals[k] is None:
+            marginals[k] = mech(table.vectors[k]).marginal_alternatives()
+        return marginals[k]
 
     worst = 0.0
     witness = None
-    for i in env.agents:
-        for t_minus in env.opponent_vectors(i):
-            for a, b in itertools.combinations(env.type_spaces[i], 2):
-                ta = env.insert_type(i, a, t_minus)
-                tb = env.insert_type(i, b, t_minus)
-                pa, pb = marg(ta), marg(tb)
-                for s in env.alternatives:
-                    x = float(pa.get(s, 0))
-                    y = float(pb.get(s, 0))
-                    if x == 0.0 and y == 0.0:
-                        continue
-                    if x == 0.0 or y == 0.0:
-                        raise ZeroProbabilityAsymmetry((i, ta, tb, s))
-                    loss = abs(math.log(x) - math.log(y))
-                    if loss > worst:
-                        worst = loss
-                        witness = (i, ta, tb, s)
+    for i, ka, kb in table.pairs():
+        ta, tb = table.vectors[ka], table.vectors[kb]
+        pa, pb = marg(ka), marg(kb)
+        for s in env.alternatives:
+            x = float(pa.get(s, 0))
+            y = float(pb.get(s, 0))
+            if x == 0.0 and y == 0.0:
+                continue
+            if x == 0.0 or y == 0.0:
+                raise ZeroProbabilityAsymmetry((i, ta, tb, s))
+            loss = abs(math.log(x) - math.log(y))
+            if loss > worst:
+                worst = loss
+                witness = (i, ta, tb, s)
     return DpAuditReport(
         epsilon_measured=worst,
         witness=witness,
@@ -140,10 +130,8 @@ def near_indifference_bound_check(
     announcements (every richer unilateral map factors through these).  The
     bound asserted is e^eps - 1, which is at most 2*eps for eps <= 1.
     """
-    deviations = sum(len(ts) - 1 for ts in env.type_spaces)
     table = payoff_table(
-        mech, env, "near_indifference", env.num_type_vectors() * max(deviations, 1),
-        budget,
+        mech, env, "near_indifference", max(env.num_deviations(), 1), budget
     )
     bound = math.exp(eps) - 1
     worst = 0.0

@@ -34,11 +34,11 @@ Mechanism = Callable[[tuple], OutcomeDistribution]
 class PayoffTable:
     """Index-keyed payoffs of one mechanism on one environment.
 
-    ``mech`` may be None when only payoffs and reactions are needed (no
-    expected utilities).  Expected utilities are exact sums in the
-    distribution's support order: a float probability multiplies the
-    payoff's float value (what ``p * u`` computes for a rational ``u``),
-    any other probability the payoff itself.
+    ``mech`` may be None when no expected utilities are needed: for
+    payoffs and reactions, or for the index alone (``pairs``, ``bases``).
+    Expected utilities are exact sums in the distribution's support order:
+    a float probability multiplies the payoff's float value (what ``p * u``
+    computes for a rational ``u``), any other probability the payoff itself.
     """
 
     def __init__(self, mech: Mechanism | None, env: Environment):
@@ -81,6 +81,16 @@ class PayoffTable:
             )]
             for i in self.env.agents
         ]
+
+    def pairs(self) -> Iterator[tuple]:
+        """(agent i, vector ka, vector kb) for every unordered unilateral
+        pair, agent i's type index lower at ka: by agent, then opponent
+        profile in the order of ``bases[i]``, then type-index pair in
+        ``itertools.combinations`` order."""
+        for i, stride in enumerate(self.strides):
+            for k in self.bases[i]:
+                for a, b in itertools.combinations(range(self.sizes[i]), 2):
+                    yield i, k + a * stride, k + b * stride
 
     def opponents(self, k: int, i: int) -> tuple:
         """The types of every agent but i in vector k."""

@@ -34,7 +34,6 @@ from .errors import WrongValuesKind
 from .payoffs import Mechanism, PayoffTable, payoff_table
 
 EXPOST_NASH = "expost_nash"
-DOMINANT = "dominant"
 STRICTLY_DOMINANT = "strictly_dominant"
 
 
@@ -105,10 +104,8 @@ def check_expost_nash_truthful(
     carries the witness (i, t, b_i, truthful EU, deviation EU).  ``table``
     shares payoffs with other checks of the same mechanism.
     """
-    deviations = sum(len(ts) - 1 for ts in env.type_spaces)
     table = payoff_table(
-        mech, env, EXPOST_NASH, env.num_type_vectors() * max(deviations, 1),
-        budget, table,
+        mech, env, EXPOST_NASH, max(env.num_deviations(), 1), budget, table
     )
     margin = math.inf
     witness = None

@@ -295,9 +295,12 @@ def run_cli(*args):
      "pricing": {"cohorts": 2, "cohort_size": 1, "grid_m": 1}},
     {"experiment": "verify", "seed": 0,
      "facility": {"n": 3, "m": 2, "K": 1, "mechanism": "loc2"}},
-], ids=["not-an-object", "pricing-grid-too-coarse", "loc2-single-facility"])
+    {"experiment": "example3", "seed": 0, "example": {"n": 1}},
+], ids=["not-an-object", "pricing-grid-too-coarse", "loc2-single-facility",
+        "example3-single-buyer"])
 def test_bad_config_exits_2_without_traceback(tmp_path, cfg):
-    proc = run_cli("verify", "--config", write_config(tmp_path, cfg))
+    command = cfg["experiment"] if isinstance(cfg, dict) else "verify"
+    proc = run_cli(command, "--config", write_config(tmp_path, cfg))
     assert proc.returncode == 2
     assert "config error:" in proc.stderr
     assert "Traceback" not in proc.stderr

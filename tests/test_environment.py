@@ -1,8 +1,13 @@
+import dataclasses
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 import dpmech as dm
+from dpmech.outcomes import Outcome, OutcomeDistribution
+from tests.conftest import cohort_pricing_instance, two_signal_pricing_instance
 
 
 def tiny_env():
@@ -140,3 +145,186 @@ def test_environment_validation():
             utility=lambda i, t, s, r: 0,
             values_kind="bogus",
         )
+
+
+# -------------------------------------------------- the unilateral pair walk
+# Naive references enumerate unilateral pairs by tuple: agent, then
+# env.opponent_vectors(i), then itertools.combinations of agent i's types.
+# Every witness of the index-walking checks depends on that order.
+
+
+def _naive_pairs(env):
+    """(agent, t, t_hat, (t_i, t_hat_i), t_minus) in tuple order."""
+    for i in env.agents:
+        for t_minus in env.opponent_vectors(i):
+            for a, b in itertools.combinations(env.type_spaces[i], 2):
+                yield (i, env.insert_type(i, a, t_minus),
+                       env.insert_type(i, b, t_minus), (a, b), t_minus)
+
+
+def _naive_sensitivity(F, env):
+    worst, witness = 0.0, None
+    for i, t, t_hat, _, _ in _naive_pairs(env):
+        for s in env.alternatives:
+            delta = abs(F.eval(t, s) - F.eval(t_hat, s))
+            if delta > worst:
+                worst, witness = delta, (i, t, t_hat, s)
+    tightest = env.n * worst
+    return dm.SensitivityReport(
+        float(tightest), float(F.sensitivity_d),
+        tightest <= F.sensitivity_d + dm.ABS_TOL, witness,
+    )
+
+
+def _naive_separating_set(env):
+    """Greedy cover: a chosen alternative if one separates, else the first
+    separating one; (chosen, witness map) or the NotNonTrivial payload."""
+    chosen, witness = [], {}
+    for i, t, t_hat, pair, t_minus in _naive_pairs(env):
+        separating = [
+            s for s in env.alternatives
+            if not set(dm.optimal_reaction_set(env, i, t, s))
+            & set(dm.optimal_reaction_set(env, i, t_hat, s))
+        ]
+        if not separating:
+            return "NotNonTrivial", (i, pair, t_minus)
+        found = next((s for s in chosen if s in separating), separating[0])
+        if found not in chosen:
+            chosen.append(found)
+        witness[(i, pair, t_minus)] = found
+    return tuple(chosen), witness
+
+
+def _naive_audit(mech, env):
+    """(worst loss, witness), or the ZeroProbabilityAsymmetry payload."""
+    worst, witness = 0.0, None
+    for i, t, t_hat, _, _ in _naive_pairs(env):
+        pa, pb = (mech(v).marginal_alternatives() for v in (t, t_hat))
+        for s in env.alternatives:
+            x, y = float(pa.get(s, 0)), float(pb.get(s, 0))
+            if x == 0.0 and y == 0.0:
+                continue
+            if x == 0.0 or y == 0.0:
+                return "ZeroProbabilityAsymmetry", (i, t, t_hat, s)
+            loss = abs(math.log(x) - math.log(y))
+            if loss > worst:
+                worst, witness = loss, (i, t, t_hat, s)
+    return worst, witness
+
+
+def _close(a, b):
+    exact = (int, Fraction)
+    if isinstance(a, exact) and isinstance(b, exact):
+        return a == b
+    return abs(a - b) <= dm.ABS_TOL
+
+
+def _naive_private_kind_error(env):
+    """The first private-kind violation message, or None."""
+    for i in env.agents:
+        for t_i in env.type_spaces[i]:
+            first = env.insert_type(i, t_i, next(iter(env.opponent_vectors(i))))
+            for s in env.alternatives:
+                ref = None
+                for t_minus in env.opponent_vectors(i):
+                    t = env.insert_type(i, t_i, t_minus)
+                    cur = set(dm.optimal_reaction_set(env, i, t, s))
+                    if ref is None:
+                        ref = cur
+                    elif cur != ref:
+                        return (f"declared {env.values_kind} but argmax of agent "
+                                f"{i} at {(t_i, s)} depends on opponents")
+                    if env.values_kind == dm.PRIVATE_VALUES:
+                        for r in env.reaction_spaces[i]:
+                            if not _close(env.utility(i, t, s, r),
+                                          env.utility(i, first, s, r)):
+                                return (f"declared private values but utility of "
+                                        f"agent {i} at {(t_i, s, r)} depends on "
+                                        "opponents")
+    return None
+
+
+@pytest.fixture(scope="module")
+def pair_walk_instances(random_instances):
+    """(env, F): the seeded random instances, three facility grids and both
+    pricing families."""
+    named = (dm.build_grid_env(2, 2, 2), dm.build_grid_env(3, 2, 2),
+             dm.build_grid_env(2, 3, 1), cohort_pricing_instance(),
+             two_signal_pricing_instance())
+    return list(random_instances[:40]) + [(inst.env, inst.F) for inst in named]
+
+
+def test_verify_sensitivity_matches_naive_pair_order(pair_walk_instances):
+    for env, F in pair_walk_instances:
+        got = dm.verify_sensitivity(F, env)
+        assert repr(got) == repr(_naive_sensitivity(F, env))
+
+
+def test_find_separating_set_matches_naive_pair_order(pair_walk_instances):
+    raised = 0
+    for env, _ in pair_walk_instances:
+        try:
+            cert = dm.find_separating_set(env)
+            got = (cert.separating_set, cert.witness)
+        except dm.NotNonTrivial as e:
+            got = ("NotNonTrivial", e.witness)
+            raised += 1
+        assert repr(got) == repr(_naive_separating_set(env))
+    # both outcomes are exercised
+    assert 0 < raised < len(pair_walk_instances)
+
+
+def _argmax_dictator(F, env):
+    """All mass on the best alternative: zero on one side of most pairs."""
+    def mech(t):
+        best = max(env.alternatives, key=lambda s: F.eval(t, s))
+        return OutcomeDistribution([Outcome(best)], [1.0])
+    return mech
+
+
+def _audit(mech, env):
+    try:
+        rep = dm.audit_dp(mech, env, 0.5)
+    except dm.ZeroProbabilityAsymmetry as e:
+        return "ZeroProbabilityAsymmetry", e.witness
+    return rep.epsilon_measured, rep.witness
+
+
+def test_audit_dp_matches_naive_pair_order(pair_walk_instances):
+    raised = 0
+    for env, F in pair_walk_instances:
+        expmech = dm.exponential_mechanism(F, env, 0.5)
+        for mech in (expmech, _argmax_dictator(F, env)):
+            got = _audit(mech, env)
+            raised += got[0] == "ZeroProbabilityAsymmetry"
+            assert repr(got) == repr(_naive_audit(mech, env))
+    # the dictator trips the zero-probability check on most instances
+    assert raised > len(pair_walk_instances) // 2
+
+
+def _opponent_dependent(env):
+    """env declared private values, with utility halved whenever the next
+    agent holds its first type."""
+    def utility(i, t, s, r):
+        j = (i + 1) % env.n
+        half = t[j] == env.type_spaces[j][0]
+        return env.utility(i, t, s, r) * (Fraction(1, 2) if half else 1)
+    return dataclasses.replace(env, utility=utility, values_kind=dm.PRIVATE_VALUES)
+
+
+def test_check_environment_private_kinds_match_naive_order(pair_walk_instances):
+    messages = set()
+    for env, _ in pair_walk_instances:
+        variants = [dataclasses.replace(env, values_kind=kind)
+                    for kind in (dm.PRIVATE_REACTIONS, dm.PRIVATE_VALUES)]
+        if env.n > 1:
+            variants.append(_opponent_dependent(env))
+        for variant in variants:
+            try:
+                got = dm.check_environment(variant)
+            except ValueError as e:
+                got = str(e)
+                messages.add(got.split(" but ")[1].split(" of agent")[0])
+            assert got == _naive_private_kind_error(variant)
+    # both messages are exercised
+    assert messages == {"argmax", "utility"}

@@ -349,16 +349,17 @@ def test_budget_checks_report_needed_and_budget():
     env, F = inst.env, inst.F
     mech = dm.exponential_mechanism(F, env, 1.0)
     W = dm.truthful_profile(env)
-    checks = {
-        36: lambda: dm.check_expost_nash_truthful(mech, env, budget=1),
-        108: lambda: dm.check_strictly_dominant_truthful(mech, env, budget=1),
-        729: lambda: dm.find_dominating_strategy(mech, env, 0, dict(W[0]), budget=1),
-        324: lambda: dm.compute_gap(env, budget=1),
-        162: lambda: dm.verify_sensitivity(F, env, budget=1),
-        486: lambda: dm.check_environment(env, budget=1),
-        81: lambda: dm.implementation_gap(mech, env, F, W, budget=1),
-    }
-    for needed, check in checks.items():
+    checks = [
+        (36, lambda: dm.check_expost_nash_truthful(mech, env, budget=1)),
+        (108, lambda: dm.check_strictly_dominant_truthful(mech, env, budget=1)),
+        (729, lambda: dm.find_dominating_strategy(mech, env, 0, dict(W[0]), budget=1)),
+        (324, lambda: dm.compute_gap(env, budget=1)),
+        (162, lambda: dm.verify_sensitivity(F, env, budget=1)),
+        (162, lambda: dm.find_separating_set(env, budget=1)),
+        (486, lambda: dm.check_environment(env, budget=1)),
+        (81, lambda: dm.implementation_gap(mech, env, F, W, budget=1)),
+    ]
+    for needed, check in checks:
         with pytest.raises(dm.EnumerationBudgetExceeded) as e:
             check()
         assert (e.value.needed, e.value.budget) == (needed, 1)
