@@ -237,7 +237,8 @@ def run_verify(config: dict) -> tuple[list[dict], list[dict]]:
     if gap.gamma > 0:
         eps, q = saturating_params(env, P, gap.gamma)
         mech = build_combined(env, F, P, gap.gamma, eps, q)
-        # every expected utility ex-post Nash needs, strict dominance needs too
+        # every expected utility ex-post Nash needs, strict dominance needs
+        # too; the implementation gap reads the truthful distributions
         table = PayoffTable(mech, env)
         reports["expost_nash"] = check_expost_nash_truthful(
             mech, env, budget=budget, table=table
@@ -247,7 +248,7 @@ def run_verify(config: dict) -> tuple[list[dict], list[dict]]:
                 mech, env, budget=budget, table=table
             )
         beta_measured, _ = implementation_gap(
-            mech, env, F, truthful_profile(env), budget=budget
+            mech, env, F, truthful_profile(env), budget=budget, table=table
         )
     else:
         mech = commitment_mechanism(P, env)

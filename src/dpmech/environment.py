@@ -224,12 +224,18 @@ def optimal_reaction_set(env: Environment, i: int, t: tuple, s, allowed=None) ->
     """All reactions within tolerance of the maximum utility."""
     if allowed is None:
         allowed = env.reaction_spaces[i]
-    utils = [(r, env.utility(i, t, s, r)) for r in allowed]
-    best_u = utils[0][1]
-    for _, u in utils[1:]:
+    return _near_max(allowed, [env.utility(i, t, s, r) for r in allowed])
+
+
+def _near_max(reactions, utils: list) -> tuple:
+    """The reactions whose utility is within tolerance of the maximum."""
+    best_u = utils[0]
+    for u in utils[1:]:
         if _gt(u, best_u):
             best_u = u
-    return tuple(r for r, u in utils if not _gt(best_u, u) or _close(u, best_u))
+    return tuple(
+        r for r, u in zip(reactions, utils) if not _gt(best_u, u) or _close(u, best_u)
+    )
 
 
 def check_budget(needed: int, budget: int):
@@ -252,15 +258,15 @@ def verify_sensitivity(
     from .payoffs import PayoffTable  # payoffs builds on this module
 
     table = PayoffTable(None, env)
+    scores = [[F.eval(t, s) for s in env.alternatives] for t in table.vectors]
     worst = 0.0
     witness = None
     for i, ka, kb in table.pairs():
-        ta, tb = table.vectors[ka], table.vectors[kb]
-        for s in env.alternatives:
-            delta = abs(F.eval(ta, s) - F.eval(tb, s))
+        for s, fa, fb in zip(env.alternatives, scores[ka], scores[kb]):
+            delta = abs(fa - fb)
             if delta > worst:
                 worst = delta
-                witness = (i, ta, tb, s)
+                witness = (i, table.vectors[ka], table.vectors[kb], s)
     tightest = env.n * worst
     return SensitivityReport(
         tightest_d=float(tightest),
@@ -374,22 +380,24 @@ def check_environment(env: Environment, budget: int = DEFAULT_BUDGET) -> None:
 
         table = PayoffTable(None, env)
         for i, stride in enumerate(table.strides):
+            reactions = env.reaction_spaces[i]
             for b, t_i in enumerate(env.type_spaces[i]):
                 # opponents at their first types
                 first = table.vectors[b * stride]
                 for s in env.alternatives:
-                    ref = set(optimal_reaction_set(env, i, first, s))
+                    ref_utils = [env.utility(i, first, s, r) for r in reactions]
+                    ref = set(_near_max(reactions, ref_utils))
                     for k in table.bases[i]:
                         t = table.vectors[k + b * stride]
-                        if set(optimal_reaction_set(env, i, t, s)) != ref:
+                        utils = [env.utility(i, t, s, r) for r in reactions]
+                        if set(_near_max(reactions, utils)) != ref:
                             raise ValueError(
                                 f"declared {env.values_kind} but argmax of agent "
                                 f"{i} at {(t_i, s)} depends on opponents"
                             )
                         if env.values_kind == PRIVATE_VALUES:
-                            for r in env.reaction_spaces[i]:
-                                base = env.utility(i, first, s, r)
-                                if not _close(env.utility(i, t, s, r), base):
+                            for r, u, base in zip(reactions, utils, ref_utils):
+                                if not _close(u, base):
                                     raise ValueError(
                                         f"declared private values but utility of "
                                         f"agent {i} at {(t_i, s, r)} depends on "

@@ -13,9 +13,14 @@ memoizes
   alternative, restriction);
 - each expected utility (announcement, agent, true vector);
 
-so no type tuple is hashed and no payoff is evaluated twice.  Everything a
-table holds is bounded by the enumeration of the checks it serves; build
-one per check, or one per run of checks on the same mechanism.
+so no type tuple is hashed and no payoff is evaluated twice.  Under
+private values an agent's reactions, payoffs and expected utilities depend
+on the true vector only through its own type, so the table keys them by
+the agent's own type index alone (every opponent at index 0); under the
+other kinds, whose utilities may read opponents' types, by the full true
+vector.  Everything a table holds is bounded by the enumeration of the
+checks it serves; build one per check, or one per run of checks on the
+same mechanism.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import math
 from functools import cached_property
 from typing import Callable, Iterator
 
-from .environment import Environment, check_budget, optimal_reaction
+from .environment import PRIVATE_VALUES, Environment, check_budget, optimal_reaction
 from .outcomes import OutcomeDistribution
 
 Mechanism = Callable[[tuple], OutcomeDistribution]
@@ -39,6 +44,8 @@ class PayoffTable:
     Expected utilities are exact sums in the distribution's support order:
     a float probability multiplies the payoff's float value (what ``p * u``
     computes for a rational ``u``), any other probability the payoff itself.
+    Agent i's true vector ``k`` is keyed as ``own(i, k)``: its own type
+    under private values, the whole vector otherwise.
     """
 
     def __init__(self, mech: Mechanism | None, env: Environment):
@@ -51,6 +58,7 @@ class PayoffTable:
             {r: j for j, r in enumerate(rs)} for rs in env.reaction_spaces
         ]
         self._unrestricted = [tuple(range(len(rs))) for rs in env.reaction_spaces]
+        self._private = env.values_kind == PRIVATE_VALUES
         self._dists: dict = {}
         self._reactions: dict = {}
         self._payoffs: dict = {}
@@ -92,6 +100,14 @@ class PayoffTable:
                 for a, b in itertools.combinations(range(self.sizes[i]), 2):
                     yield i, k + a * stride, k + b * stride
 
+    def own(self, i: int, k: int) -> int:
+        """The key of true vector k for agent i's payoffs: under private
+        values the vector of k's agent-i type with every opponent at type
+        index 0, otherwise k."""
+        if self._private:
+            return k // self.strides[i] % self.sizes[i] * self.strides[i]
+        return k
+
     def opponents(self, k: int, i: int) -> tuple:
         """The types of every agent but i in vector k."""
         t = self.vectors[k]
@@ -123,6 +139,7 @@ class PayoffTable:
         allowed = self._unrestricted[i] if restriction is None else restriction
         if len(allowed) == 1:
             return allowed[0]
+        k = self.own(i, k)
         key = (i, k, a, restriction)
         r = self._reactions.get(key)
         if r is None:
@@ -136,6 +153,7 @@ class PayoffTable:
     def payoff(self, i: int, k: int, a: int, restriction: tuple | None = None) -> tuple:
         """Agent i's utility at true vector k and alternative a under its
         optimal reaction within ``restriction``, as (exact, float)."""
+        k = self.own(i, k)
         key = (i, k, a, restriction)
         hit = self._payoffs.get(key)
         if hit is None:
@@ -150,6 +168,7 @@ class PayoffTable:
         """Agent i's exact expected utility with true vector kt when vector
         kb is announced."""
         self.eu_lookups += 1
+        kt = self.own(i, kt)
         key = (kb, i, kt)
         v = self._eus.get(key)
         if v is None:

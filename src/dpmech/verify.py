@@ -27,7 +27,6 @@ from .environment import (
     Environment,
     HistogramObjective,
     ObjectiveFunction,
-    check_budget,
     optimal_reaction,
 )
 from .errors import WrongValuesKind
@@ -132,22 +131,28 @@ def check_strictly_dominant_truthful(
 
     Requires private reactions (or private values); otherwise deviation
     payoffs against non-truthful opponents are not well defined here.
+    Under private values agent i's slacks depend on the true vector only
+    through t_i (the table keys them so), and only the first true vector
+    with each (i, t_i) is visited: the budget counts the
+    ``env.num_deviations()`` slacks evaluated, where the full loop of the
+    other kinds counts N * sum_i (|T_i| - 1) * |T_-i|.
     """
     if env.values_kind not in (PRIVATE_REACTIONS, PRIVATE_VALUES):
         raise WrongValuesKind(env.values_kind)
-    opp_counts = [
-        math.prod(len(env.type_spaces[j]) for j in env.agents if j != i)
-        for i in env.agents
-    ]
-    needed = env.num_type_vectors() * sum(
-        (len(env.type_spaces[i]) - 1) * opp_counts[i] for i in env.agents
-    )
+    N = env.num_type_vectors()
+    if env.values_kind == PRIVATE_VALUES:
+        needed = env.num_deviations()
+    else:
+        needed = N * sum((len(ts) - 1) * (N // len(ts)) for ts in env.type_spaces)
     table = payoff_table(mech, env, STRICTLY_DOMINANT, max(needed, 1), budget, table)
     margin = math.inf
     witness = None
     passed = True
     for kt, digits in enumerate(table.digits()):
         for i, (t_i, stride) in enumerate(zip(digits, table.strides)):
+            if table.own(i, kt) != kt:
+                # the slacks of (i, t_i) at its first vector, own(i, kt)
+                continue
             for k in table.bases[i]:
                 base = table.eu(k + t_i * stride, i, kt)
                 for b_i in range(table.sizes[i]):
@@ -217,25 +222,30 @@ def implementation_gap(
     F: ObjectiveFunction,
     W: tuple,
     budget: int = DEFAULT_BUDGET,
+    *,
+    table: PayoffTable | None = None,
 ):
     """Worst shortfall of E[F] under W from the pointwise optimum.
 
-    Enumerates the full type space.  Returns (beta_measured, worst type
-    vector).
+    Enumerates the full type space, reading each announcement's outcome
+    distribution from ``table`` (shared with other checks of the same
+    mechanism).  Returns (beta_measured, worst type vector).
     """
-    check_budget(env.num_type_vectors() * len(env.alternatives), budget)
+    table = payoff_table(
+        mech, env, "implementation_gap", env.num_type_vectors() * len(env.alternatives),
+        budget, table,
+    )
+    index = [{t: j for j, t in enumerate(ts)} for ts in env.type_spaces]
     worst = -math.inf
     worst_t = None
-    dists: dict = {}
-    for t in env.type_vectors():
-        b = announce(W, t)
-        dist = dists.get(b)
-        if dist is None:
-            dist = mech(b)
-            dists[b] = dist
-        expected = sum(p * F.eval(t, o.alternative) for o, p in dist.items() if p != 0)
-        best = max(F.eval(t, s) for s in env.alternatives)
-        gap = best - expected
+    for t in table.vectors:
+        kb = sum(
+            index[i][W[i][t_i]] * stride
+            for i, (t_i, stride) in enumerate(zip(t, table.strides))
+        )
+        scores = [F.eval(t, s) for s in env.alternatives]
+        expected = sum(p * scores[a] for p, _, a, _ in table.dist(kb))
+        gap = max(scores) - expected
         if gap > worst:
             worst = gap
             worst_t = t

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -118,7 +119,9 @@ def test_expost_nash_witness_on_failure():
 
 
 # CSV and sidecar witnesses of the benchmark's two verify configs, as the
-# checkers computed them before they shared a payoff table
+# checkers computed them before they shared a payoff table, and of the
+# larger facility (n=5) and pricing (7 cohorts) instances, as the checkers
+# computed them before the table keyed private-value payoffs by own type
 PINNED_VERIFY = [
     (
         {"facility": {"n": 3, "m": 2, "K": 2, "mechanism": "loc2"}},
@@ -135,7 +138,7 @@ PINNED_VERIFY = [
             "0.8917743648200944, 0.7657145007674057)",
         },
         # distributions built, utility evaluations, EU lookups, EU hits
-        (27, 1053, 2430, 243),
+        (27, 117, 486, 243),
     ),
     (
         {"pricing": {"cohorts": 5, "cohort_size": 1, "grid_m": 4}},
@@ -148,13 +151,46 @@ PINNED_VERIFY = [
             "strictly_dominant": "(0, (0, 0, 0, 0, 0), 1, (1, 1, 1, 1), "
             "0.5472770320864261, 0.4998857718967166)",
         },
-        (32, 2080, 5440, 320),
+        (32, 130, 640, 320),
+    ),
+    (
+        {"facility": {"n": 5, "m": 2, "K": 2, "mechanism": "loc2"}},
+        "verify-facility,5,0.0625,1/2,164,1/2,1/2,1,9,,0.26097818211158508,"
+        "sensitivity=pass|expost_nash=pass(0.126055)"
+        "|strictly_dominant=pass(0.126055),1",
+        {
+            "sensitivity": "(0, (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), "
+            "Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1), "
+            "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), "
+            "(Fraction(0, 1), Fraction(0, 1)))",
+            "expost_nash": "None",
+            "strictly_dominant": "(4, (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), "
+            "Fraction(0, 1), Fraction(1, 2)), Fraction(1, 1), (Fraction(1, 2), "
+            "Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), "
+            "0.8936881488501582, 0.767632833259176)",
+        },
+        (243, 195, 7290, 3645),
+    ),
+    (
+        {"pricing": {"cohorts": 7, "cohort_size": 1, "grid_m": 4}},
+        "verify-pricing,7,0.014473684210526317,1/2,948,1/5,11/38,1,5,,"
+        "0.44784137351982378,sensitivity=pass|expost_nash=pass(0.0473913)"
+        "|strictly_dominant=pass(0.0473913),1",
+        {
+            "sensitivity": "(0, (0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0), "
+            "Fraction(3, 4))",
+            "expost_nash": "None",
+            "strictly_dominant": "(0, (0, 0, 0, 0, 0, 0, 0), 1, (1, 1, 1, 1, 1, 1), "
+            "0.5472313573781351, 0.49984010448238875)",
+        },
+        (128, 182, 3584, 1792),
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "app,row,witnesses,counts", PINNED_VERIFY, ids=["facility", "pricing"]
+    "app,row,witnesses,counts", PINNED_VERIFY,
+    ids=["facility", "pricing", "facility-n5", "pricing-7"],
 )
 def test_verify_outputs_pinned(tmp_path, app, row, witnesses, counts):
     import json
@@ -168,12 +204,17 @@ def test_verify_outputs_pinned(tmp_path, app, row, witnesses, counts):
     assert out.read_text() == ",".join(CSV_COLUMNS) + "\n" + row + "\n"
     side = json.loads((tmp_path / "rows.json").read_text())[0]
     assert side["witnesses"] == witnesses
-    # work counters live in the sidecar only; each distinct (agent, vector,
-    # alternative, restriction) payoff is evaluated once
+    # work counters live in the sidecar only; each distinct (agent, own type,
+    # alternative, restriction) payoff is evaluated once, and every expected
+    # utility strict dominance looks up, ex-post Nash has computed
     table = side["payoff_table"]
     assert (table["distributions_built"], table["utility_evaluations"],
             table["eu_lookups"], table["eu_hits"]) == counts
-    assert set(table["enumerated"]) == {"expost_nash", "strictly_dominant"}
+    assert table["eu_hits"] == table["eu_lookups"] // 2
+    assert set(table["enumerated"]) == {
+        "expost_nash", "strictly_dominant", "implementation_gap"
+    }
+    assert "implementation_gap" not in out.read_text()
     assert table["budget"] == dm.DEFAULT_BUDGET
 
 
@@ -252,6 +293,26 @@ def test_table_checkers_match_naive_on_seeded_instances(random_instances):
     for k, (env, F) in enumerate(random_instances[:24]):
         eps = (0.1, 0.5, 2.0)[k % 3]
         _assert_matches_naive(dm.exponential_mechanism(F, env, eps), env, eps)
+
+
+def _opponent_dependent(env):
+    """env declared private reactions, with a utility term that reads the
+    opponents' types; reactions stay singletons, so the argmax is private."""
+    def utility(i, t, s, r):
+        others = sum(t_j for j, t_j in enumerate(t) if j != i)
+        return 0.9 * env.utility(i, t, s, r) + 0.1 * ((s + others) % 2)
+    return dataclasses.replace(env, utility=utility, values_kind=dm.PRIVATE_REACTIONS)
+
+
+def test_strict_dominance_keys_private_reactions_by_full_vector(random_instances):
+    # an own-type key would read every opponent at its first type
+    envs = [(env, F) for env, F in random_instances if env.n > 1][:8]
+    for k, (env, F) in enumerate(envs):
+        variant = _opponent_dependent(env)
+        dm.check_environment(variant)
+        with pytest.raises(ValueError, match="utility"):
+            dm.check_environment(dataclasses.replace(variant, values_kind=dm.PRIVATE_VALUES))
+        _assert_matches_naive(dm.exponential_mechanism(F, variant, (0.5, 2.0)[k % 2]), variant)
 
 
 def _lottery(inst, P):
@@ -349,9 +410,13 @@ def test_budget_checks_report_needed_and_budget():
     env, F = inst.env, inst.F
     mech = dm.exponential_mechanism(F, env, 1.0)
     W = dm.truthful_profile(env)
+    reacting = dataclasses.replace(env, values_kind=dm.PRIVATE_REACTIONS)
     checks = [
         (36, lambda: dm.check_expost_nash_truthful(mech, env, budget=1)),
-        (108, lambda: dm.check_strictly_dominant_truthful(mech, env, budget=1)),
+        # private values: one slack per (agent, true type, misreport,
+        # opponent announcement); private reactions: that per true vector
+        (36, lambda: dm.check_strictly_dominant_truthful(mech, env, budget=1)),
+        (108, lambda: dm.check_strictly_dominant_truthful(mech, reacting, budget=1)),
         (729, lambda: dm.find_dominating_strategy(mech, env, 0, dict(W[0]), budget=1)),
         (324, lambda: dm.compute_gap(env, budget=1)),
         (162, lambda: dm.verify_sensitivity(F, env, budget=1)),
