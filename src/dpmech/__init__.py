@@ -17,7 +17,6 @@ from .combined import (
 )
 from .commitment import (
     CommitmentDistribution,
-    commitment_marginal_mechanism,
     commitment_mechanism,
     truth_advantage,
     uniform_commitment,

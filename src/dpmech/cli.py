@@ -40,11 +40,7 @@ from .errors import (
     ResolutionBudgetExceeded,
 )
 from .exponential import exp_mech_rate, exponential_mechanism
-from .facility import (
-    build_grid_env,
-    dyad_facility_commitment,
-    uniform_facility_commitment,
-)
+from .facility import COMMITMENTS, build_grid_env
 from .payoffs import PayoffTable
 from .pricing import (
     build_pricing_env,
@@ -210,11 +206,7 @@ def _pricing_instance(cfg: dict, n_override: int | None = None):
 
 def _facility_pair(cfg: dict, n: int):
     inst = build_grid_env(n, cfg["m"], cfg["K"])
-    if cfg.get("mechanism", "loc1") == "loc2":
-        P = dyad_facility_commitment(inst)
-    else:
-        P = uniform_facility_commitment(inst)
-    return inst, P
+    return inst, COMMITMENTS[cfg.get("mechanism", "loc1")](inst)
 
 
 def run_verify(config: dict) -> tuple[list[dict], list[dict]]:
@@ -298,22 +290,19 @@ def _sweep_point(config: dict, n: int, index: int) -> tuple[dict, dict]:
         inst = _pricing_instance(config["pricing"], n_override=cohorts)
         P = uniform_price_commitment(inst)
         kind = "pricing"
-    env, F, objective = inst.env, inst.F, inst.objective
-    gamma = inst.gamma_declared
-    params = schedule_params(env, F, P, gamma, n=env.n)
-    # checks q and the incentive contract of the lottery measured below
-    build_combined(env, F, P, gamma, params.eps, params.q, impose=False)
+    F, objective, gamma = inst.F, inst.objective, inst.gamma_declared
+    s_count = len(objective.alternatives)
+    params = schedule_params(P, gamma, F.sensitivity_d, s_count, inst.n)
     counts = sample_probes(objective, probes, task_rng(config["seed"], "sweep", index))
-    rate = exp_mech_rate(env.n, params.eps, F.sensitivity_d)
+    rate = exp_mech_rate(inst.n, params.eps, F.sensitivity_d)
     beta_measured, worst = histogram_gap(objective, counts, rate, P, params.q)
-    n0 = compute_n0(P.p_tilde, gamma, F.sensitivity_d, len(env.alternatives))
     ok = beta_measured <= params.beta_bound + 1e-9
     row = {
         "experiment": f"sweep-{kind}",
-        "n": env.n,
-        "eps": params.eps, "q": params.q, "n0": n0,
+        "n": inst.n,
+        "eps": params.eps, "q": params.q, "n0": params.n0,
         "p_tilde": P.p_tilde, "gamma": gamma,
-        "d": F.sensitivity_d, "s_count": len(env.alternatives),
+        "d": F.sensitivity_d, "s_count": s_count,
         "beta_bound": params.beta_bound, "beta_measured": beta_measured,
         "properties": f"measured_le_bound={'pass' if ok else 'fail'}",
         "seed": config["seed"],

@@ -8,17 +8,14 @@ the exponential branch's manipulation gain of at most 2 * eps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .commitment import (
-    CommitmentDistribution,
-    commitment_marginal_mechanism,
-    commitment_mechanism,
-)
+from .commitment import CommitmentDistribution, commitment_mechanism
 from .environment import Environment, ObjectiveFunction
-from .errors import ParamContractViolated
+from .errors import ParamContractViolated, PopulationTooSmall
 from .exponential import exponential_mechanism
 from .outcomes import OutcomeDistribution, mix
 from .payoffs import Mechanism
@@ -33,6 +30,7 @@ class MechanismParams:
     gamma: float
     s_count: int
     n: int
+    n0: int
 
     @property
     def beta_bound(self) -> float:
@@ -61,42 +59,33 @@ def saturating_params(env: Environment, P: CommitmentDistribution, gamma, q=Frac
 
 
 def schedule_params(
-    env: Environment,
-    F: ObjectiveFunction,
-    P: CommitmentDistribution,
-    gamma,
-    n: int | None = None,
+    P: CommitmentDistribution, gamma, d, s_count: int, n: int
 ) -> MechanismParams:
-    """The accuracy-optimal schedule for a given population size.
+    """The accuracy-optimal schedule for n agents, |S| = s_count, sensitivity d.
 
     eps = sqrt(p_tilde*gamma*d/n * ln(n*p_tilde*gamma*|S|/(2d))) and
-    q = 2*eps/(p_tilde*gamma); requires n >= n0 so that q < 1 and eps <= 1.
+    q = 2*eps/(p_tilde*gamma), raised by the last ulps the rounding may have
+    cost so that q * p_tilde * gamma >= 2 * eps holds exactly as written.
+    Raises PopulationTooSmall unless n > n0, which gives q < 1 and eps <= 1.
     """
-    if n is None:
-        n = env.n
-    d = float(F.sensitivity_d)
+    d = float(d)
+    n0 = compute_n0(P.p_tilde, gamma, d, s_count)
+    if n <= n0:
+        raise PopulationTooSmall(n, n0)
     pg = float(P.p_tilde) * float(gamma)
-    s_count = len(env.alternatives)
-    if pg <= 0:
-        raise ParamContractViolated("p_tilde * gamma must be positive")
-    log_arg = n * pg * s_count / (2 * d)
-    if log_arg <= 1:
-        raise ParamContractViolated(
-            f"population {n} too small: log argument {log_arg} <= 1"
-        )
-    eps = math.sqrt(pg * d / n * math.log(log_arg))
+    eps = math.sqrt(pg * d / n * math.log(n * pg * s_count / (2 * d)))
     q = 2 * eps / pg
-    params = MechanismParams(
+    while not incentive_contract_holds(eps, q, P.p_tilde, gamma):
+        q = math.nextafter(q, math.inf)
+    if not (q < 1 and eps <= 1):
+        raise ParamContractViolated(f"q = {q}, eps = {eps} at n = {n}")
+    return MechanismParams(
         eps=eps, q=q, d=d, p_tilde=float(P.p_tilde), gamma=float(gamma),
-        s_count=s_count, n=n,
+        s_count=s_count, n=n, n0=n0,
     )
-    if not q < 1:
-        raise ParamContractViolated(f"q = {q} >= 1 at n = {n}")
-    if eps > 1:
-        raise ParamContractViolated(f"eps = {eps} > 1 at n = {n}")
-    return params
 
 
+@functools.lru_cache(maxsize=None)
 def compute_n0(p_tilde, gamma, d: float, s_count: int, n_max: int = 10**9) -> int:
     """Smallest population size from which the schedule is admissible.
 
@@ -154,21 +143,11 @@ def build_combined(
     eps: float,
     q,
     enforce_contract: bool = True,
-    impose: bool = True,
 ) -> Mechanism:
-    """Convenience constructor wiring both branches from the environment.
-
-    ``impose=False`` swaps the commitment branch for its alternative marginal;
-    use only for accuracy measurements, never incentive checks.
-    """
-    branch = (
-        commitment_mechanism(P, env)
-        if impose
-        else commitment_marginal_mechanism(P)
-    )
+    """Convenience constructor wiring both branches from the environment."""
     return combined_mechanism(
         exponential_mechanism(F, env, eps),
-        branch,
+        commitment_mechanism(P, env),
         q,
         eps,
         P.p_tilde,

@@ -101,22 +101,6 @@ def commitment_mechanism(P: CommitmentDistribution, env: Environment) -> Mechani
     return mech
 
 
-def commitment_marginal_mechanism(P: CommitmentDistribution) -> Mechanism:
-    """The alternative marginal of M^P as an announcement-independent mechanism.
-
-    Drops the imposed restrictions; E[F] is unchanged, so this is the cheap
-    stand-in for accuracy measurements at populations where materializing
-    per-agent restrictions would dominate the runtime.  Not for incentive
-    checks.
-    """
-    dist = OutcomeDistribution([Outcome(s) for s in P.alternatives], P.probs)
-
-    def mech(b: tuple) -> OutcomeDistribution:
-        return dist
-
-    return mech
-
-
 def truth_advantage(
     env: Environment, P: CommitmentDistribution, i: int, t: tuple, b_i
 ):

@@ -36,17 +36,17 @@ class ZeroProbabilityAsymmetry(MechDesignError):
         self.witness = witness
 
 
-class PopulationTooSmall(MechDesignError):
+class ParamContractViolated(MechDesignError):
+    """Mechanism parameters violate the truthfulness precondition."""
+
+
+class PopulationTooSmall(ParamContractViolated):
     """The population does not meet the mechanism's size precondition."""
 
     def __init__(self, n, required):
         super().__init__(f"population {n} does not exceed required size {required}")
         self.n = n
         self.required = required
-
-
-class ParamContractViolated(MechDesignError):
-    """Mechanism parameters violate the truthfulness precondition."""
 
 
 class WrongValuesKind(MechDesignError):

@@ -8,6 +8,7 @@ dyadic imposing mechanism with its quadrature-exact misreport loss.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combined import MechanismParams, build_combined, compute_n0, schedule_params
+from .combined import MechanismParams, build_combined, schedule_params
 from .commitment import CommitmentDistribution
 from .environment import (
     PRIVATE_VALUES,
@@ -38,7 +39,6 @@ def grid(m: int) -> tuple:
 
 @dataclass(frozen=True)
 class FacilityInstance:
-    env: Environment
     F: ObjectiveFunction
     objective: HistogramObjective  # F.eval's exact definition, batchable
     n: int
@@ -46,24 +46,39 @@ class FacilityInstance:
     K: int
     gamma_declared: Fraction  # 1/m; the computed gap is 0 when K = 1
 
+    @functools.cached_property
+    def env(self) -> Environment:
+        """The per-agent environment, built on first read (sweeps never read it).
+
+        Utility is 1 - |t_i - r_i| when the chosen facility r_i is in s, else
+        0 (the raw -|t_i - r_i| / -1 form shifted by +1 into [0, 1]).
+        """
+
+        def utility(i: int, t: tuple, s: tuple, r):
+            if r in s:
+                return 1 - abs(t[i] - r)
+            return 0 if isinstance(t[i], Fraction) else 0.0
+
+        locs = self.objective.member_types[0]
+        return Environment(
+            type_spaces=(locs,) * self.n,
+            alternatives=self.objective.alternatives,
+            reaction_spaces=(locs,) * self.n,
+            utility=utility,
+            values_kind=PRIVATE_VALUES,
+        )
+
 
 def build_grid_env(n: int, m: int, K: int) -> FacilityInstance:
     """Grid environment: T_i = R_i = L(m), S = L(m)^K.
 
-    Utility is 1 - |t_i - r_i| when the chosen facility r_i is in s, else 0
-    (the raw -|t_i - r_i| / -1 form shifted by +1 into [0, 1]).  F is the
-    average utility under nearest-facility reactions, with sensitivity 1,
-    computed exactly from the counts of agents per grid point.
+    F is the average utility under nearest-facility reactions, with
+    sensitivity 1, computed exactly from the counts of agents per grid point.
     """
     if n < 1 or m < 1 or K < 1:
         raise ValueError("need n, m, K >= 1")
     locs = grid(m)
     alternatives = tuple(itertools.product(locs, repeat=K))
-
-    def utility(i: int, t: tuple, s: tuple, r):
-        if r in s:
-            return 1 - abs(t[i] - r)
-        return 0 if isinstance(t[i], Fraction) else 0.0
 
     # J[g, s]: grid steps from point g/m to the nearest facility of s
     J = [[min(abs(g - int(f * m)) for f in s) for s in alternatives]
@@ -72,27 +87,20 @@ def build_grid_env(n: int, m: int, K: int) -> FacilityInstance:
         (locs,), alternatives, J, offset=1, weights=(-1,) * len(alternatives),
         denom=m * n, units=n,
     )
-
-    env = Environment(
-        type_spaces=tuple(locs for _ in range(n)),
-        alternatives=alternatives,
-        reaction_spaces=tuple(locs for _ in range(n)),
-        utility=utility,
-        values_kind=PRIVATE_VALUES,
-    )
     F = ObjectiveFunction(eval=objective.eval, sensitivity_d=1)
     return FacilityInstance(
-        env=env, F=F, objective=objective, n=n, m=m, K=K, gamma_declared=Fraction(1, m)
+        F=F, objective=objective, n=n, m=m, K=K, gamma_declared=Fraction(1, m)
     )
 
 
 def uniform_facility_commitment(inst: FacilityInstance) -> CommitmentDistribution:
     """Uniform over all (m+1)^K placements; p_tilde = 1/(m+1)^K."""
-    k = len(inst.env.alternatives)
+    alternatives = inst.objective.alternatives
+    k = len(alternatives)
     return CommitmentDistribution(
-        alternatives=inst.env.alternatives,
+        alternatives=alternatives,
         probs=tuple(Fraction(1, k) for _ in range(k)),
-        separating_set=inst.env.alternatives,
+        separating_set=alternatives,
     )
 
 
@@ -116,37 +124,36 @@ def dyad_facility_commitment(inst: FacilityInstance) -> CommitmentDistribution:
     )
 
 
+# the commitment of each scheduled mechanism, by name
+COMMITMENTS = {"loc1": uniform_facility_commitment, "loc2": dyad_facility_commitment}
+
+
 @dataclass(frozen=True)
 class ScheduledMechanism:
     mech: Mechanism
     params: MechanismParams
     P: CommitmentDistribution
     inst: FacilityInstance
-    n0: int
 
 
-def _scheduled(inst: FacilityInstance, P: CommitmentDistribution, impose: bool) -> ScheduledMechanism:
-    gamma = inst.gamma_declared
-    n0 = compute_n0(P.p_tilde, gamma, 1.0, len(inst.env.alternatives))
-    if inst.n <= n0:
-        raise PopulationTooSmall(inst.n, n0)
-    params = schedule_params(inst.env, inst.F, P, gamma, n=inst.n)
-    mech = build_combined(
-        inst.env, inst.F, P, gamma, params.eps, params.q, impose=impose
+def _scheduled(n: int, m: int, K: int, mechanism: str) -> ScheduledMechanism:
+    inst = build_grid_env(n, m, K)
+    P = COMMITMENTS[mechanism](inst)
+    params = schedule_params(
+        P, inst.gamma_declared, inst.F.sensitivity_d, len(inst.objective.alternatives), n
     )
-    return ScheduledMechanism(mech=mech, params=params, P=P, inst=inst, n0=n0)
+    mech = build_combined(inst.env, inst.F, P, inst.gamma_declared, params.eps, params.q)
+    return ScheduledMechanism(mech=mech, params=params, P=P, inst=inst)
 
 
-def loc1(n: int, m: int, K: int, impose: bool = True) -> ScheduledMechanism:
+def loc1(n: int, m: int, K: int) -> ScheduledMechanism:
     """Combined mechanism with the uniform commitment, scheduled for accuracy."""
-    inst = build_grid_env(n, m, K)
-    return _scheduled(inst, uniform_facility_commitment(inst), impose)
+    return _scheduled(n, m, K, "loc1")
 
 
-def loc2(n: int, m: int, K: int, impose: bool = True) -> ScheduledMechanism:
+def loc2(n: int, m: int, K: int) -> ScheduledMechanism:
     """Combined mechanism with the m-dyad commitment; p_tilde = 1/m, K >= 2."""
-    inst = build_grid_env(n, m, K)
-    return _scheduled(inst, dyad_facility_commitment(inst), impose)
+    return _scheduled(n, m, K, "loc2")
 
 
 # ---------------------------------------------------------------- continuous
@@ -342,9 +349,13 @@ class Loc3Mechanism:
 
 
 def loc3(n: int, K: int, rho=DEFAULT_RHO) -> Loc3Mechanism:
+    """The continuous mechanism; its rho-grid of [0,1]^K must fit the support cap."""
     params = loc3_params(n, K, rho)
     if not _loc3_admissible(params):
         raise PopulationTooSmall(n, loc3_n0(K))
+    support = len(_rho_grid(rho)) ** K
+    if support > DEFAULT_SUPPORT_CAP:
+        raise ResolutionBudgetExceeded(support, DEFAULT_SUPPORT_CAP)
     return Loc3Mechanism(params=params, dyadic=DyadicCommitment(m_bar=params.m_bar, K=K))
 
 

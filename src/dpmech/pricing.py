@@ -10,6 +10,7 @@ all-announce-low profile is a bad Nash equilibrium.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,9 +44,9 @@ class PricingInstance:
     and 0 otherwise, so ``scale`` converts raw valuation units into
     normalized utility units.  ``gamma_declared`` is the grid lower bound
     1/m expressed in normalized units; the computed gap may exceed it.
+    ``valuations`` maps a cohort's signal vector to its D member valuations.
     """
 
-    env: Environment
     F: ObjectiveFunction
     objective: HistogramObjective  # F.eval's exact definition, batchable
     N: int
@@ -54,12 +55,31 @@ class PricingInstance:
     vmax: Any
     scale: Any
     gamma_declared: Any
+    valuations: dict
     mu: Any = None
     m: int | None = None
 
     @property
     def n(self) -> int:
         return self.N * self.D
+
+    @functools.cached_property
+    def env(self) -> Environment:
+        """The per-agent environment, built on first read (sweeps never read it)."""
+        D, table, vmax = self.D, self.valuations, self.vmax
+
+        def utility(i: int, t: tuple, p, r):
+            c, j = divmod(i, D)
+            V = table[t[c * D:(c + 1) * D]][j]
+            return _normalized_utility(V, p, r, vmax)
+
+        return Environment(
+            type_spaces=tuple(self.objective.member_types[i % D] for i in range(self.n)),
+            alternatives=self.prices,
+            reaction_spaces=(REACTIONS,) * self.n,
+            utility=utility,
+            values_kind=PRIVATE_VALUES if D == 1 else INTERDEPENDENT,
+        )
 
 
 def _normalized_utility(V, p, r, vmax):
@@ -104,27 +124,12 @@ def build_pricing_env(
         _check_monotone(signal_spaces, table, D)
         _check_fineness(signal_spaces, table, D, m)
 
-    n = N * D
-
-    def utility(i: int, t: tuple, p, r):
-        c, j = divmod(i, D)
-        V = table[t[c * D:(c + 1) * D]][j]
-        return _normalized_utility(V, p, r, vmax)
-
     objective = _revenue_objective(signal_spaces, table, prices, N)
-
-    env = Environment(
-        type_spaces=tuple(signal_spaces[i % D] for i in range(n)),
-        alternatives=prices,
-        reaction_spaces=tuple(REACTIONS for _ in range(n)),
-        utility=utility,
-        values_kind=PRIVATE_VALUES if D == 1 else INTERDEPENDENT,
-    )
     F = ObjectiveFunction(eval=objective.eval, sensitivity_d=D)
     scale = Fraction(1, 1) / (1 + vmax) if not isinstance(vmax, float) else 1 / (1 + vmax)
     return PricingInstance(
-        env=env, F=F, objective=objective, N=N, D=D, prices=prices, vmax=vmax,
-        scale=scale, gamma_declared=Fraction(1, m) * scale, m=m,
+        F=F, objective=objective, N=N, D=D, prices=prices, vmax=vmax,
+        scale=scale, gamma_declared=Fraction(1, m) * scale, valuations=table, m=m,
     )
 
 
@@ -195,28 +200,18 @@ def uniform_price_commitment(inst: PricingInstance) -> CommitmentDistribution:
 
 
 def _two_level_instance(n: int, v_low, v_high, prices, mu) -> PricingInstance:
-    """n independent buyers with valuation v_low or v_high; custom price set."""
-    vmax = v_high
+    """n independent buyers with valuation v_low or v_high; custom price set.
+
+    A cohort economy of size D=1 whose signal is the valuation itself.
+    """
     types = (v_low, v_high)
-
-    def utility(i: int, t: tuple, p, r):
-        return _normalized_utility(t[i], p, r, vmax)
-
-    objective = _revenue_objective(
-        (types,), {(v,): (v,) for v in types}, prices, n, scale=1 / (1 + mu)
-    )
-    env = Environment(
-        type_spaces=tuple(types for _ in range(n)),
-        alternatives=tuple(prices),
-        reaction_spaces=tuple(REACTIONS for _ in range(n)),
-        utility=utility,
-        values_kind=PRIVATE_VALUES,
-    )
+    table = {(v,): (v,) for v in types}
+    objective = _revenue_objective((types,), table, prices, n, scale=1 / (1 + mu))
     F = ObjectiveFunction(eval=objective.eval, sensitivity_d=1)
-    scale = Fraction(1, 1) / (1 + vmax)
     return PricingInstance(
-        env=env, F=F, objective=objective, N=n, D=1, prices=tuple(prices),
-        vmax=vmax, scale=scale, gamma_declared=None, mu=mu,
+        F=F, objective=objective, N=n, D=1, prices=tuple(prices), vmax=v_high,
+        scale=Fraction(1, 1) / (1 + v_high), gamma_declared=None, valuations=table,
+        mu=mu,
     )
 
 

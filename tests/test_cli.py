@@ -313,3 +313,98 @@ def test_refuses_output_that_would_overwrite_config(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
     assert open(path).read() == before
     assert not (tmp_path / "run.csv").exists()
+
+
+def test_sweep_builds_no_environment(monkeypatch):
+    import dpmech.environment
+
+    def refuse(self):
+        raise AssertionError("a sweep point built a per-agent Environment")
+
+    monkeypatch.setattr(dpmech.environment.Environment, "__post_init__", refuse)
+    for app in ({"facility": {"n": 1, "m": 2, "K": 2, "mechanism": "loc1"}},
+                {"facility": {"n": 1, "m": 2, "K": 2, "mechanism": "loc2"}},
+                {"pricing": {"cohorts": 1, "cohort_size": 2, "grid_m": 4}}):
+        row, _ = cli._sweep_point({"seed": 0, "probes": 3, **app}, 10**4, 0)
+        assert row["properties"] == "measured_le_bound=pass"
+
+
+@pytest.mark.parametrize("app,n", [
+    ({"pricing": {"cohorts": 1, "cohort_size": 2, "grid_m": 4}}, 5272),
+    ({"facility": {"n": 1, "m": 3, "K": 2, "mechanism": "loc2"}}, 450),
+], ids=["pricing-5272", "facility-m3-450"])
+def test_sweep_schedule_meets_its_contract(tmp_path, capsys, app, n):
+    # here q = 2*eps/(p_tilde*gamma) rounds to q*p_tilde*gamma < 2*eps by one ulp
+    cfg = {"experiment": "sweep", "seed": 0, "n_list": [n], "probes": 3, **app}
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_below_n0_exits_2(tmp_path, capsys):
+    cfg = {"experiment": "sweep", "seed": 0, "n_list": [100], "probes": 3,
+           "facility": {"n": 1, "m": 2, "K": 2, "mechanism": "loc2"}}
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "population 100" in err and "164" in err
+
+
+def _contract_grid():
+    """Schema-valid configs of every subcommand, each with whether one of
+    its sweep points has a population at or below the schedule's n0."""
+    import dpmech as dm
+    from dpmech.facility import COMMITMENTS
+
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            for K in (1, 2):
+                for mech in ("loc1", "loc2"):
+                    if (n, m, K) == (3, 3, 2):
+                        continue  # 0.6 s of exhaustive verify; (3, 2, 2) covers it
+                    yield {"experiment": "verify", "facility":
+                           {"n": n, "m": m, "K": K, "mechanism": mech}}, False
+    yield {"experiment": "verify", "budget": 1,
+           "facility": {"n": 2, "m": 2, "K": 2, "mechanism": "loc2"}}, False
+    for cohorts in (1, 2, 3):
+        for size in (1, 2):
+            for grid_m in (1, 4):
+                yield {"experiment": "verify", "pricing": {
+                    "cohorts": cohorts, "cohort_size": size, "grid_m": grid_m}}, False
+    for m, K, mech in ((1, 1, "loc1"), (2, 2, "loc1"), (2, 2, "loc2"), (3, 2, "loc2")):
+        inst = dm.build_grid_env(1, m, K)
+        P = COMMITMENTS[mech](inst)
+        s_count = len(inst.objective.alternatives)
+        n0 = dm.compute_n0(P.p_tilde, inst.gamma_declared, 1, s_count)
+        for n_list in ([1], [n0], [n0 + 1], [2 * n0], [2 * n0, n0]):
+            yield {"experiment": "sweep", "n_list": n_list, "probes": 2, "facility":
+                   {"n": 1, "m": m, "K": K, "mechanism": mech}}, min(n_list) <= n0
+    for size in (1, 2):
+        app = {"cohorts": 1, "cohort_size": size, "grid_m": 4}
+        inst = cli._pricing_instance(app)
+        P = dm.uniform_price_commitment(inst)
+        n0 = dm.compute_n0(P.p_tilde, inst.gamma_declared, size, len(inst.prices))
+        for n in (1, n0, n0 + 1, n0 + 2):
+            # n counts agents, rounded down to whole cohorts
+            yield {"experiment": "sweep", "n_list": [n], "probes": 2, "pricing": app}, \
+                max(1, n // size) * size <= n0
+    yield {"experiment": "sweep", "n_list": [5000], "probes": 2,
+           "pricing": {"cohorts": 1, "cohort_size": 2, "grid_m": 1}}, False
+    for exp in ("example1", "example3"):
+        for n in (1, 2, 6):
+            yield {"experiment": exp, "example": {"n": n}}, False
+
+
+def test_exit_contract_over_small_configs(tmp_path, capsys):
+    codes = Counter()
+    for k, (cfg, below_n0) in enumerate(_contract_grid()):
+        out = str(tmp_path / f"r{k}.csv")
+        path = write_config(tmp_path, {"seed": k, **cfg}, f"c{k}.json")
+        rc = main([cfg["experiment"], "--config", path, "--out", out])
+        codes[rc] += 1
+        assert rc in (0, 1, 2, 3), cfg
+        if rc == 1:
+            side = json.loads(open(cli.sidecar_path(out)).read())
+            assert all("witnesses" in s or "worst_probe" in s for s in side), cfg
+        if below_n0:
+            assert rc == 2, cfg
+    capsys.readouterr()
+    assert codes[0] and codes[2] and codes[3]

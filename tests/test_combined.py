@@ -40,7 +40,7 @@ def test_saturating_params_saturate_contract():
 
 def test_schedule_params_against_mpmath():
     inst, P, gamma = facility_setup(n=500)
-    params = dm.schedule_params(inst.env, inst.F, P, gamma)
+    params = dm.schedule_params(P, gamma, 1, 9, 500)
     mpmath.mp.dps = 50
     pg = mpmath.mpf(1) / 4
     n = mpmath.mpf(500)
@@ -57,7 +57,7 @@ def test_schedule_params_against_mpmath():
 def test_schedule_rejects_tiny_population():
     inst, P, gamma = facility_setup(n=3)
     with pytest.raises(dm.ParamContractViolated):
-        dm.schedule_params(inst.env, inst.F, P, gamma, n=4)
+        dm.schedule_params(P, gamma, 1, 9, 4)
 
 
 def test_compute_n0_is_minimal_admissible():
@@ -77,8 +77,10 @@ def test_compute_n0_is_minimal_admissible():
     assert not admissible(n0 - 1)
     # the schedule itself works from n0 + 1 on
     inst, P, gamma_ = facility_setup(n=n0 + 1)
-    params = dm.schedule_params(inst.env, inst.F, P, gamma_)
-    assert 0 < params.q < 1 and params.eps <= 1
+    params = dm.schedule_params(P, gamma_, 1, 9, n0 + 1)
+    assert 0 < params.q < 1 and params.eps <= 1 and params.n0 == n0
+    with pytest.raises(dm.PopulationTooSmall):
+        dm.schedule_params(P, gamma_, 1, 9, n0)
 
 
 def test_combined_truthful_at_saturating_params():
@@ -97,3 +99,24 @@ def test_enforce_contract_off_allows_counterexample_params():
     )
     t = next(iter(inst.env.type_vectors()))
     assert abs(float(sum(mech(t).probs)) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["facility-m2", "facility-m3", "pricing"])
+def test_schedule_contract_holds_at_every_n_above_n0(family):
+    # q = 2 eps / (p~ gamma) can round to q p~ gamma < 2 eps; the schedule
+    # must hand out parameters its own strict check accepts
+    if family == "pricing":
+        from dpmech.cli import _pricing_instance
+
+        inst = _pricing_instance({"cohorts": 1, "cohort_size": 2, "grid_m": 4})
+        P = dm.uniform_price_commitment(inst)
+    else:
+        inst = dm.build_grid_env(1, int(family[-1]), 2)
+        P = dm.dyad_facility_commitment(inst)
+    gamma, d = inst.gamma_declared, inst.F.sensitivity_d
+    s_count = len(inst.objective.alternatives)
+    n0 = dm.compute_n0(P.p_tilde, gamma, d, s_count)
+    for n in range(n0 + 1, n0 + 2001):
+        params = dm.schedule_params(P, gamma, d, s_count, n)
+        assert params.q < 1 and params.n0 == n0
+        assert dm.incentive_contract_holds(params.eps, params.q, P.p_tilde, gamma)

@@ -42,16 +42,6 @@ def test_commitment_mechanism_is_announcement_independent():
         assert all(len(allowed) == 1 for allowed in o.restrictions)
 
 
-def test_marginal_mechanism_matches_marginal():
-    inst = dm.build_grid_env(2, 2, 2)
-    P = dm.dyad_facility_commitment(inst)
-    full = dm.commitment_mechanism(P, inst.env)
-    marg = dm.commitment_marginal_mechanism(P)
-    t = (Fraction(0), Fraction(1))
-    assert full(t).marginal_alternatives() == marg(t).marginal_alternatives()
-    assert marg(t).imposing_mass() == 0
-
-
 def test_truth_advantage_lower_bound_facility():
     inst = dm.build_grid_env(3, 2, 2)
     env = inst.env

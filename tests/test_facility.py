@@ -201,11 +201,30 @@ def test_loc3_params_against_mpmath():
 def test_loc3_domination_and_n0():
     for K in (1, 2):
         n0 = dm.loc3_n0(K)
-        mech = dm.loc3(n0, K)
+        # the schedule does not depend on rho; 257^2 grid points fit the cap
+        mech = dm.loc3(n0, K, rho=Fraction(1, 256))
         assert mech.params.q < 1
         assert domination_margin(mech.params) >= 0
         with pytest.raises(dm.PopulationTooSmall):
             dm.loc3(3, K)
+
+
+class _ExpBranchRng:
+    """A generator whose ``random()`` is 0.99999, so loc3 always takes the
+    exponential branch (probability 1 - q, about 6e-4 at loc3_n0(2))."""
+
+    def random(self):
+        return 0.99999
+
+
+def test_loc3_exponential_branch_fits_the_support_cap():
+    n0 = dm.loc3_n0(1)
+    t = tuple(np.random.default_rng(3).random(n0))
+    s = dm.loc3(n0, 1).sample(t, _ExpBranchRng())
+    assert len(s) == 1 and 0 <= s[0] <= 1
+    # a 1025^2 grid exceeds the cap: refused when built, not when drawn
+    with pytest.raises(dm.ResolutionBudgetExceeded):
+        dm.loc3(dm.loc3_n0(2), 2)
 
 
 def test_loc3_sampler_deterministic():
