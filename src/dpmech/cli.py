@@ -27,9 +27,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from .combined import build_combined, compute_n0, schedule_params, saturating_params
-from .commitment import (
-    commitment_mechanism,
-)
+from .commitment import commitment_mechanism
 from .environment import DEFAULT_BUDGET, compute_gap, verify_sensitivity
 from .errors import (
     AssertionFailed,
@@ -41,7 +39,7 @@ from .errors import (
 )
 from .exponential import exp_mech_rate, exponential_mechanism
 from .facility import COMMITMENTS, build_grid_env
-from .payoffs import PayoffTable
+from .payoffs import PayoffTable, payoff_table
 from .pricing import (
     build_pricing_env,
     example1_env,
@@ -54,7 +52,6 @@ from .verify import (
     check_expost_nash_truthful,
     check_strictly_dominant_truthful,
     constant_map,
-    expected_utility,
     find_dominating_strategy,
     histogram_gap,
     implementation_gap,
@@ -184,57 +181,75 @@ def _props(reports: dict) -> str:
 # ------------------------------------------------------------- experiments
 
 
-def _pricing_instance(cfg: dict, n_override: int | None = None):
-    """The default two-signal cohort family at the requested size.
+def _instance(config: dict, n: int | None = None) -> tuple:
+    """(kind, instance, commitment) of a verify or sweep config, at the
+    config's own size or at a sweep point's population n.
 
-    Each cohort has one informative member (signals 0 < 1 mapping the whole
-    cohort to valuation 1/5 or 9/10) and cohort_size - 1 members with a
-    single uninformative signal.
+    Pricing builds the default two-signal cohort family: each cohort has
+    one informative member (signals 0 < 1 mapping the whole cohort to
+    valuation 1/5 or 9/10) and cohort_size - 1 members with a single
+    uninformative signal.
     """
-    N = n_override if n_override is not None else cfg["cohorts"]
-    D = cfg["cohort_size"]
-    m = cfg["grid_m"]
+    if "facility" in config:
+        fc = config["facility"]
+        inst = build_grid_env(fc["n"] if n is None else n, fc["m"], fc["K"])
+        return "facility", inst, COMMITMENTS[fc.get("mechanism", "loc1")](inst)
+    pc = config["pricing"]
+    D = pc["cohort_size"]
+    # n counts agents; round down to whole cohorts
+    N = pc["cohorts"] if n is None else max(1, n // D)
     lo, hi = Fraction(1, 5), Fraction(9, 10)
-    spaces = [(0, 1)] + [(0,)] * (D - 1)
 
     def valuation(X):
-        v = hi if X[0] == 1 else lo
-        return (v,) * D
+        return (hi if X[0] == 1 else lo,) * D
 
-    return build_pricing_env(N, D, m, spaces, valuation)
-
-
-def _facility_pair(cfg: dict, n: int):
-    inst = build_grid_env(n, cfg["m"], cfg["K"])
-    return inst, COMMITMENTS[cfg.get("mechanism", "loc1")](inst)
+    inst = build_pricing_env(N, D, pc["grid_m"], [(0, 1)] + [(0,)] * (D - 1), valuation)
+    return "pricing", inst, uniform_price_commitment(inst)
 
 
-def run_verify(config: dict) -> tuple[list[dict], list[dict]]:
+def _record(
+    config: dict, fields: dict, reports: dict, t0: float, **extra
+) -> tuple[dict, dict]:
+    """A result's CSV row and sidecar entry.
+
+    The row holds ``fields`` over ``CSV_COLUMNS`` (absent columns empty),
+    the properties of ``reports`` and the seed; the sidecar entry is the
+    formatted row, the wall clock since ``t0`` and ``extra``.
+    """
+    row = dict.fromkeys(CSV_COLUMNS)
+    row.update(fields, properties=_props(reports), seed=config["seed"])
+    side = {
+        **{k: _fmt(v) for k, v in row.items()},
+        "wall_clock": time.monotonic() - t0,
+        **extra,
+    }
+    return row, side
+
+
+def run_verify(config: dict) -> tuple[dict, dict]:
     budget = config.get("budget", DEFAULT_BUDGET)
     t0 = time.monotonic()
-    if "facility" in config:
-        inst, P = _facility_pair(config["facility"], config["facility"]["n"])
-        kind = "facility"
-    else:
-        pc = config["pricing"]
-        inst = _pricing_instance(pc)
-        P = uniform_price_commitment(inst)
-        kind = "pricing"
+    kind, inst, P = _instance(config)
     env, F = inst.env, inst.F
     gap = compute_gap(env, budget=budget)
-    sens = verify_sensitivity(F, env, budget=budget)
-    reports = {"sensitivity": sens}
-    eps = q = None
-    beta_measured = None
+    reports = {"sensitivity": verify_sensitivity(F, env, budget=budget)}
+    fields = {
+        "experiment": f"verify-{kind}", "n": env.n,
+        "p_tilde": P.p_tilde, "gamma": gap.gamma,
+        "d": F.sensitivity_d, "s_count": len(env.alternatives),
+    }
     if gap.gamma > 0:
         eps, q = saturating_params(env, P, gap.gamma)
         mech = build_combined(env, F, P, gap.gamma, eps, q)
-        # every expected utility ex-post Nash needs, strict dominance needs
-        # too; the implementation gap reads the truthful distributions
-        table = PayoffTable(mech, env)
-        reports["expost_nash"] = check_expost_nash_truthful(
-            mech, env, budget=budget, table=table
-        )
+    else:
+        mech = commitment_mechanism(P, env)
+    # every expected utility ex-post Nash needs, strict dominance needs too;
+    # the implementation gap reads the truthful distributions
+    table = PayoffTable(mech, env)
+    reports["expost_nash"] = check_expost_nash_truthful(
+        mech, env, budget=budget, table=table
+    )
+    if gap.gamma > 0:
         if env.values_kind != "interdependent":
             reports["strictly_dominant"] = check_strictly_dominant_truthful(
                 mech, env, budget=budget, table=table
@@ -242,54 +257,24 @@ def run_verify(config: dict) -> tuple[list[dict], list[dict]]:
         beta_measured, _ = implementation_gap(
             mech, env, F, truthful_profile(env), budget=budget, table=table
         )
+        n0 = compute_n0(P.p_tilde, gap.gamma, F.sensitivity_d, len(env.alternatives))
+        fields.update(eps=eps, q=q, n0=n0, beta_measured=beta_measured)
     else:
-        mech = commitment_mechanism(P, env)
-        table = PayoffTable(mech, env)
-        reports["expost_nash"] = check_expost_nash_truthful(
-            mech, env, budget=budget, table=table
-        )
         reports["trivial"] = "gap-zero"
-    n0 = compute_n0(P.p_tilde, gap.gamma, F.sensitivity_d, len(env.alternatives)) \
-        if gap.gamma > 0 else None
-    row = {
-        "experiment": f"verify-{kind}",
-        "n": env.n,
-        "eps": eps, "q": q, "n0": n0,
-        "p_tilde": P.p_tilde, "gamma": gap.gamma,
-        "d": F.sensitivity_d, "s_count": len(env.alternatives),
-        "beta_bound": None, "beta_measured": beta_measured,
-        "properties": _props(reports),
-        "seed": config["seed"],
-    }
-    side = {
-        **{k: _fmt(v) for k, v in row.items()},
-        "wall_clock": time.monotonic() - t0,
-        "witnesses": {
+    return _record(
+        config, fields, reports, t0,
+        witnesses={
             name: repr(getattr(rep, "witness", None))
             for name, rep in reports.items()
         },
-        "payoff_table": {**table.stats(), "budget": budget},
-    }
-    failed = any(
-        hasattr(rep, "passed") and not rep.passed for rep in reports.values()
+        payoff_table={**table.stats(), "budget": budget},
     )
-    if failed:
-        raise AssertionFailed(([row], [side]))
-    return [row], [side]
 
 
 def _sweep_point(config: dict, n: int, index: int) -> tuple[dict, dict]:
     probes = config.get("probes", DEFAULT_PROBES)
     t0 = time.monotonic()
-    if "facility" in config:
-        inst, P = _facility_pair(config["facility"], n)
-        kind = "facility"
-    else:
-        # n counts agents; round down to whole cohorts
-        cohorts = max(1, n // config["pricing"]["cohort_size"])
-        inst = _pricing_instance(config["pricing"], n_override=cohorts)
-        P = uniform_price_commitment(inst)
-        kind = "pricing"
+    kind, inst, P = _instance(config, n)
     F, objective, gamma = inst.F, inst.objective, inst.gamma_declared
     s_count = len(objective.alternatives)
     params = schedule_params(P, gamma, F.sensitivity_d, s_count, inst.n)
@@ -297,43 +282,34 @@ def _sweep_point(config: dict, n: int, index: int) -> tuple[dict, dict]:
     rate = exp_mech_rate(inst.n, params.eps, F.sensitivity_d)
     beta_measured, worst = histogram_gap(objective, counts, rate, P, params.q)
     ok = beta_measured <= params.beta_bound + 1e-9
-    row = {
-        "experiment": f"sweep-{kind}",
-        "n": inst.n,
+    fields = {
+        "experiment": f"sweep-{kind}", "n": inst.n,
         "eps": params.eps, "q": params.q, "n0": params.n0,
         "p_tilde": P.p_tilde, "gamma": gamma,
         "d": F.sensitivity_d, "s_count": s_count,
         "beta_bound": params.beta_bound, "beta_measured": beta_measured,
-        "properties": f"measured_le_bound={'pass' if ok else 'fail'}",
-        "seed": config["seed"],
     }
-    side = {
-        **{k: _fmt(v) for k, v in row.items()},
-        "wall_clock": time.monotonic() - t0,
-        "probe_count": probes,
-        "beta_measured_kind": "lower-bound estimate of beta_measured",
+    return _record(
+        config, fields, {"measured_le_bound": "pass" if ok else "fail"}, t0,
+        probe_count=probes,
+        beta_measured_kind="lower-bound estimate of beta_measured",
         # agents (facility) or cohorts (pricing) per type cell
-        "worst_probe": {
+        worst_probe={
             ",".join(map(_fmt, cell)): int(c)
             for cell, c in zip(objective.cells, counts[worst])
         },
-    }
-    return row, side
+    )
 
 
-def run_sweep(config: dict) -> tuple[list[dict], list[dict]]:
-    results = [_sweep_point(config, n, i) for i, n in enumerate(config["n_list"])]
-    rows = [r for r, _ in results]
-    sides = [s for _, s in results]
-    if any("fail" in r["properties"] for r in rows):
-        raise AssertionFailed((rows, sides))
-    return rows, sides
-
-
-def run_example1(config: dict) -> tuple[list[dict], list[dict]]:
+def _example(config: dict, n: int) -> tuple:
+    """(n, mu) of the optional ``example`` block, defaulting to n and 1/4."""
     ex = config.get("example", {})
-    n = ex.get("n", 6)
     mu = Fraction(ex["mu"]).limit_denominator(10**6) if "mu" in ex else Fraction(1, 4)
+    return ex.get("n", n), mu
+
+
+def run_example1(config: dict) -> tuple[dict, dict]:
+    n, mu = _example(config, 6)
     budget = config.get("budget", DEFAULT_BUDGET)
     t0 = time.monotonic()
     inst = example1_env(n, mu)
@@ -351,70 +327,43 @@ def run_example1(config: dict) -> tuple[list[dict], list[dict]]:
         "truth_not_expost_nash": "pass" if not nash.passed else "fail",
         "const_low_dominates": "pass" if is_const_low else "fail",
     }
-    row = {
-        "experiment": "example1", "n": n,
-        "eps": eps, "q": None, "n0": None,
-        "p_tilde": None, "gamma": None, "d": 1,
-        "s_count": len(env.alternatives),
-        "beta_bound": None, "beta_measured": None,
-        "properties": _props(reports), "seed": config["seed"],
-    }
-    side = {
-        **{k: _fmt(v) for k, v in row.items()},
-        "wall_clock": time.monotonic() - t0,
-        "witnesses": {"nash_violation": repr(nash.witness),
-                      "dominating_map": repr(dominating)},
-    }
-    if "fail" in row["properties"]:
-        raise AssertionFailed(([row], [side]))
-    return [row], [side]
+    fields = {"experiment": "example1", "n": n, "eps": eps, "d": 1,
+              "s_count": len(env.alternatives)}
+    return _record(
+        config, fields, reports, t0,
+        witnesses={"nash_violation": repr(nash.witness),
+                   "dominating_map": repr(dominating)},
+    )
 
 
-def run_example3(config: dict) -> tuple[list[dict], list[dict]]:
-    ex = config.get("example", {})
-    n = ex.get("n", 8)
-    mu = Fraction(ex["mu"]).limit_denominator(10**6) if "mu" in ex else Fraction(1, 4)
+def run_example3(config: dict) -> tuple[dict, dict]:
+    n, mu = _example(config, 8)
+    budget = config.get("budget", DEFAULT_BUDGET)
     t0 = time.monotonic()
     inst = example3_env(n, mu)
     env = inst.env
     mech = example3_mechanism(inst)
-    low, high = env.type_spaces[0]
-    W_bad = tuple(constant_map(env, i, low) for i in env.agents)
-    # exact unilateral-deviation check at every true type vector
-    worst = None
-    for t in env.type_vectors():
-        for i in env.agents:
-            base = expected_utility(mech, env, W_bad, i, t)
-            dev_profile = list(W_bad)
-            dev_profile[i] = constant_map(env, i, high)
-            dev = expected_utility(mech, env, tuple(dev_profile), i, t)
-            slack = base - dev
-            if worst is None or slack < worst:
-                worst = slack
-    nash_ok = worst is not None and worst >= -1e-12
-    all_high = tuple(high for _ in env.agents)
-    revenue = revenue_per_agent(inst, all_high, inst.prices[0])
-    revenue_ok = revenue == Fraction(1, n)
+    table = payoff_table(mech, env, "bad_profile_nash", env.num_deviations(), budget)
+    # every agent announces low (vector 0), agent i deviates to high (vector
+    # strides[i]); under private values the slack depends on the true vector
+    # only through t_i, so one true vector per (agent, own type) covers all
+    worst = min(
+        table.eu(0, i, kt) - table.eu(stride, i, kt)
+        for i, stride in enumerate(table.strides)
+        for kt in (0, stride)
+    )
+    high = env.type_spaces[0][1]
+    revenue = revenue_per_agent(inst, (high,) * n, inst.prices[0])
     reports = {
-        "bad_profile_is_nash": "pass" if nash_ok else "fail",
-        "revenue_is_1_over_n": "pass" if revenue_ok else "fail",
+        "bad_profile_is_nash": "pass" if worst >= -1e-12 else "fail",
+        "revenue_is_1_over_n": "pass" if revenue == Fraction(1, n) else "fail",
     }
-    row = {
-        "experiment": "example3", "n": n,
-        "eps": None, "q": Fraction(1, n), "n0": None,
-        "p_tilde": None, "gamma": None, "d": 1,
-        "s_count": len(env.alternatives),
-        "beta_bound": None, "beta_measured": None,
-        "properties": _props(reports), "seed": config["seed"],
-    }
-    side = {
-        **{k: _fmt(v) for k, v in row.items()},
-        "wall_clock": time.monotonic() - t0,
-        "witnesses": {"min_nash_slack": _fmt(worst), "revenue": _fmt(revenue)},
-    }
-    if "fail" in row["properties"]:
-        raise AssertionFailed(([row], [side]))
-    return [row], [side]
+    fields = {"experiment": "example3", "n": n, "q": Fraction(1, n), "d": 1,
+              "s_count": len(env.alternatives)}
+    return _record(
+        config, fields, reports, t0,
+        witnesses={"min_nash_slack": _fmt(worst), "revenue": _fmt(revenue)},
+    )
 
 
 # ------------------------------------------------------------------ output
@@ -455,14 +404,46 @@ def write_outputs(rows, sides, out_path: str | None):
 
 
 def run_config(config: dict) -> tuple[list[dict], list[dict]]:
+    """The rows and sidecar entries of a validated config.
+
+    Raises AssertionFailed, carrying both, when a row's properties hold a
+    failure.
+    """
     exp = config["experiment"]
-    if exp == "verify":
-        return run_verify(config)
     if exp == "sweep":
-        return run_sweep(config)
-    if exp == "example1":
-        return run_example1(config)
-    return run_example3(config)
+        results = [_sweep_point(config, n, i) for i, n in enumerate(config["n_list"])]
+    else:
+        run = {"verify": run_verify, "example1": run_example1, "example3": run_example3}
+        results = [run[exp](config)]
+    rows = [row for row, _ in results]
+    sides = [side for _, side in results]
+    if any("fail" in row["properties"] for row in rows):
+        raise AssertionFailed((rows, sides))
+    return rows, sides
+
+
+def _read_config(args) -> tuple[dict, str | None]:
+    """The validated config a command line names, and its output path."""
+    try:
+        with open(args.config) as f:
+            config = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigInvalid(e) from e
+    if not isinstance(config, dict):
+        raise ConfigInvalid("the config must be a JSON object")
+    if args.seed is not None:
+        config["seed"] = args.seed
+    config.setdefault("experiment", args.command)
+    if config["experiment"] != args.command:
+        raise ConfigInvalid(
+            f"config says {config['experiment']!r}, subcommand is {args.command!r}"
+        )
+    out = args.out or config.get("out")
+    if out and os.path.realpath(args.config) in {
+        os.path.realpath(p) for p in (out, sidecar_path(out))
+    }:
+        raise ConfigInvalid(f"output {out!r} would overwrite the config")
+    return validate_config(config), out
 
 
 def main(argv=None) -> int:
@@ -479,45 +460,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as f:
-            config = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    if not isinstance(config, dict):
-        print("config error: the config must be a JSON object", file=sys.stderr)
-        return 2
-
-    if args.seed is not None:
-        config["seed"] = args.seed
-    config.setdefault("experiment", args.command)
-    if config["experiment"] != args.command:
-        print(
-            f"config error: config says {config['experiment']!r}, "
-            f"subcommand is {args.command!r}",
-            file=sys.stderr,
-        )
-        return 2
-
-    out = args.out or config.get("out")
-    if out and os.path.realpath(args.config) in {
-        os.path.realpath(p) for p in (out, sidecar_path(out))
-    }:
-        print(f"config error: output {out!r} would overwrite the config",
-              file=sys.stderr)
-        return 2
-    try:
-        config = validate_config(config)
+        config, out = _read_config(args)
         rows, sides = run_config(config)
-    except ConfigInvalid as e:
+    except (ConfigInvalid, ParamContractViolated, GridTooCoarse) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (EnumerationBudgetExceeded, ResolutionBudgetExceeded) as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
-    except (ParamContractViolated, GridTooCoarse) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except AssertionFailed as e:
         rows, sides = e.args[0]
         write_outputs(rows, sides, out)

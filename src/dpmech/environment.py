@@ -282,7 +282,8 @@ def compute_gap(env: Environment, budget: int = DEFAULT_BUDGET) -> Gap:
     For every (agent, true type, misreport, opponent profile) the inner max
     runs over alternatives of the utility advantage of the truth-consistent
     optimal reaction over the misreport-consistent one; the gap is the outer
-    minimum, with the argmin witness.
+    minimum, with the argmin witness.  Under private values the advantages
+    do not depend on the opponent profile, so only the first is walked.
     """
     check_budget(env.num_deviations() * len(env.alternatives), budget)
 
@@ -294,7 +295,12 @@ def compute_gap(env: Environment, budget: int = DEFAULT_BUDGET) -> Gap:
     witness = None
     for i in env.agents:
         types_i, stride = env.type_spaces[i], table.strides[i]
-        for k in table.bases[i]:
+        profiles = table.bases[i]
+        if env.values_kind == PRIVATE_VALUES:
+            # the table keys these payoffs by own type, so every other
+            # opponent profile repeats the first one's advantages
+            profiles = profiles[:1]
+        for k in profiles:
             for t_i, b_i in itertools.permutations(range(len(types_i)), 2):
                 kt, kb = k + t_i * stride, k + b_i * stride
                 adv = None

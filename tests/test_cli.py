@@ -179,6 +179,22 @@ def test_main_exit_code_assertion_with_outputs(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_sweep_failure_exits_1_with_outputs(tmp_path, capsys, monkeypatch):
+    # the failure rule is one for every experiment: a sweep row above its
+    # bound fails the run, and its outputs are still written
+    monkeypatch.setattr(cli, "histogram_gap", lambda *a: (10.0, 0))
+    cfg = {"experiment": "sweep", "seed": 0, "n_list": [300], "probes": 3,
+           "facility": {"n": 1, "m": 2, "K": 2, "mechanism": "loc2"}}
+    out = str(tmp_path / "rows.csv")
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", out]) == 1
+    assert capsys.readouterr().err == "assertion failed; witnesses in output\n"
+    fields = dict(zip(CSV_COLUMNS, open(out).read().splitlines()[1].split(",")))
+    assert fields["properties"] == "measured_le_bound=fail"
+    assert fields["beta_measured"] == "10"
+    side = json.loads(open(str(tmp_path / "rows.json")).read())
+    assert sum(side[0]["worst_probe"].values()) == 300
+
+
 def test_sweep_determinism_byte_identical(tmp_path):
     cfg = {
         "experiment": "sweep",
@@ -239,6 +255,52 @@ def test_example_subcommands(tmp_path):
         fields = dict(zip(CSV_COLUMNS, open(out).read().splitlines()[1].split(",")))
         assert fields["experiment"] == name
         assert "fail" not in fields["properties"]
+
+
+# CSV rows and sidecar witnesses of the example experiments as computed
+# before example3 read its bad Nash profile from a payoff table
+PINNED_EXAMPLES = [
+    ({"experiment": "example1"},
+     "example1,6,0.10000000000000001,,,,,1,2,,,"
+     "truth_not_expost_nash=pass|const_low_dominates=pass,3",
+     {"nash_violation": "(3, (Fraction(3, 4), Fraction(3, 4), Fraction(3, 4), "
+      "Fraction(5, 4), Fraction(5, 4), Fraction(5, 4)), Fraction(3, 4), "
+      "0.6666666666666667, 0.6688885926399925)",
+      "dominating_map": "{Fraction(3, 4): Fraction(3, 4), Fraction(5, 4): Fraction(3, 4)}"}),
+    ({"experiment": "example1", "example": {"n": 10, "mu": 0.3}},
+     "example1,10,0.10000000000000001,,,,,1,2,,,"
+     "truth_not_expost_nash=pass|const_low_dominates=pass,3",
+     {"nash_violation": "(4, (Fraction(4, 5), Fraction(4, 5), Fraction(4, 5), "
+      "Fraction(4, 5), Fraction(13, 10), Fraction(13, 10), Fraction(13, 10), "
+      "Fraction(13, 10), Fraction(13, 10), Fraction(13, 10)), Fraction(4, 5), "
+      "0.6718230001169077, 0.6739130434782609)",
+      "dominating_map": "{Fraction(4, 5): Fraction(4, 5), Fraction(13, 10): Fraction(4, 5)}"}),
+    ({"experiment": "example3"},
+     "example3,8,,1/8,,,,1,2,,,bad_profile_is_nash=pass|revenue_is_1_over_n=pass,3",
+     {"min_nash_slack": "7/144", "revenue": "1/8"}),
+    ({"experiment": "example3", "example": {"n": 10, "mu": 0.3}},
+     "example3,10,,1/10,,,,1,2,,,bad_profile_is_nash=pass|revenue_is_1_over_n=pass,3",
+     {"min_nash_slack": "9/230", "revenue": "1/10"}),
+]
+
+
+@pytest.mark.parametrize("cfg,row,witnesses", PINNED_EXAMPLES,
+                         ids=["example1", "example1-n10", "example3", "example3-n10"])
+def test_example_outputs_pinned(tmp_path, cfg, row, witnesses):
+    out = tmp_path / "rows.csv"
+    path = write_config(tmp_path, {"seed": 3, **cfg}, "cfg-in.json")
+    assert main([cfg["experiment"], "--config", path, "--out", str(out)]) == 0
+    assert out.read_text() == ",".join(CSV_COLUMNS) + "\n" + row + "\n"
+    assert json.loads((tmp_path / "rows.json").read_text())[0]["witnesses"] == witnesses
+
+
+def test_example3_budget_exits_3(tmp_path, capsys):
+    # 8 agents with 2 types each: 2^8 * 8 unilateral deviations
+    cfg = {"experiment": "example3", "seed": 0, "budget": 10}
+    assert main(["example3", "--config", write_config(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: enumeration needs 2048 evaluations, budget is 10\n"
+    )
 
 
 def test_stdout_when_no_out(tmp_path, capsys):
@@ -379,8 +441,7 @@ def _contract_grid():
                    {"n": 1, "m": m, "K": K, "mechanism": mech}}, min(n_list) <= n0
     for size in (1, 2):
         app = {"cohorts": 1, "cohort_size": size, "grid_m": 4}
-        inst = cli._pricing_instance(app)
-        P = dm.uniform_price_commitment(inst)
+        _, inst, P = cli._instance({"pricing": app})
         n0 = dm.compute_n0(P.p_tilde, inst.gamma_declared, size, len(inst.prices))
         for n in (1, n0, n0 + 1, n0 + 2):
             # n counts agents, rounded down to whole cohorts
@@ -391,6 +452,7 @@ def _contract_grid():
     for exp in ("example1", "example3"):
         for n in (1, 2, 6):
             yield {"experiment": exp, "example": {"n": n}}, False
+    yield {"experiment": "example3", "example": {"n": 12}}, False
 
 
 def test_exit_contract_over_small_configs(tmp_path, capsys):

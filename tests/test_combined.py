@@ -106,10 +106,9 @@ def test_schedule_contract_holds_at_every_n_above_n0(family):
     # q = 2 eps / (p~ gamma) can round to q p~ gamma < 2 eps; the schedule
     # must hand out parameters its own strict check accepts
     if family == "pricing":
-        from dpmech.cli import _pricing_instance
+        from dpmech.cli import _instance
 
-        inst = _pricing_instance({"cohorts": 1, "cohort_size": 2, "grid_m": 4})
-        P = dm.uniform_price_commitment(inst)
+        _, inst, P = _instance({"pricing": {"cohorts": 1, "cohort_size": 2, "grid_m": 4}})
     else:
         inst = dm.build_grid_env(1, int(family[-1]), 2)
         P = dm.dyad_facility_commitment(inst)
