@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import operator
 import os
 import sys
 import tempfile
@@ -20,11 +21,6 @@ import zlib
 from fractions import Fraction
 
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from .combined import build_combined, compute_n0, schedule_params, saturating_params
 from .commitment import commitment_mechanism
@@ -97,7 +93,6 @@ CONFIG_SCHEMA = {
                 "cohorts": _POSINT,
                 "cohort_size": _POSINT,
                 "grid_m": _POSINT,
-                "mu": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
             },
         },
         "example": {
@@ -112,13 +107,56 @@ CONFIG_SCHEMA = {
 }
 
 
+# JSON type -> (test, name); a bool is neither an integer nor a number, and
+# an integer is a JSON integer, never an integral float like 3.0.
+_TYPES = {
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "array": (lambda v: isinstance(v, list), "an array"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "integer": (lambda v: type(v) is int, "an integer"),
+    "number": (lambda v: type(v) in (int, float), "a number"),
+}
+_BOUNDS = {
+    "minimum": (operator.ge, ">="),
+    "maximum": (operator.le, "<="),
+    "exclusiveMinimum": (operator.gt, ">"),
+    "exclusiveMaximum": (operator.lt, "<"),
+}
+
+
+def _check(value, schema: dict, path: str = "") -> None:
+    """Raise ConfigInvalid, naming the key path, unless ``value`` meets
+    ``schema``.  Implements the keywords CONFIG_SCHEMA uses: type, enum,
+    required, properties, additionalProperties (false), items and the four
+    bounds; a bound holds only if its comparison is true, so NaN fails."""
+    where = path or "config"
+    if "type" in schema:
+        test, name = _TYPES[schema["type"]]
+        if not test(value):
+            raise ConfigInvalid(f"{where}: {value!r} is not {name}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigInvalid(f"{where}: {value!r} is not one of {schema['enum']}")
+    for key, (holds, sign) in _BOUNDS.items():
+        if key in schema and not holds(value, schema[key]):
+            raise ConfigInvalid(f"{where}: {value!r} is not {sign} {schema[key]}")
+    if isinstance(value, dict):
+        prefix = f"{path}." if path else ""
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ConfigInvalid(f"{prefix}{key}: required but missing")
+        for key, item in value.items():
+            if key in props:
+                _check(item, props[key], f"{prefix}{key}")
+            elif schema.get("additionalProperties", True) is False:
+                raise ConfigInvalid(f"{prefix}{key}: unknown key")
+    if isinstance(value, list) and "items" in schema:
+        for k, item in enumerate(value):
+            _check(item, schema["items"], f"{where}[{k}]")
+
+
 def validate_config(config: dict) -> dict:
-    if jsonschema is None:
-        raise ConfigInvalid("jsonschema is not installed")
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise ConfigInvalid(e.message) from e
+    _check(config, CONFIG_SCHEMA)
     exp = config["experiment"]
     if exp in ("verify", "sweep"):
         if ("facility" in config) == ("pricing" in config):
