@@ -30,10 +30,15 @@ import math
 from functools import cached_property
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .environment import PRIVATE_VALUES, Environment, check_budget, optimal_reaction
 from .outcomes import OutcomeDistribution
 
 Mechanism = Callable[[tuple], OutcomeDistribution]
+
+# pairs() converts its index arrays to Python ints this many at a time
+_CHUNK = 1 << 16
 
 
 class PayoffTable:
@@ -53,12 +58,14 @@ class PayoffTable:
         self.env = env
         self.sizes = tuple(len(ts) for ts in env.type_spaces)
         self.strides = tuple(math.prod(self.sizes[i + 1:]) for i in env.agents)
+        self._places = tuple(zip(env.type_spaces, self.strides, self.sizes))
         self._alternative_index = {s: a for a, s in enumerate(env.alternatives)}
         self._reaction_index = [
             {r: j for j, r in enumerate(rs)} for rs in env.reaction_spaces
         ]
         self._unrestricted = [tuple(range(len(rs))) for rs in env.reaction_spaces]
         self._private = env.values_kind == PRIVATE_VALUES
+        self._decoded: dict = {}
         self._dists: dict = {}
         self._reactions: dict = {}
         self._payoffs: dict = {}
@@ -70,8 +77,20 @@ class PayoffTable:
     @cached_property
     def vectors(self) -> list:
         """Every type vector, in canonical order; listed on first use, so
-        after a check has compared its enumeration with its budget."""
+        after a check has compared its enumeration with its budget.  Full
+        walks read this list; point lookups read ``vector``."""
         return list(self.env.type_vectors())
+
+    def vector(self, k: int) -> tuple:
+        """Type vector k: read from ``vectors`` once a full walk has listed
+        them, otherwise decoded from its index alone (and kept)."""
+        listed = self.__dict__.get("vectors")
+        if listed is not None:
+            return listed[k]
+        t = self._decoded.get(k)
+        if t is None:
+            t = self._decoded[k] = tuple([ts[k // s % m] for ts, s, m in self._places])
+        return t
 
     def digits(self) -> Iterator[tuple]:
         """Per-agent type indices of every vector, in vector order."""
@@ -90,27 +109,39 @@ class PayoffTable:
             for i in self.env.agents
         ]
 
-    def pairs(self) -> Iterator[tuple]:
-        """(agent i, vector ka, vector kb) for every unordered unilateral
-        pair, agent i's type index lower at ka: by agent, then opponent
-        profile in the order of ``bases[i]``, then type-index pair in
-        ``itertools.combinations`` order."""
-        for i, stride in enumerate(self.strides):
-            for k in self.bases[i]:
-                for a, b in itertools.combinations(range(self.sizes[i]), 2):
-                    yield i, k + a * stride, k + b * stride
+    def pair_index(self) -> tuple:
+        """Every unordered unilateral pair as three int arrays (agent i,
+        vector ka, vector kb), agent i's type index lower at ka: by agent,
+        then opponent profile in the order of ``bases[i]``, then type-index
+        pair in ``itertools.combinations`` order."""
+        parts = []
+        for i, (m, stride) in enumerate(zip(self.sizes, self.strides)):
+            a, b = np.array(
+                list(itertools.combinations(range(m), 2)), dtype=np.int64
+            ).reshape(-1, 2).T
+            base = np.array(self.bases[i], dtype=np.int64)[:, None]
+            ka = (base + a * stride).ravel()
+            parts.append((np.full(ka.size, i), ka, (base + b * stride).ravel()))
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
-    def own(self, i: int, k: int) -> int:
+    def pairs(self) -> Iterator[tuple]:
+        """``pair_index`` as (i, ka, kb) tuples of Python ints."""
+        agents, ka, kb = self.pair_index()
+        for lo in range(0, ka.size, _CHUNK):
+            hi = lo + _CHUNK
+            yield from zip(agents[lo:hi].tolist(), ka[lo:hi].tolist(), kb[lo:hi].tolist())
+
+    def own(self, i: int, k):
         """The key of true vector k for agent i's payoffs: under private
         values the vector of k's agent-i type with every opponent at type
-        index 0, otherwise k."""
+        index 0, otherwise k.  ``k`` may be an int array, keyed elementwise."""
         if self._private:
             return k // self.strides[i] % self.sizes[i] * self.strides[i]
         return k
 
     def opponents(self, k: int, i: int) -> tuple:
         """The types of every agent but i in vector k."""
-        t = self.vectors[k]
+        t = self.vector(k)
         return t[:i] + t[i + 1:]
 
     def dist(self, k: int) -> list:
@@ -129,7 +160,7 @@ class PayoffTable:
                         for index, allowed in zip(self._reaction_index, o.restrictions)
                     ),
                 )
-                for o, p in self.mech(self.vectors[k]).items() if p != 0
+                for o, p in self.mech(self.vector(k)).items() if p != 0
             ]
         return d
 
@@ -145,7 +176,7 @@ class PayoffTable:
         if r is None:
             space = self.env.reaction_spaces[i]
             r = self._reactions[key] = self._reaction_index[i][optimal_reaction(
-                self.env, i, self.vectors[k], self.env.alternatives[a],
+                self.env, i, self.vector(k), self.env.alternatives[a],
                 space if restriction is None else tuple(space[j] for j in allowed),
             )]
         return r
@@ -158,7 +189,7 @@ class PayoffTable:
         hit = self._payoffs.get(key)
         if hit is None:
             u = self.env.utility(
-                i, self.vectors[k], self.env.alternatives[a],
+                i, self.vector(k), self.env.alternatives[a],
                 self.env.reaction_spaces[i][self.reaction(i, k, a, restriction)],
             )
             hit = self._payoffs[key] = (u, float(u))

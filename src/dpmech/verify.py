@@ -115,7 +115,7 @@ def check_expost_nash_truthful(
             margin = slack
             if slack < -ABS_TOL:
                 passed = False
-                witness = (i, table.vectors[kt], env.type_spaces[i][b_i], base, dev)
+                witness = (i, table.vector(kt), env.type_spaces[i][b_i], base, dev)
     return VerificationReport(EXPOST_NASH, passed, float(margin), witness)
 
 
@@ -162,7 +162,7 @@ def check_strictly_dominant_truthful(
                     slack = base - dev
                     if slack < margin:
                         margin = slack
-                        witness = (i, table.vectors[kt], env.type_spaces[i][b_i],
+                        witness = (i, table.vector(kt), env.type_spaces[i][b_i],
                                    table.opponents(k, i), base, dev)
                     if slack <= strict_tol:
                         passed = False

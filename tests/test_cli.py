@@ -303,6 +303,23 @@ def test_example3_budget_exits_3(tmp_path, capsys):
     )
 
 
+def test_example3_reads_vectors_without_listing_them(monkeypatch):
+    # n = 19 is the largest population under the default budget: listing
+    # its 2^19 type vectors would dominate the run
+    tables = []
+    build = cli.payoff_table
+
+    def recording(*args):
+        tables.append(build(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "payoff_table", recording)
+    # run_config raises AssertionFailed if a property fails
+    rows, _ = cli.run_config({"experiment": "example3", "seed": 0, "example": {"n": 19}})
+    assert rows[0]["n"] == 19
+    assert len(tables) == 1 and "vectors" not in tables[0].__dict__
+
+
 def test_stdout_when_no_out(tmp_path, capsys):
     cfg = {"experiment": "example3", "seed": 0, "example": {"n": 4}}
     assert main(["example3", "--config", write_config(tmp_path, cfg)]) == 0

@@ -348,6 +348,31 @@ def test_table_checkers_stay_exact_on_gap_zero_commitment():
     assert rep.margin == float(base - dev)
 
 
+def test_near_indifference_matches_naive_off_the_benchmark():
+    # a lottery mixing float and Fraction probabilities with imposing
+    # restrictions, all-Fraction commitment probabilities, and interdependent
+    # values (payoffs keyed by the full vector)
+    from tests.conftest import cohort_pricing_instance
+
+    fac = dm.build_grid_env(2, 2, 2)
+    _assert_matches_naive(_lottery(fac, dm.dyad_facility_commitment(fac)), fac.env, 0.5)
+    inst = dm.build_grid_env(2, 2, 1)
+    P = dm.uniform_facility_commitment(inst)
+    _assert_matches_naive(dm.commitment_mechanism(P, inst.env), inst.env, 0.1)
+    pricing = cohort_pricing_instance(N=2, D=2, m=4)
+    _assert_matches_naive(
+        _lottery(pricing, dm.uniform_price_commitment(pricing)), pricing.env, 1.0
+    )
+
+
+def test_near_indifference_matches_naive_on_private_reactions(random_instances):
+    envs = [(env, F) for env, F in random_instances if env.n > 1][:8]
+    for k, (env, F) in enumerate(envs):
+        variant = _opponent_dependent(env)
+        eps = (0.5, 2.0)[k % 2]
+        _assert_matches_naive(dm.exponential_mechanism(F, variant, eps), variant, eps)
+
+
 def _naive_gap(env):
     """compute_gap by direct optimal_reaction and utility calls."""
     gamma, witness = None, None
