@@ -19,8 +19,7 @@ import tempfile
 import time
 import zlib
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .combined import build_combined, compute_n0, schedule_params, saturating_params
 from .commitment import commitment_mechanism
@@ -53,6 +52,9 @@ from .verify import (
     implementation_gap,
     truthful_profile,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CSV_COLUMNS = [
     "experiment", "n", "eps", "q", "n0", "p_tilde", "gamma", "d", "s_count",
@@ -173,6 +175,8 @@ def validate_config(config: dict) -> dict:
 
 def task_rng(seed: int, experiment: str, index: int) -> np.random.Generator:
     """Deterministic substream keyed by (experiment, task index)."""
+    import numpy as np
+
     key = zlib.crc32(experiment.encode())
     ss = np.random.SeedSequence([int(seed), key, int(index)])
     return np.random.Generator(np.random.PCG64(ss))
@@ -185,6 +189,8 @@ def sample_probes(objective, count: int, rng: np.random.Generator) -> np.ndarray
     indices, the same draws ``rng.random((count, n))`` gives, one row at a
     time so memory stays O(n).
     """
+    import numpy as np
+
     lens = np.tile([len(s) for s in objective.member_types], objective.units)
     return np.array([
         objective.histogram((rng.random(lens.size) * lens).astype(int))

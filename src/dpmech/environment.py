@@ -14,11 +14,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import EnumerationBudgetExceeded, NotNonTrivial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ABS_TOL = 1e-12
 DEFAULT_BUDGET = 10**7
@@ -143,7 +145,7 @@ class HistogramObjective:
     def __init__(self, member_types, alternatives, matrix, offset, weights, denom, units):
         self.member_types = tuple(tuple(s) for s in member_types)
         self.alternatives = tuple(alternatives)
-        self.matrix = np.asarray(matrix, dtype=np.int64)
+        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
         self.offset = offset
         self.weights = tuple(weights)
         self.denom = denom
@@ -151,10 +153,9 @@ class HistogramObjective:
         self.cells = tuple(itertools.product(*self.member_types))
         self.index = {s: k for k, s in enumerate(self.alternatives)}
         self._cell = {X: c for c, X in enumerate(self.cells)}
-        self._columns = self.matrix.T.tolist()
+        self._columns = [list(column) for column in zip(*self.matrix)]
         self._sizes = tuple(len(s) for s in self.member_types)
         self._offset_f = float(offset)
-        self._weights_f = np.asarray([float(w) for w in self.weights])
 
     def eval(self, t: tuple, s):
         """Exact F(t, s): an int or Fraction whenever offset and weights are."""
@@ -166,6 +167,8 @@ class HistogramObjective:
 
     def histogram(self, idx: np.ndarray) -> np.ndarray:
         """Cell counts of one type vector given as per-agent type indices."""
+        import numpy as np
+
         # row-major, like itertools.product
         cells = np.ravel_multi_index(idx.reshape(self.units, -1).T, self._sizes)
         return np.bincount(cells, minlength=len(self.cells))
@@ -173,7 +176,15 @@ class HistogramObjective:
     def scores(self, counts: np.ndarray) -> np.ndarray:
         """Float F for every row of a (vectors x cells) count matrix and
         every alternative, as a (vectors x alternatives) array."""
-        return self._offset_f + self._weights_f * (counts @ self.matrix) / self.denom
+        matrix, weights = self._arrays
+        return self._offset_f + weights * (counts @ matrix) / self.denom
+
+    @cached_property
+    def _arrays(self) -> tuple:
+        """``matrix`` as int64 and the weights as float64, for ``scores``."""
+        import numpy as np
+
+        return np.array(self.matrix, np.int64), np.array([float(w) for w in self.weights])
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .environment import (
     DEFAULT_BUDGET,
     Environment,
@@ -20,7 +18,7 @@ from .environment import (
     check_budget,
 )
 from .errors import PopulationTooSmall, ZeroProbabilityAsymmetry
-from .outcomes import Outcome, OutcomeDistribution
+from .outcomes import Outcome, OutcomeDistribution, left_sum
 from .payoffs import Mechanism, PayoffTable, payoff_table
 from .verify import VerificationReport
 
@@ -46,7 +44,7 @@ def _softmax(values: list, rate: float) -> list:
     scores = [rate * v for v in values]
     m = max(scores)
     weights = [math.exp(x - m) for x in scores]
-    z = sum(weights)
+    z = left_sum(weights)
     return [w / z for w in weights]
 
 
@@ -93,6 +91,8 @@ def audit_dp(
     exactly one side 0.  The witness is the first pair and alternative of
     largest loss, None when no loss is positive.
     """
+    import numpy as np
+
     check_budget(env.num_deviations() // 2 * len(env.alternatives), budget)
 
     table = PayoffTable(None, env)
@@ -151,6 +151,8 @@ def near_indifference_bound_check(
     and as exact Python numbers otherwise.  The witness is the first largest
     swing in ``PayoffTable.unilateral()`` order.
     """
+    import numpy as np
+
     table = payoff_table(
         mech, env, "near_indifference", max(env.num_deviations(), 1), budget
     )
@@ -227,6 +229,8 @@ def accuracy_bound_check(
     once per (vector, alternative); the witness is the first vector of least
     slack.
     """
+    import numpy as np
+
     if d is None:
         d = F.sensitivity_d
     n = env.n
@@ -241,7 +245,7 @@ def accuracy_bound_check(
     vectors = list(env.type_vectors())
     scores = [[float(F.eval(t, s)) for s in env.alternatives] for t in vectors]
     expected = np.array([
-        sum(p * f for p, f in zip(_softmax(row, rate), row)) for row in scores
+        left_sum(p * f for p, f in zip(_softmax(row, rate), row)) for row in scores
     ])
     slack = expected - (np.max(scores, axis=1) - bound)
     k = int(np.argmin(slack))

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .combined import MechanismParams, build_combined, schedule_params
 from .commitment import CommitmentDistribution
 from .environment import (
@@ -26,7 +24,7 @@ from .environment import (
     ObjectiveFunction,
 )
 from .errors import PopulationTooSmall, ResolutionBudgetExceeded
-from .outcomes import Outcome, OutcomeDistribution
+from .outcomes import Outcome, OutcomeDistribution, left_sum
 from .payoffs import Mechanism
 
 DEFAULT_RHO = Fraction(1, 1024)
@@ -162,7 +160,7 @@ def loc2(n: int, m: int, K: int) -> ScheduledMechanism:
 def continuous_objective(t: Sequence, s: Sequence):
     """1 - average distance to the nearest facility, on real coordinates."""
     n = len(t)
-    total = sum(min(abs(x - f) for f in s) for x in t)
+    total = left_sum(min(abs(x - f) for f in s) for x in t)
     return 1 - (Fraction(total, 1) / n if isinstance(total, (int, Fraction)) else total / n)
 
 
@@ -189,6 +187,8 @@ def continuous_expmech_distribution(
     continuous max, so every continuous-case accuracy claim picks up at most
     a rho slack.
     """
+    import numpy as np
+
     pts = _rho_grid(rho)
     support = len(pts) ** K
     if support > cap:
@@ -366,7 +366,7 @@ def lipschitz_checks(t: Sequence, b: Sequence, alternatives: Sequence) -> dict:
     Max form: the best-alternative values differ by at most max |t_i - b_i|.
     """
     n = len(t)
-    mean_shift = sum(abs(x - y) for x, y in zip(t, b)) / n
+    mean_shift = left_sum(abs(x - y) for x, y in zip(t, b)) / n
     max_shift = max(abs(x - y) for x, y in zip(t, b)) if n else 0
     worst = 0
     for s in alternatives:

@@ -13,6 +13,20 @@ from typing import Any, Sequence
 SUM_TOL = 1e-12
 
 
+def left_sum(terms):
+    """Sum of ``terms`` added one at a time, left to right, from 0.
+
+    This is what the built-in ``sum`` computes on CPython up to 3.11; from
+    3.12 the built-in compensates float additions, so an expected utility
+    or a normaliser summed with it can move by an ulp between interpreters.
+    Exact terms (ints, Fractions) give the exact sum either way.
+    """
+    total = 0
+    for x in terms:
+        total += x
+    return total
+
+
 @dataclass(frozen=True)
 class Outcome:
     alternative: Any
@@ -66,11 +80,11 @@ class OutcomeDistribution:
 
     def imposing_mass(self):
         """Total probability of outcomes that restrict some agent."""
-        return sum(p for o, p in self.items() if o.imposing)
+        return left_sum(p for o, p in self.items() if o.imposing)
 
     def expectation(self, fn):
         """Exact expectation of fn(outcome) under this distribution."""
-        return sum(p * fn(o) for o, p in self.items() if p != 0)
+        return left_sum(p * fn(o) for o, p in self.items() if p != 0)
 
     def sample(self, rng) -> Outcome:
         """Inverse-CDF draw over the stored support order.

@@ -30,15 +30,10 @@ import math
 from functools import cached_property
 from typing import Callable, Iterator
 
-import numpy as np
-
 from .environment import PRIVATE_VALUES, Environment, check_budget, optimal_reaction
-from .outcomes import OutcomeDistribution
+from .outcomes import OutcomeDistribution, left_sum
 
 Mechanism = Callable[[tuple], OutcomeDistribution]
-
-# pairs() converts its index arrays to Python ints this many at a time
-_CHUNK = 1 << 16
 
 
 class PayoffTable:
@@ -109,27 +104,24 @@ class PayoffTable:
             for i in self.env.agents
         ]
 
-    def pair_index(self) -> tuple:
-        """Every unordered unilateral pair as three int arrays (agent i,
-        vector ka, vector kb), agent i's type index lower at ka: by agent,
-        then opponent profile in the order of ``bases[i]``, then type-index
-        pair in ``itertools.combinations`` order."""
-        parts = []
-        for i, (m, stride) in enumerate(zip(self.sizes, self.strides)):
-            a, b = np.array(
-                list(itertools.combinations(range(m), 2)), dtype=np.int64
-            ).reshape(-1, 2).T
-            base = np.array(self.bases[i], dtype=np.int64)[:, None]
-            ka = (base + a * stride).ravel()
-            parts.append((np.full(ka.size, i), ka, (base + b * stride).ravel()))
-        return tuple(np.concatenate(column) for column in zip(*parts))
-
     def pairs(self) -> Iterator[tuple]:
-        """``pair_index`` as (i, ka, kb) tuples of Python ints."""
-        agents, ka, kb = self.pair_index()
-        for lo in range(0, ka.size, _CHUNK):
-            hi = lo + _CHUNK
-            yield from zip(agents[lo:hi].tolist(), ka[lo:hi].tolist(), kb[lo:hi].tolist())
+        """Every unordered unilateral pair as (agent i, vector ka, vector
+        kb), agent i's type index lower at ka: by agent, then opponent
+        profile in the order of ``bases[i]``, then type-index pair in
+        ``itertools.combinations`` order."""
+        for i, (m, stride) in enumerate(zip(self.sizes, self.strides)):
+            steps = [(a * stride, b * stride)
+                     for a, b in itertools.combinations(range(m), 2)]
+            for k in self.bases[i]:
+                for a, b in steps:
+                    yield i, k + a, k + b
+
+    def pair_index(self) -> tuple:
+        """``pairs()`` as three int64 arrays (agents, ka, kb)."""
+        import numpy as np
+
+        flat = np.fromiter(itertools.chain.from_iterable(self.pairs()), np.int64)
+        return tuple(flat.reshape(-1, 3).T)
 
     def own(self, i: int, k):
         """The key of true vector k for agent i's payoffs: under private
@@ -203,7 +195,7 @@ class PayoffTable:
         key = (kb, i, kt)
         v = self._eus.get(key)
         if v is None:
-            v = self._eus[key] = sum(
+            v = self._eus[key] = left_sum(
                 p * self.payoff(i, kt, a, None if r is None else r[i])[is_float]
                 for p, is_float, a, r in self.dist(kb)
             )

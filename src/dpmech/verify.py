@@ -15,9 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Optional
 
 from .environment import (
     ABS_TOL,
@@ -30,7 +28,11 @@ from .environment import (
     optimal_reaction,
 )
 from .errors import WrongValuesKind
+from .outcomes import left_sum
 from .payoffs import Mechanism, PayoffTable, payoff_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXPOST_NASH = "expost_nash"
 STRICTLY_DOMINANT = "strictly_dominant"
@@ -84,10 +86,7 @@ def expected_utility(mech: Mechanism, env: Environment, W: tuple, i: int, t: tup
     outcomes the committed reaction is forced through the singleton
     restriction the mechanism supplied.
     """
-    dist = mech(announce(W, t))
-    return sum(
-        p * _utility_at(env, i, t, o) for o, p in dist.items() if p != 0
-    )
+    return mech(announce(W, t)).expectation(lambda o: _utility_at(env, i, t, o))
 
 
 def check_expost_nash_truthful(
@@ -244,7 +243,7 @@ def implementation_gap(
             for i, (t_i, stride) in enumerate(zip(t, table.strides))
         )
         scores = [F.eval(t, s) for s in env.alternatives]
-        expected = sum(p * scores[a] for p, _, a, _ in table.dist(kb))
+        expected = left_sum(p * scores[a] for p, _, a, _ in table.dist(kb))
         gap = max(scores) - expected
         if gap > worst:
             worst = gap
@@ -262,6 +261,8 @@ def histogram_gap(
     exponential mechanism at ``rate`` and q on the commitment distribution
     ``P``'s alternative marginal.  Returns (beta_measured, worst row).
     """
+    import numpy as np
+
     F = objective.scores(counts)
     x = rate * F
     w = np.exp(x - x.max(axis=1, keepdims=True))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,33 @@ def test_find_separating_set_matches_naive_pair_order(pair_walk_instances):
         assert repr(got) == repr(_naive_separating_set(env))
     # both outcomes are exercised
     assert 0 < raised < len(pair_walk_instances)
+
+
+def _sized_env(sizes):
+    """An environment whose agent i has ``sizes[i]`` types."""
+    return dm.Environment(
+        type_spaces=tuple(tuple(range(m)) for m in sizes), alternatives=("a",),
+        reaction_spaces=tuple(("x",) for _ in sizes),
+        utility=lambda i, t, s, r: 0, values_kind=dm.PRIVATE_VALUES,
+    )
+
+
+def test_pairs_walk_equals_pair_index():
+    """The pure-Python walk and its int64 arrays list the same pairs, in
+    the naive tuple order, on seeded shapes (single-type agents and n=1
+    included)."""
+    rng = random.Random(20261018)
+    shapes = [(1,), (3,), (1, 3), (2, 1, 3)] + [
+        tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 5))) for _ in range(30)
+    ]
+    for sizes in shapes:
+        table = dm.PayoffTable(None, _sized_env(sizes))
+        walk = list(table.pairs())
+        assert walk == list(zip(*(column.tolist() for column in table.pair_index())))
+        assert len(walk) == table.env.num_deviations() // 2
+        assert [(i, table.vector(ka), table.vector(kb)) for i, ka, kb in walk] == [
+            (i, t, t_hat) for i, t, t_hat, _, _ in _naive_pairs(table.env)
+        ]
 
 
 def _argmax_dictator(F, env):

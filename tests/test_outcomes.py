@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpmech as dm
-from dpmech.outcomes import SUM_TOL
+from dpmech.outcomes import SUM_TOL, left_sum
 
 
 def test_validation():
@@ -71,3 +73,36 @@ def test_mix_expectation_is_convex(weights, w):
     fn = lambda o: o.alternative
     assert abs(sum(mixed.probs) - 1) <= SUM_TOL
     assert mixed.expectation(fn) == w * d1.expectation(fn) + (1 - w) * d2.expectation(fn)
+
+
+def _loop_sum(terms):
+    total = 0
+    for x in terms:
+        total += x
+    return total
+
+
+def test_left_sum_adds_left_to_right():
+    """left_sum is a literal left-to-right loop, not a compensated or exact
+    float sum: on these lists it often differs from math.fsum."""
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert math.fsum([0.1] * 10) == 1.0
+    rng = random.Random(20261018)
+    differs = 0
+    for _ in range(500):
+        terms = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-6, 6)
+                 for _ in range(rng.randint(0, 8))]
+        got = left_sum(iter(terms))
+        assert repr(got) == repr(_loop_sum(terms))
+        differs += got != math.fsum(terms)
+    assert differs > 50
+
+
+def test_left_sum_keeps_exact_terms_exact():
+    terms = [Fraction(1, k) for k in range(1, 30)]
+    got = left_sum(terms)
+    assert type(got) is Fraction and got == sum(terms)
+    assert left_sum([1, 2, 3]) == 6 and type(left_sum([1, 2])) is int
+    assert left_sum([]) == 0
+    # a float term turns the running total into a float from there on
+    assert left_sum([Fraction(1, 3), 0.5]) == float(Fraction(1, 3)) + 0.5
