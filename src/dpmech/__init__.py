@@ -70,7 +70,6 @@ from .facility import (
     continuous_expmech_distribution,
     continuous_expmech_sample,
     dyad_facility_commitment,
-    dyadic_commitment,
     lipschitz_checks,
     loc1,
     loc2,

@@ -79,7 +79,7 @@ CONFIG_SCHEMA = {
         "facility": {
             "type": "object",
             "additionalProperties": False,
-            "required": ["n", "m", "K"],
+            "required": ["m", "K"],
             "properties": {
                 "n": _POSINT,
                 "m": _POSINT,
@@ -90,7 +90,7 @@ CONFIG_SCHEMA = {
         "pricing": {
             "type": "object",
             "additionalProperties": False,
-            "required": ["cohorts", "cohort_size", "grid_m"],
+            "required": ["cohort_size", "grid_m"],
             "properties": {
                 "cohorts": _POSINT,
                 "cohort_size": _POSINT,
@@ -163,6 +163,11 @@ def validate_config(config: dict) -> dict:
     if exp in ("verify", "sweep"):
         if ("facility" in config) == ("pricing" in config):
             raise ConfigInvalid(f"{exp} needs exactly one of 'facility'/'pricing'")
+    if exp == "verify":
+        # a sweep sizes its instances from n_list alone
+        block, key = ("facility", "n") if "facility" in config else ("pricing", "cohorts")
+        if key not in config[block]:
+            raise ConfigInvalid(f"{block}.{key}: required but missing")
     if exp == "sweep" and not config.get("n_list"):
         raise ConfigInvalid("sweep needs a non-empty n_list")
     fac = config.get("facility", {})
@@ -283,7 +288,7 @@ def run_verify(config: dict) -> tuple[dict, dict]:
         "d": F.sensitivity_d, "s_count": len(env.alternatives),
     }
     if gap.gamma > 0:
-        eps, q = saturating_params(env, P, gap.gamma)
+        eps, q = saturating_params(P, gap.gamma)
         mech = build_combined(env, F, P, gap.gamma, eps, q)
     else:
         mech = commitment_mechanism(P, env)
@@ -298,9 +303,7 @@ def run_verify(config: dict) -> tuple[dict, dict]:
             reports["strictly_dominant"] = check_strictly_dominant_truthful(
                 mech, env, budget=budget, table=table
             )
-        beta_measured, _ = implementation_gap(
-            mech, env, F, truthful_profile(env), budget=budget, table=table
-        )
+        beta_measured, _ = implementation_gap(mech, env, F, budget=budget, table=table)
         n0 = compute_n0(P.p_tilde, gap.gamma, F.sensitivity_d, len(env.alternatives))
         fields.update(eps=eps, q=q, n0=n0, beta_measured=beta_measured)
     else:

@@ -20,6 +20,8 @@ from .exponential import exponential_mechanism
 from .outcomes import OutcomeDistribution, mix
 from .payoffs import Mechanism
 
+N0_SCAN_LIMIT = 10**9
+
 
 @dataclass(frozen=True)
 class MechanismParams:
@@ -48,12 +50,13 @@ def incentive_contract_holds(
     return float(q) * float(p_tilde) * float(gamma) >= 2 * eps - tol
 
 
-def saturating_params(env: Environment, P: CommitmentDistribution, gamma, q=Fraction(1, 2)):
-    """Incentive-only parameters: fix q, set eps to saturate the contract.
+def saturating_params(P: CommitmentDistribution, gamma):
+    """Incentive-only parameters: q = 1/2, eps saturating the contract.
 
     Useful for small populations where the asymptotic schedule would demand
     an eps above 1; accuracy is whatever it is.
     """
+    q = Fraction(1, 2)
     eps = float(q) * float(P.p_tilde) * float(gamma) / 2
     return eps, q
 
@@ -86,7 +89,7 @@ def schedule_params(
 
 
 @functools.lru_cache(maxsize=None)
-def compute_n0(p_tilde, gamma, d: float, s_count: int, n_max: int = 10**9) -> int:
+def compute_n0(p_tilde, gamma, d: float, s_count: int) -> int:
     """Smallest population size from which the schedule is admissible.
 
     Ascending scan for the least n with
@@ -100,11 +103,11 @@ def compute_n0(p_tilde, gamma, d: float, s_count: int, n_max: int = 10**9) -> in
     floor_a = c * math.log(max(pg * s_count / (2 * d), 1.0))
     floor_b = 4 * math.e**2 * d / (pg * s_count)
     n = max(2, math.ceil(max(floor_a, floor_b)))
-    while n <= n_max:
+    while n <= N0_SCAN_LIMIT:
         if n / math.log(n) > c:
             return n
         n += 1
-    raise ParamContractViolated(f"no admissible population size below {n_max}")
+    raise ParamContractViolated(f"no admissible population size below {N0_SCAN_LIMIT}")
 
 
 def combined_mechanism(
@@ -114,16 +117,14 @@ def combined_mechanism(
     eps: float,
     p_tilde,
     gamma,
-    enforce_contract: bool = True,
 ) -> Mechanism:
     """The lottery (1-q) * expmech + q * commitment.
 
-    Refuses parameter combinations that break the truthfulness condition
-    unless ``enforce_contract`` is off (handy for building counterexamples).
+    Refuses parameter combinations that break the truthfulness condition.
     """
     if not 0 < float(q) < 1:
         raise ParamContractViolated(f"mixing weight q = {q} outside (0, 1)")
-    if enforce_contract and not incentive_contract_holds(eps, q, p_tilde, gamma):
+    if not incentive_contract_holds(eps, q, p_tilde, gamma):
         raise ParamContractViolated(
             f"q*p_tilde*gamma = {float(q) * float(p_tilde) * float(gamma)} "
             f"< 2*eps = {2 * eps}"
@@ -142,7 +143,6 @@ def build_combined(
     gamma,
     eps: float,
     q,
-    enforce_contract: bool = True,
 ) -> Mechanism:
     """Convenience constructor wiring both branches from the environment."""
     return combined_mechanism(
@@ -152,5 +152,4 @@ def build_combined(
         eps,
         P.p_tilde,
         gamma,
-        enforce_contract=enforce_contract,
     )

@@ -16,7 +16,6 @@ from .environment import (
     PRIVATE_REACTIONS,
     PRIVATE_VALUES,
     Environment,
-    SeparationCertificate,
     compute_gap,
     find_separating_set,
     optimal_reaction,
@@ -60,16 +59,14 @@ class CommitmentDistribution:
 
 
 def uniform_commitment(
-    env: Environment,
-    certificate: SeparationCertificate | None = None,
-    budget: int = DEFAULT_BUDGET,
+    env: Environment, budget: int = DEFAULT_BUDGET
 ) -> CommitmentDistribution:
     """Uniform P over the full alternative set; p_tilde = 1/|S|.
 
-    The separating set defaults to the greedy certificate's alternatives.
+    The separating set is the greedy certificate's alternatives, or every
+    alternative when the certificate is empty (no agent has two types).
     """
-    if certificate is None:
-        certificate = find_separating_set(env, budget=budget)
+    certificate = find_separating_set(env, budget=budget)
     k = len(env.alternatives)
     return CommitmentDistribution(
         alternatives=env.alternatives,

@@ -65,7 +65,7 @@ class GridTooCoarse(MechDesignError):
 
 
 class ResolutionBudgetExceeded(MechDesignError):
-    """The discretized alternative set exceeds the configured support cap."""
+    """The discretized alternative set exceeds the support cap."""
 
     def __init__(self, size, cap):
         super().__init__(f"grid support {size} exceeds cap {cap}")

@@ -23,6 +23,8 @@ from .payoffs import Mechanism, PayoffTable, payoff_table
 from .verify import VerificationReport
 
 DP_RATIO_TOL = 1e-9
+# slack the near-indifference and accuracy bounds allow for float rounding
+BOUND_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,12 +64,10 @@ def exp_mech_distribution(
 
 
 def exponential_mechanism(
-    F: ObjectiveFunction, env: Environment, eps: float, d: float | None = None
+    F: ObjectiveFunction, env: Environment, eps: float
 ) -> Mechanism:
     """Mechanism t -> exponential distribution at rate n*eps/(2d)."""
-    if d is None:
-        d = F.sensitivity_d
-    rate = exp_mech_rate(env.n, eps, d)
+    rate = exp_mech_rate(env.n, eps, F.sensitivity_d)
     alternatives = env.alternatives
 
     def mech(t: tuple) -> OutcomeDistribution:
@@ -81,7 +81,6 @@ def audit_dp(
     env: Environment,
     target_eps: float,
     budget: int = DEFAULT_BUDGET,
-    tol: float = DP_RATIO_TOL,
 ) -> DpAuditReport:
     """Exact worst-case privacy loss over all unilateral neighbor pairs.
 
@@ -127,7 +126,7 @@ def audit_dp(
         epsilon_measured=worst,
         witness=witness,
         target_epsilon=target_eps,
-        passed=worst <= target_eps + tol,
+        passed=worst <= target_eps + DP_RATIO_TOL,
     )
 
 
@@ -136,7 +135,6 @@ def near_indifference_bound_check(
     env: Environment,
     eps: float,
     budget: int = DEFAULT_BUDGET,
-    tol: float = 1e-12,
 ) -> VerificationReport:
     """Max unilateral expected-utility swing of a non-imposing eps-DP mechanism.
 
@@ -208,7 +206,7 @@ def near_indifference_bound_check(
                    eu.item(k, t_i[k]), eu.item(k, b_i))
     return VerificationReport(
         property="near_indifference",
-        passed=worst <= bound + tol,
+        passed=worst <= bound + BOUND_TOL,
         margin=bound - worst,
         witness=witness,
     )
@@ -218,9 +216,7 @@ def accuracy_bound_check(
     F: ObjectiveFunction,
     env: Environment,
     eps: float,
-    d: float | None = None,
     budget: int = DEFAULT_BUDGET,
-    tol: float = 1e-12,
 ) -> VerificationReport:
     """E[F] under the exponential mechanism is within the closed-form bound
     of the optimum, for every enumerated type vector.
@@ -231,8 +227,7 @@ def accuracy_bound_check(
     """
     import numpy as np
 
-    if d is None:
-        d = F.sensitivity_d
+    d = F.sensitivity_d
     n = env.n
     s_count = len(env.alternatives)
     required = 2 * math.e * d / (eps * s_count)
@@ -251,7 +246,7 @@ def accuracy_bound_check(
     k = int(np.argmin(slack))
     return VerificationReport(
         property="accuracy_bound",
-        passed=not (slack < -tol).any(),
+        passed=not (slack < -BOUND_TOL).any(),
         margin=float(slack[k]),
         witness=(vectors[k], float(expected[k]), max(scores[k])),
     )

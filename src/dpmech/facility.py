@@ -29,6 +29,7 @@ from .payoffs import Mechanism
 
 DEFAULT_RHO = Fraction(1, 1024)
 DEFAULT_SUPPORT_CAP = 2**17
+LOC3_N0_SCAN_LIMIT = 10**7
 
 
 def grid(m: int) -> tuple:
@@ -179,7 +180,6 @@ def continuous_expmech_distribution(
     eps: float,
     K: int,
     rho=DEFAULT_RHO,
-    cap: int = DEFAULT_SUPPORT_CAP,
 ) -> OutcomeDistribution:
     """Exact exponential-mechanism distribution over the rho-grid of [0,1]^K.
 
@@ -191,8 +191,8 @@ def continuous_expmech_distribution(
 
     pts = _rho_grid(rho)
     support = len(pts) ** K
-    if support > cap:
-        raise ResolutionBudgetExceeded(support, cap)
+    if support > DEFAULT_SUPPORT_CAP:
+        raise ResolutionBudgetExceeded(support, DEFAULT_SUPPORT_CAP)
     t_arr = np.asarray([float(x) for x in t])
     pts_arr = np.asarray([float(p) for p in pts])
     # distance of each agent to each grid point, then min over the K slots
@@ -210,8 +210,8 @@ def continuous_expmech_distribution(
     return OutcomeDistribution([Outcome(s) for s in alternatives], [float(p) for p in probs])
 
 
-def continuous_expmech_sample(t, eps, K, rho, rng, cap=DEFAULT_SUPPORT_CAP):
-    return continuous_expmech_distribution(t, eps, K, rho, cap).sample(rng).alternative
+def continuous_expmech_sample(t, eps, K, rho, rng):
+    return continuous_expmech_distribution(t, eps, K, rho).sample(rng).alternative
 
 
 @dataclass(frozen=True)
@@ -274,10 +274,6 @@ class DyadicCommitment:
         return total / self.m_bar
 
 
-def dyadic_commitment(m_bar: int, K: int = 1) -> DyadicCommitment:
-    return DyadicCommitment(m_bar=m_bar, K=K)
-
-
 @dataclass(frozen=True)
 class Loc3Params:
     n: int
@@ -313,14 +309,14 @@ def _loc3_admissible(p: Loc3Params) -> bool:
     return p.q < 1 and p.eps <= 0.5 and p.m_bar <= math.log(p.n)
 
 
-def loc3_n0(K: int, n_max: int = 10**7) -> int:
+def loc3_n0(K: int) -> int:
     """Smallest population for which the loc3 schedule is admissible."""
     n = 3
-    while n <= n_max:
+    while n <= LOC3_N0_SCAN_LIMIT:
         if _loc3_admissible(loc3_params(n, K)):
             return n
         n += 1
-    raise PopulationTooSmall(n_max, math.inf)
+    raise PopulationTooSmall(LOC3_N0_SCAN_LIMIT, math.inf)
 
 
 def domination_margin(p: Loc3Params) -> float:

@@ -60,7 +60,6 @@ class PayoffTable:
         ]
         self._unrestricted = [tuple(range(len(rs))) for rs in env.reaction_spaces]
         self._private = env.values_kind == PRIVATE_VALUES
-        self._decoded: dict = {}
         self._dists: dict = {}
         self._reactions: dict = {}
         self._payoffs: dict = {}
@@ -78,14 +77,11 @@ class PayoffTable:
 
     def vector(self, k: int) -> tuple:
         """Type vector k: read from ``vectors`` once a full walk has listed
-        them, otherwise decoded from its index alone (and kept)."""
+        them, otherwise decoded from its index alone."""
         listed = self.__dict__.get("vectors")
         if listed is not None:
             return listed[k]
-        t = self._decoded.get(k)
-        if t is None:
-            t = self._decoded[k] = tuple([ts[k // s % m] for ts, s, m in self._places])
-        return t
+        return tuple([ts[k // s % m] for ts, s, m in self._places])
 
     def digits(self) -> Iterator[tuple]:
         """Per-agent type indices of every vector, in vector order."""

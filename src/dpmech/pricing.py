@@ -57,7 +57,6 @@ class PricingInstance:
     gamma_declared: Any
     valuations: dict
     mu: Any = None
-    m: int | None = None
 
     @property
     def n(self) -> int:
@@ -98,14 +97,13 @@ def build_pricing_env(
     m: int,
     signal_spaces: Sequence[Sequence],
     valuation: Callable[[tuple], tuple],
-    check: bool = True,
 ) -> PricingInstance:
     """Cohort pricing economy on the price grid {0, 1/m, ..., 1}.
 
     ``signal_spaces`` gives each cohort member's finite signal set (listed in
     increasing order, same for every cohort); ``valuation`` maps a cohort's
     signal vector to the D member valuations.  Verifies monotonicity and the
-    grid-fineness premise by enumeration when ``check`` is on.
+    grid-fineness premise by enumeration.
     """
     if N < 1 or D < 1 or m < 1:
         raise ValueError("need N, D, m >= 1")
@@ -120,16 +118,15 @@ def build_pricing_env(
     vmax = max(v for vals in table.values() for v in vals)
     prices = tuple(Fraction(k, m) for k in range(m + 1))
 
-    if check:
-        _check_monotone(signal_spaces, table, D)
-        _check_fineness(signal_spaces, table, D, m)
+    _check_monotone(signal_spaces, table, D)
+    _check_fineness(signal_spaces, table, D, m)
 
     objective = _revenue_objective(signal_spaces, table, prices, N)
     F = ObjectiveFunction(eval=objective.eval, sensitivity_d=D)
     scale = Fraction(1, 1) / (1 + vmax) if not isinstance(vmax, float) else 1 / (1 + vmax)
     return PricingInstance(
         F=F, objective=objective, N=N, D=D, prices=prices, vmax=vmax,
-        scale=scale, gamma_declared=Fraction(1, m) * scale, valuations=table, m=m,
+        scale=scale, gamma_declared=Fraction(1, m) * scale, valuations=table,
     )
 
 

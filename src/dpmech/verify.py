@@ -122,7 +122,6 @@ def check_strictly_dominant_truthful(
     mech: Mechanism,
     env: Environment,
     budget: int = DEFAULT_BUDGET,
-    strict_tol: float = ABS_TOL,
     *,
     table: PayoffTable | None = None,
 ) -> VerificationReport:
@@ -163,7 +162,7 @@ def check_strictly_dominant_truthful(
                         margin = slack
                         witness = (i, table.vector(kt), env.type_spaces[i][b_i],
                                    table.opponents(k, i), base, dev)
-                    if slack <= strict_tol:
+                    if slack <= ABS_TOL:
                         passed = False
     return VerificationReport(STRICTLY_DOMINANT, passed, float(margin), witness)
 
@@ -174,7 +173,6 @@ def find_dominating_strategy(
     i: int,
     W_i: dict,
     budget: int = DEFAULT_BUDGET,
-    strict_tol: float = ABS_TOL,
     *,
     table: PayoffTable | None = None,
 ) -> Optional[dict]:
@@ -182,7 +180,7 @@ def find_dominating_strategy(
 
     A candidate dominates when it is weakly better against every opponent
     announcement vector and every true type vector, and strictly better
-    somewhere (slack above ``strict_tol``).
+    somewhere (slack above ``ABS_TOL``).
     """
     types_i = env.type_spaces[i]
     map_count = len(types_i) ** len(types_i)
@@ -208,7 +206,7 @@ def find_dominating_strategy(
                 if diff < -ABS_TOL:
                     dominates = False
                     break
-                if diff > strict_tol:
+                if diff > ABS_TOL:
                     strict_somewhere = True
         if dominates and strict_somewhere:
             return {t: types_i[j] for t, j in zip(types_i, images)}
@@ -219,31 +217,25 @@ def implementation_gap(
     mech: Mechanism,
     env: Environment,
     F: ObjectiveFunction,
-    W: tuple,
     budget: int = DEFAULT_BUDGET,
     *,
     table: PayoffTable | None = None,
 ):
-    """Worst shortfall of E[F] under W from the pointwise optimum.
+    """Worst shortfall of E[F] under truthful play from the pointwise optimum.
 
-    Enumerates the full type space, reading each announcement's outcome
-    distribution from ``table`` (shared with other checks of the same
-    mechanism).  Returns (beta_measured, worst type vector).
+    Enumerates the full type space, reading each truthful announcement's
+    outcome distribution from ``table`` (shared with other checks of the
+    same mechanism).  Returns (beta_measured, worst type vector).
     """
     table = payoff_table(
         mech, env, "implementation_gap", env.num_type_vectors() * len(env.alternatives),
         budget, table,
     )
-    index = [{t: j for j, t in enumerate(ts)} for ts in env.type_spaces]
     worst = -math.inf
     worst_t = None
-    for t in table.vectors:
-        kb = sum(
-            index[i][W[i][t_i]] * stride
-            for i, (t_i, stride) in enumerate(zip(t, table.strides))
-        )
+    for k, t in enumerate(table.vectors):
         scores = [F.eval(t, s) for s in env.alternatives]
-        expected = left_sum(p * scores[a] for p, _, a, _ in table.dist(kb))
+        expected = left_sum(p * scores[a] for p, _, a, _ in table.dist(k))
         gap = max(scores) - expected
         if gap > worst:
             worst = gap
@@ -256,10 +248,10 @@ def histogram_gap(
 ) -> tuple[float, int]:
     """Worst shortfall of the lottery's E[F] from max F over type histograms.
 
-    Vectorized ``implementation_gap`` for truthful announcements on probe
-    histograms (rows of ``counts``): the lottery puts 1 - q on the
-    exponential mechanism at ``rate`` and q on the commitment distribution
-    ``P``'s alternative marginal.  Returns (beta_measured, worst row).
+    Vectorized ``implementation_gap`` on probe histograms (rows of
+    ``counts``): the lottery puts 1 - q on the exponential mechanism at
+    ``rate`` and q on the commitment distribution ``P``'s alternative
+    marginal.  Returns (beta_measured, worst row).
     """
     import numpy as np
 

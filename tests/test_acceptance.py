@@ -134,7 +134,7 @@ def test_criterion_05_combined_mechanism():
     # exhaustive truthfulness at contract-saturating params (q p~ gamma = 2 eps)
     finst = dm.build_grid_env(3, 2, 2)
     Pf = dm.dyad_facility_commitment(finst)
-    eps_f, q_f = dm.saturating_params(finst.env, Pf, finst.gamma_declared)
+    eps_f, q_f = dm.saturating_params(Pf, finst.gamma_declared)
     mech_f = dm.build_combined(
         finst.env, finst.F, Pf, finst.gamma_declared, eps_f, q_f
     )
@@ -142,7 +142,7 @@ def test_criterion_05_combined_mechanism():
 
     pinst = cohort_pricing_instance()
     Pp = dm.uniform_price_commitment(pinst)
-    eps_p, q_p = dm.saturating_params(pinst.env, Pp, pinst.gamma_declared)
+    eps_p, q_p = dm.saturating_params(Pp, pinst.gamma_declared)
     mech_p = dm.build_combined(
         pinst.env, pinst.F, Pp, pinst.gamma_declared, eps_p, q_p
     )

@@ -245,6 +245,27 @@ def test_sweep_pricing_counts_agents(tmp_path):
     assert fields["n"] == "6000"  # 3000 cohorts of 2 agents
 
 
+@pytest.mark.parametrize("block,key,app,n", [
+    ("facility", "n", {"m": 2, "K": 2, "mechanism": "loc2"}, 300),
+    ("pricing", "cohorts", {"cohort_size": 2, "grid_m": 4}, 6000),
+])
+def test_only_verify_needs_the_config_size(tmp_path, capsys, block, key, app, n):
+    # a sweep sizes its instances from n_list alone, so the config's own
+    # size changes no byte of its CSV; verify reads it
+    outs = []
+    for k, size in enumerate(({}, {key: 3})):
+        cfg = {"experiment": "sweep", "seed": 5, "n_list": [n], "probes": 4,
+               block: {**app, **size}}
+        out = str(tmp_path / f"{k}.csv")
+        path = write_config(tmp_path, cfg, f"cfg{k}.json")
+        assert main(["sweep", "--config", path, "--out", out]) == 0
+        outs.append(open(out, "rb").read())
+    assert outs[0] == outs[1]
+    cfg = {"experiment": "verify", "seed": 5, block: app}
+    assert main(["verify", "--config", write_config(tmp_path, cfg, "v.json")]) == 2
+    assert capsys.readouterr().err == f"config error: {block}.{key}: required but missing\n"
+
+
 def test_example_subcommands(tmp_path):
     for name in ("example1", "example3"):
         cfg = {"experiment": name, "seed": 11}

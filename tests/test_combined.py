@@ -24,7 +24,7 @@ def test_contract_violation_rejected():
 
 def test_mixture_weights_show_up_as_imposing_mass():
     inst, P, gamma = facility_setup()
-    eps, q = dm.saturating_params(inst.env, P, gamma)
+    eps, q = dm.saturating_params(P, gamma)
     mech = dm.build_combined(inst.env, inst.F, P, gamma, eps, q)
     t = next(iter(inst.env.type_vectors()))
     assert mech(t).imposing_mass() == q
@@ -32,7 +32,7 @@ def test_mixture_weights_show_up_as_imposing_mass():
 
 def test_saturating_params_saturate_contract():
     inst, P, gamma = facility_setup()
-    eps, q = dm.saturating_params(inst.env, P, gamma)
+    eps, q = dm.saturating_params(P, gamma)
     assert q == Fraction(1, 2)
     assert math.isclose(float(q * P.p_tilde * gamma), 2 * eps)
     assert dm.incentive_contract_holds(eps, q, P.p_tilde, gamma, tol=1e-15)
@@ -85,20 +85,10 @@ def test_compute_n0_is_minimal_admissible():
 
 def test_combined_truthful_at_saturating_params():
     inst, P, gamma = facility_setup()
-    eps, q = dm.saturating_params(inst.env, P, gamma)
+    eps, q = dm.saturating_params(P, gamma)
     mech = dm.build_combined(inst.env, inst.F, P, gamma, eps, q)
     assert dm.check_expost_nash_truthful(mech, inst.env).passed
     assert dm.check_strictly_dominant_truthful(mech, inst.env).passed
-
-
-def test_enforce_contract_off_allows_counterexample_params():
-    inst, P, gamma = facility_setup()
-    mech = dm.build_combined(
-        inst.env, inst.F, P, gamma, eps=0.5, q=Fraction(1, 100),
-        enforce_contract=False,
-    )
-    t = next(iter(inst.env.type_vectors()))
-    assert abs(float(sum(mech(t).probs)) - 1) < 1e-12
 
 
 @pytest.mark.parametrize("family", ["facility-m2", "facility-m3", "pricing"])

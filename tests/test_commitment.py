@@ -29,6 +29,20 @@ def test_uniform_commitment_on_facility():
     assert P.p_tilde == Fraction(1, 9)
 
 
+def test_uniform_commitment_separates_on_every_alternative_without_type_pairs():
+    # no agent has two types, so the greedy certificate is empty
+    env = dm.Environment(
+        type_spaces=((0,), (0,)),
+        alternatives=("a", "b"),
+        reaction_spaces=((0,), (0,)),
+        utility=lambda i, t, s, r: 0,
+    )
+    assert dm.find_separating_set(env).separating_set == ()
+    P = dm.uniform_commitment(env)
+    assert P.separating_set == ("a", "b")
+    assert P.p_tilde == Fraction(1, 2)
+
+
 def test_commitment_mechanism_is_announcement_independent():
     inst = dm.build_grid_env(2, 2, 2)
     P = dm.dyad_facility_commitment(inst)

@@ -75,7 +75,7 @@ def test_scheduled_loc2_runs_and_is_truthful_at_small_scale():
     # asymptotic schedule (which needs n > 164)
     inst = dm.build_grid_env(3, 2, 2)
     P = dm.dyad_facility_commitment(inst)
-    eps, q = dm.saturating_params(inst.env, P, inst.gamma_declared)
+    eps, q = dm.saturating_params(P, inst.gamma_declared)
     mech = dm.build_combined(inst.env, inst.F, P, inst.gamma_declared, eps, q)
     assert dm.check_strictly_dominant_truthful(mech, inst.env).passed
 

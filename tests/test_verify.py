@@ -80,7 +80,7 @@ def test_implementation_gap_zero_for_argmax_mechanism():
         s_star = max(env.alternatives, key=lambda s: F.eval(b, s))
         return dm.OutcomeDistribution([dm.Outcome(s_star)], [1])
 
-    beta, worst = dm.implementation_gap(best, env, F, dm.truthful_profile(env))
+    beta, worst = dm.implementation_gap(best, env, F)
     assert beta == 0
 
 
@@ -92,7 +92,7 @@ def test_implementation_gap_known_value():
     def constant(b):
         return dm.OutcomeDistribution([dm.Outcome(s_fixed)], [1])
 
-    beta, worst = dm.implementation_gap(constant, env, F, dm.truthful_profile(env))
+    beta, worst = dm.implementation_gap(constant, env, F)
     # worst case both agents at 1: optimum 1, constant placement gives 0
     assert beta == 1
     assert worst == (Fraction(1), Fraction(1))
@@ -318,7 +318,7 @@ def test_strict_dominance_keys_private_reactions_by_full_vector(random_instances
 def _lottery(inst, P):
     env, F = inst.env, inst.F
     gamma = dm.compute_gap(env).gamma
-    eps, q = dm.saturating_params(env, P, gamma)
+    eps, q = dm.saturating_params(P, gamma)
     return dm.build_combined(env, F, P, gamma, eps, q)
 
 
@@ -447,7 +447,7 @@ def test_budget_checks_report_needed_and_budget():
         (162, lambda: dm.verify_sensitivity(F, env, budget=1)),
         (162, lambda: dm.find_separating_set(env, budget=1)),
         (486, lambda: dm.check_environment(env, budget=1)),
-        (81, lambda: dm.implementation_gap(mech, env, F, W, budget=1)),
+        (81, lambda: dm.implementation_gap(mech, env, F, budget=1)),
     ]
     for needed, check in checks:
         with pytest.raises(dm.EnumerationBudgetExceeded) as e:
