@@ -157,9 +157,18 @@ def _check(value, schema: dict, path: str = "") -> None:
             _check(item, schema["items"], f"{where}[{k}]")
 
 
+# the top-level keys each experiment reads besides experiment, seed and out
+_READS = {"verify": ("budget", "facility", "pricing"),
+          "sweep": ("probes", "n_list", "facility", "pricing"),
+          "example1": ("budget", "example"), "example3": ("budget", "example")}
+
+
 def validate_config(config: dict) -> dict:
     _check(config, CONFIG_SCHEMA)
     exp = config["experiment"]
+    for key in config:
+        if key not in ("experiment", "seed", "out", *_READS[exp]):
+            raise ConfigInvalid(f"{key}: not read by {exp}")
     if exp in ("verify", "sweep"):
         if ("facility" in config) == ("pricing" in config):
             raise ConfigInvalid(f"{exp} needs exactly one of 'facility'/'pricing'")

@@ -1,9 +1,9 @@
 """Imposing commitment mechanisms.
 
 The alternative is drawn from a fixed, announcement-independent distribution;
-each agent's reaction is then restricted to the single reaction that is
-optimal for the announced type vector.  Misreporting therefore carries a
-guaranteed expected loss of p_tilde * gamma in non-trivial environments.
+each agent is then imposed the one reaction that is optimal for the
+announced type vector.  Misreporting therefore carries a guaranteed expected
+loss of p_tilde * gamma in non-trivial environments.
 """
 
 from __future__ import annotations
@@ -85,12 +85,7 @@ def commitment_mechanism(P: CommitmentDistribution, env: Environment) -> Mechani
 
     def mech(b: tuple) -> OutcomeDistribution:
         outcomes = [
-            Outcome(
-                s,
-                restrictions=tuple(
-                    (optimal_reaction(env, i, b, s),) for i in env.agents
-                ),
-            )
+            Outcome(s, imposed=tuple(optimal_reaction(env, i, b, s) for i in env.agents))
             for s in P.alternatives
         ]
         return OutcomeDistribution(outcomes, P.probs)

@@ -211,31 +211,25 @@ class SensitivityReport:
     witness: tuple | None  # (agent, t, t_hat, s)
 
 
-def optimal_reaction(env: Environment, i: int, t: tuple, s, allowed=None):
+def optimal_reaction(env: Environment, i: int, t: tuple, s):
     """Best reaction of agent i at type vector t and alternative s.
 
-    Ties are broken toward the lowest index in the agent's reaction space
-    (restricted to ``allowed``, preserving that order), so the selection is
-    deterministic.
+    Ties are broken toward the lowest index in the agent's reaction space,
+    so the selection is deterministic.
     """
-    if allowed is None:
-        allowed = env.reaction_spaces[i]
     best = None
     best_u = None
-    for r in allowed:
+    for r in env.reaction_spaces[i]:
         u = env.utility(i, t, s, r)
         if best is None or _gt(u, best_u):
             best, best_u = r, u
-    if best is None:
-        raise ValueError("allowed reaction set must be non-empty")
     return best
 
 
-def optimal_reaction_set(env: Environment, i: int, t: tuple, s, allowed=None) -> tuple:
+def optimal_reaction_set(env: Environment, i: int, t: tuple, s) -> tuple:
     """All reactions within tolerance of the maximum utility."""
-    if allowed is None:
-        allowed = env.reaction_spaces[i]
-    return _near_max(allowed, [env.utility(i, t, s, r) for r in allowed])
+    reactions = env.reaction_spaces[i]
+    return _near_max(reactions, [env.utility(i, t, s, r) for r in reactions])
 
 
 def _near_max(reactions, utils: list) -> tuple:
@@ -318,7 +312,7 @@ def compute_gap(env: Environment, budget: int = DEFAULT_BUDGET) -> Gap:
                 for a in alternatives:
                     # the truth-optimal payoff against the payoff of the
                     # reaction that is optimal for the misreport
-                    lie = (table.reaction(i, kb, a),)
+                    lie = table.reaction(i, kb, a)
                     d = table.payoff(i, kt, a)[0] - table.payoff(i, kt, a, lie)[0]
                     if adv is None or _gt(d, adv):
                         adv = d

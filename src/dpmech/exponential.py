@@ -159,9 +159,9 @@ def near_indifference_bound_check(
     dtype = float if all(f for d in dists for _, f, _, _ in d) else object
     width = max(map(len, dists))
     prob = np.array([[p for p, *_ in d] + [0] * (width - len(d)) for d in dists], dtype)
-    # every distinct (float flag, alternative, restriction) of the supports,
-    # numbered; -1 pads a short support and reads a 0 payoff at probability
-    # 0, which adds an exact 0 to every sum
+    # every distinct (float flag, alternative, imposed reaction indices) of
+    # the supports, numbered; -1 pads a short support and reads a 0 payoff at
+    # probability 0, which adds an exact 0 to every sum
     outcomes: dict = {}
     ids = np.array([
         [outcomes.setdefault((f, a, r), len(outcomes)) for _, f, a, r in d]

@@ -1,8 +1,8 @@
-"""Exact outcome distributions over (alternative, reaction restriction) pairs.
+"""Exact outcome distributions over (alternative, imposed reactions) pairs.
 
 A mechanism maps an announced type vector to one of these distributions.
-Restrictions are per-agent allowed reaction subsets; ``None`` means no agent
-is restricted (a non-imposing outcome).
+An imposing outcome fixes one reaction per agent; ``None`` means every agent
+reacts freely (a non-imposing outcome).
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ def left_sum(terms):
 @dataclass(frozen=True)
 class Outcome:
     alternative: Any
-    restrictions: tuple | None = None  # per-agent tuple of allowed reactions
+    imposed: tuple | None = None  # one reaction per agent
 
     @property
     def imposing(self) -> bool:
-        return self.restrictions is not None
+        return self.imposed is not None
 
 
 class OutcomeDistribution:
@@ -57,11 +57,6 @@ class OutcomeDistribution:
         total = sum(probs)
         if abs(total - 1) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        for o in outcomes:
-            if o.restrictions is not None and any(
-                len(allowed) == 0 for allowed in o.restrictions
-            ):
-                raise ValueError("empty reaction restriction")
         self.outcomes = outcomes
         self.probs = probs
 
@@ -72,14 +67,14 @@ class OutcomeDistribution:
         return zip(self.outcomes, self.probs)
 
     def marginal_alternatives(self) -> dict:
-        """Marginal distribution over alternatives (restrictions summed out)."""
+        """Marginal distribution over alternatives (imposed reactions summed out)."""
         marg: dict = {}
         for o, p in self.items():
             marg[o.alternative] = marg.get(o.alternative, 0) + p
         return marg
 
     def imposing_mass(self):
-        """Total probability of outcomes that restrict some agent."""
+        """Total probability of the imposing outcomes."""
         return left_sum(p for o, p in self.items() if o.imposing)
 
     def expectation(self, fn):

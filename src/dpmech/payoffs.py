@@ -8,9 +8,9 @@ the per-agent type indices, agent i's unilateral deviation from vector
 memoizes
 
 - each announcement's outcome distribution, as (probability, alternative
-  index, per-agent restriction as reaction indices) entries;
-- each agent's optimal reaction and its payoff at a (true vector,
-  alternative, restriction);
+  index, per-agent imposed reaction indices) entries;
+- each agent's optimal reaction at a (true vector, alternative), and its
+  payoff at a (true vector, alternative, imposed reaction);
 - each expected utility (announcement, agent, true vector);
 
 so no type tuple is hashed and no payoff is evaluated twice.  Under
@@ -58,7 +58,6 @@ class PayoffTable:
         self._reaction_index = [
             {r: j for j, r in enumerate(rs)} for rs in env.reaction_spaces
         ]
-        self._unrestricted = [tuple(range(len(rs))) for rs in env.reaction_spaces]
         self._private = env.values_kind == PRIVATE_VALUES
         self._dists: dict = {}
         self._reactions: dict = {}
@@ -135,7 +134,7 @@ class PayoffTable:
     def dist(self, k: int) -> list:
         """The mechanism's nonzero-probability outcomes at vector k, as
         (probability, whether it is a float, alternative index, per-agent
-        reaction-index restrictions or None)."""
+        imposed reaction indices or None)."""
         d = self._dists.get(k)
         if d is None:
             d = self._dists[k] = [
@@ -143,43 +142,38 @@ class PayoffTable:
                     p,
                     type(p) is float,
                     self._alternative_index[o.alternative],
-                    None if o.restrictions is None else tuple(
-                        tuple(index[r] for r in allowed)
-                        for index, allowed in zip(self._reaction_index, o.restrictions)
+                    None if o.imposed is None else tuple(
+                        index[r] for index, r in zip(self._reaction_index, o.imposed)
                     ),
                 )
                 for o, p in self.mech(self.vector(k)).items() if p != 0
             ]
         return d
 
-    def reaction(self, i: int, k: int, a: int, restriction: tuple | None = None) -> int:
-        """Index of agent i's optimal reaction at vector k and alternative a,
-        among the reaction indices ``restriction`` (all when None)."""
-        allowed = self._unrestricted[i] if restriction is None else restriction
-        if len(allowed) == 1:
-            return allowed[0]
+    def reaction(self, i: int, k: int, a: int) -> int:
+        """Index of agent i's optimal reaction at vector k and alternative a."""
+        if len(self.env.reaction_spaces[i]) == 1:
+            return 0
         k = self.own(i, k)
-        key = (i, k, a, restriction)
+        key = (i, k, a)
         r = self._reactions.get(key)
         if r is None:
-            space = self.env.reaction_spaces[i]
             r = self._reactions[key] = self._reaction_index[i][optimal_reaction(
-                self.env, i, self.vector(k), self.env.alternatives[a],
-                space if restriction is None else tuple(space[j] for j in allowed),
+                self.env, i, self.vector(k), self.env.alternatives[a]
             )]
         return r
 
-    def payoff(self, i: int, k: int, a: int, restriction: tuple | None = None) -> tuple:
-        """Agent i's utility at true vector k and alternative a under its
-        optimal reaction within ``restriction``, as (exact, float)."""
+    def payoff(self, i: int, k: int, a: int, imposed: int | None = None) -> tuple:
+        """Agent i's utility at true vector k and alternative a, as (exact,
+        float), under the reaction index ``imposed`` or, when None, its
+        optimal reaction."""
         k = self.own(i, k)
-        key = (i, k, a, restriction)
+        key = (i, k, a, imposed)
         hit = self._payoffs.get(key)
         if hit is None:
-            u = self.env.utility(
-                i, self.vector(k), self.env.alternatives[a],
-                self.env.reaction_spaces[i][self.reaction(i, k, a, restriction)],
-            )
+            r = self.reaction(i, k, a) if imposed is None else imposed
+            u = self.env.utility(i, self.vector(k), self.env.alternatives[a],
+                                 self.env.reaction_spaces[i][r])
             hit = self._payoffs[key] = (u, float(u))
         return hit
 

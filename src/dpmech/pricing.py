@@ -23,7 +23,6 @@ from .environment import (
     Environment,
     HistogramObjective,
     ObjectiveFunction,
-    optimal_reaction,
 )
 from .errors import GridTooCoarse
 from .outcomes import Outcome, OutcomeDistribution
@@ -257,27 +256,20 @@ def optimal_announced_price(inst: PricingInstance, b: tuple):
 def example3_mechanism(inst: PricingInstance, imposing_prob=None) -> Mechanism:
     """Posts the announced-optimal price; imposes reactions with low probability.
 
-    With probability 1 - imposing_prob (default 1 - 1/n) the price stands and
-    agents react freely; otherwise an announced-optimal reaction is imposed,
-    with a value-equals-price tie imposed as Buy (matching the weak buyer
-    count in the price choice).  ``imposing_prob=1`` gives the fully imposing
-    variant.
+    For D=1 instances, where announced types are the valuations (as
+    ``optimal_announced_price`` assumes).  With probability 1 - imposing_prob
+    (default 1 - 1/n) the price stands and agents react freely; otherwise
+    the announced-optimal reaction is imposed: Buy for an announced
+    valuation at least the price, so a value-equals-price tie is imposed as
+    Buy (matching the weak buyer count in the price choice).
+    ``imposing_prob=1`` gives the fully imposing variant.
     """
-    n = inst.n
-    q = Fraction(1, n) if imposing_prob is None else Fraction(imposing_prob)
-    env = inst.env
+    q = Fraction(1, inst.n) if imposing_prob is None else Fraction(imposing_prob)
 
     def mech(b: tuple) -> OutcomeDistribution:
         p = optimal_announced_price(inst, b)
-        free = Outcome(p)
-        imposed = Outcome(
-            p,
-            restrictions=tuple(
-                (optimal_reaction(env, i, b, p, allowed=(BUY, NOT_BUY)),)
-                for i in env.agents
-            ),
-        )
-        return OutcomeDistribution([free, imposed], [1 - q, q])
+        imposed = Outcome(p, imposed=tuple(BUY if v >= p else NOT_BUY for v in b))
+        return OutcomeDistribution([Outcome(p), imposed], [1 - q, q])
 
     return mech
 

@@ -70,21 +70,17 @@ def announce(W: tuple, t: tuple) -> tuple:
 
 
 def _utility_at(env: Environment, i: int, t: tuple, outcome) -> Any:
-    allowed = (
-        outcome.restrictions[i] if outcome.restrictions is not None
-        else env.reaction_spaces[i]
-    )
-    r = optimal_reaction(env, i, t, outcome.alternative, allowed)
-    return env.utility(i, t, outcome.alternative, r)
+    s = outcome.alternative
+    r = outcome.imposed[i] if outcome.imposing else optimal_reaction(env, i, t, s)
+    return env.utility(i, t, s, r)
 
 
 def expected_utility(mech: Mechanism, env: Environment, W: tuple, i: int, t: tuple):
     """Exact expected utility of agent i with true types t under profile W.
 
-    For unrestricted outcomes the agent best-responds with her true type
-    (opponents' types are read off their truthful announcements); for imposed
-    outcomes the committed reaction is forced through the singleton
-    restriction the mechanism supplied.
+    For free outcomes the agent best-responds with its true type
+    (opponents' types are read off their truthful announcements); an
+    imposing outcome fixes the agent's reaction to the one it imposes.
     """
     return mech(announce(W, t)).expectation(lambda o: _utility_at(env, i, t, o))
 

@@ -411,10 +411,16 @@ def run_cli(*args):
     {"experiment": "example1", "seed": 7.0},
     {"experiment": "verify", "seed": 0,
      "pricing": {"cohorts": 2, "cohort_size": 1, "grid_m": 4, "mu": 0.3}},
+    {"experiment": "sweep", "seed": 0, "facility": {"n": 3, "m": 2, "K": 2},
+     "n_list": [2000], "probes": 3, "budget": 1},
+    {"experiment": "verify", "seed": 0, "example": {"n": 4},
+     "pricing": {"cohorts": 2, "cohort_size": 1, "grid_m": 4}},
+    {"experiment": "example1", "seed": 0, "n_list": [4]},
 ], ids=["not-an-object", "pricing-grid-too-coarse", "loc2-single-facility",
         "example3-single-buyer", "facility-n-float", "facility-m-float",
         "probes-float", "n_list-float", "cohort_size-float", "example1-n-float",
-        "example3-n-float", "seed-float", "pricing-mu"])
+        "example3-n-float", "seed-float", "pricing-mu", "sweep-budget",
+        "verify-example", "example1-n_list"])
 def test_bad_config_exits_2_without_traceback(tmp_path, cfg):
     command = cfg["experiment"] if isinstance(cfg, dict) else "verify"
     proc = run_cli(command, "--config", write_config(tmp_path, cfg))

@@ -50,10 +50,10 @@ def test_commitment_mechanism_is_announcement_independent():
     t1 = (Fraction(0), Fraction(1))
     t2 = (Fraction(1, 2), Fraction(1, 2))
     assert mech(t1).marginal_alternatives() == mech(t2).marginal_alternatives()
-    # every outcome imposes a singleton on every agent
+    # every outcome imposes one reaction on every agent
     for o, p in mech(t1).items():
-        assert o.restrictions is not None
-        assert all(len(allowed) == 1 for allowed in o.restrictions)
+        assert o.imposed is not None
+        assert len(o.imposed) == inst.env.n
 
 
 def test_truth_advantage_lower_bound_facility():

@@ -170,6 +170,8 @@ def test_schema_uses_only_implemented_keywords():
      "example.mu: 0.5 is not < 0.5"),
     ({"experiment": "verify", "seed": True}, "seed: True is not an integer"),
     ({"experiment": "verify", "seed": 0, "bogus": 1}, "bogus: unknown key"),
+    ({"experiment": "example3", "seed": 0, "probes": 5, "n_list": [3]},
+     "probes: not read by example3"),
 ])
 def test_error_names_key_path(config, message):
     with pytest.raises(ConfigInvalid, match=f"^{message}$"):

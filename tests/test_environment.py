@@ -39,8 +39,6 @@ def test_optimal_reaction_and_tie_break():
     env = tiny_env()
     assert dm.optimal_reaction(env, 0, (0, 0), "a") == "keep"
     assert dm.optimal_reaction(env, 0, (1, 0), "a") == "pass"
-    # restricted set forces the bad reaction
-    assert dm.optimal_reaction(env, 0, (0, 0), "a", allowed=("pass",)) == "pass"
 
     def flat(i, t, s, r):
         return Fraction(1, 2)

@@ -19,13 +19,11 @@ def test_validation():
         dm.OutcomeDistribution([o, o], [-0.5, 1.5])
     with pytest.raises(ValueError, match="lengths"):
         dm.OutcomeDistribution([o], [0.5, 0.5])
-    with pytest.raises(ValueError, match="empty reaction"):
-        dm.OutcomeDistribution([dm.Outcome("a", restrictions=((),))], [1])
 
 
 def test_imposing_flag_and_masses():
     free = dm.Outcome("a")
-    forced = dm.Outcome("a", restrictions=(("buy",),))
+    forced = dm.Outcome("a", imposed=("buy",))
     assert not free.imposing and forced.imposing
     dist = dm.OutcomeDistribution([free, forced], [Fraction(3, 4), Fraction(1, 4)])
     assert dist.imposing_mass() == Fraction(1, 4)
@@ -34,7 +32,7 @@ def test_imposing_flag_and_masses():
 
 def test_mix_keeps_components_separate():
     d1 = dm.OutcomeDistribution([dm.Outcome("a")], [1])
-    d2 = dm.OutcomeDistribution([dm.Outcome("a", restrictions=(("r",),))], [1])
+    d2 = dm.OutcomeDistribution([dm.Outcome("a", imposed=("r",))], [1])
     mixed = dm.mix([d1, d2], [Fraction(2, 3), Fraction(1, 3)])
     assert len(mixed) == 2
     assert mixed.imposing_mass() == Fraction(1, 3)

@@ -142,6 +142,24 @@ def test_example3_bad_profile_nash_and_revenue():
     assert dm.revenue_per_agent(inst, all_high, inst.prices[0]) == Fraction(1, n)
 
 
+def test_example3_imposes_buy_on_weak_preference():
+    # a value-equals-price tie (low announcement at price 1/n) imposes Buy
+    ties = 0
+    for inst in (dm.example3_env(4), dm.example3_env(4, 0.3)):
+        env = inst.env
+        for imposing_prob in (None, 1):
+            mech = dm.example3_mechanism(inst, imposing_prob=imposing_prob)
+            for b in env.type_vectors():
+                (imposing,) = [o for o, _ in mech(b).items() if o.imposing]
+                p = imposing.alternative
+                for i in env.agents:
+                    buy = env.utility(i, b, p, BUY)
+                    not_buy = env.utility(i, b, p, NOT_BUY)
+                    ties += buy == not_buy
+                    assert (imposing.imposed[i] == BUY) == (buy >= not_buy), (b, i)
+    assert ties
+
+
 def test_example3_unilateral_truth_loses_mu_ish():
     # the deviating high type ends at price 1: normalized utility of mu vs ~1
     n = 8

@@ -24,7 +24,7 @@ def test_expected_utility_respects_restrictions():
 
     def forced(b):
         return dm.OutcomeDistribution(
-            [dm.Outcome(far, restrictions=((Fraction(1),),))], [1]
+            [dm.Outcome(far, imposed=(Fraction(1),))], [1]
         )
 
     def free(b):
@@ -185,12 +185,24 @@ PINNED_VERIFY = [
         },
         (128, 182, 3584, 1792),
     ),
+    (
+        # cohorts of 2: interdependent values, so payoffs and reactions are
+        # keyed by the full true vector and strict dominance is not checked
+        {"pricing": {"cohorts": 3, "cohort_size": 2, "grid_m": 6}},
+        "verify-pricing,6,0.010651629072681704,1/2,3008,1/7,17/57,2,7,,"
+        "0.47546549172850405,sensitivity=pass|expost_nash=pass(0.0475454),1",
+        {
+            "sensitivity": "(0, (0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), Fraction(5, 6))",
+            "expost_nash": "None",
+        },
+        (8, 768, 72, 0),
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "app,row,witnesses,counts", PINNED_VERIFY,
-    ids=["facility", "pricing", "facility-n5", "pricing-7"],
+    ids=["facility", "pricing", "facility-n5", "pricing-7", "pricing-interdependent"],
 )
 def test_verify_outputs_pinned(tmp_path, app, row, witnesses, counts):
     import json
@@ -205,15 +217,16 @@ def test_verify_outputs_pinned(tmp_path, app, row, witnesses, counts):
     side = json.loads((tmp_path / "rows.json").read_text())[0]
     assert side["witnesses"] == witnesses
     # work counters live in the sidecar only; each distinct (agent, own type,
-    # alternative, restriction) payoff is evaluated once, and every expected
-    # utility strict dominance looks up, ex-post Nash has computed
+    # alternative, imposed reaction) payoff is evaluated once, and every
+    # expected utility strict dominance looks up, ex-post Nash has computed
     table = side["payoff_table"]
     assert (table["distributions_built"], table["utility_evaluations"],
             table["eu_lookups"], table["eu_hits"]) == counts
-    assert table["eu_hits"] == table["eu_lookups"] // 2
-    assert set(table["enumerated"]) == {
-        "expost_nash", "strictly_dominant", "implementation_gap"
-    }
+    checks = {"expost_nash", "implementation_gap"}
+    if "strictly_dominant" in witnesses:
+        assert table["eu_hits"] == table["eu_lookups"] // 2
+        checks.add("strictly_dominant")
+    assert set(table["enumerated"]) == checks
     assert "implementation_gap" not in out.read_text()
     assert table["budget"] == dm.DEFAULT_BUDGET
 
@@ -349,8 +362,8 @@ def test_table_checkers_stay_exact_on_gap_zero_commitment():
 
 
 def test_near_indifference_matches_naive_off_the_benchmark():
-    # a lottery mixing float and Fraction probabilities with imposing
-    # restrictions, all-Fraction commitment probabilities, and interdependent
+    # a lottery mixing float and Fraction probabilities with imposed
+    # reactions, all-Fraction commitment probabilities, and interdependent
     # values (payoffs keyed by the full vector)
     from tests.conftest import cohort_pricing_instance
 
