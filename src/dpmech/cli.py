@@ -361,6 +361,8 @@ def _example(config: dict, n: int) -> tuple:
     """(n, mu) of the optional ``example`` block, defaulting to n and 1/4."""
     ex = config.get("example", {})
     mu = Fraction(ex["mu"]).limit_denominator(10**6) if "mu" in ex else Fraction(1, 4)
+    if not 0 < mu < Fraction(1, 2):
+        raise ConfigInvalid(f"example.mu: {ex['mu']!r} rounds to {mu}, outside (0, 1/2)")
     return ex.get("n", n), mu
 
 
@@ -405,7 +407,7 @@ def run_example3(config: dict) -> tuple[dict, dict]:
     # only through t_i, so one true vector per (agent, own type) covers all
     worst = min(
         table.eu(0, i, kt) - table.eu(stride, i, kt)
-        for i, stride in enumerate(table.strides)
+        for i, stride in enumerate(env.strides)
         for kt in (0, stride)
     )
     high = env.type_spaces[0][1]

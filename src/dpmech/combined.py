@@ -43,11 +43,9 @@ class MechanismParams:
         )
 
 
-def incentive_contract_holds(
-    eps: float, q: float, p_tilde, gamma, tol: float = 0.0
-) -> bool:
+def incentive_contract_holds(eps: float, q: float, p_tilde, gamma) -> bool:
     """The lottery's truthfulness condition q * p_tilde * gamma >= 2 * eps."""
-    return float(q) * float(p_tilde) * float(gamma) >= 2 * eps - tol
+    return float(q) * float(p_tilde) * float(gamma) >= 2 * eps
 
 
 def saturating_params(P: CommitmentDistribution, gamma):

@@ -16,6 +16,7 @@ from .environment import (
     PRIVATE_REACTIONS,
     PRIVATE_VALUES,
     Environment,
+    advantage,
     compute_gap,
     find_separating_set,
     optimal_reaction,
@@ -105,11 +106,8 @@ def truth_advantage(
     b = env.insert_type(i, b_i, t[:i] + t[i + 1:])
     total = 0
     for s, p in zip(P.alternatives, P.probs):
-        if p == 0:
-            continue
-        r_truth = optimal_reaction(env, i, t, s)
-        r_lie = optimal_reaction(env, i, b, s)
-        total += p * (env.utility(i, t, s, r_truth) - env.utility(i, t, s, r_lie))
+        if p != 0:
+            total += p * advantage(env, i, t, b, s)
     return total
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from .errors import EnumerationBudgetExceeded, NotNonTrivial
 
@@ -111,6 +111,83 @@ class Environment:
 
     def insert_type(self, i: int, t_i, t_minus: tuple) -> tuple:
         return tuple(t_minus[:i]) + (t_i,) + tuple(t_minus[i:])
+
+    # Vector k is its mixed-radix index in canonical order, ``strides`` the
+    # place values: agent i's deviation from type index t_i to b_i moves
+    # vector k to k + (b_i - t_i) * strides[i].
+
+    @cached_property
+    def sizes(self) -> tuple:
+        return tuple(len(ts) for ts in self.type_spaces)
+
+    @cached_property
+    def strides(self) -> tuple:
+        return tuple(math.prod(self.sizes[i + 1:]) for i in self.agents)
+
+    @cached_property
+    def vectors(self) -> list:
+        """Every type vector, in canonical order; listed on first use, so
+        after a check has compared its enumeration with its budget.  Full
+        walks read this list; point lookups read ``vector``."""
+        return list(self.type_vectors())
+
+    def vector(self, k: int) -> tuple:
+        """Type vector k: read from ``vectors`` once a full walk has listed
+        them, otherwise decoded from its index alone."""
+        listed = self.__dict__.get("vectors")
+        if listed is not None:
+            return listed[k]
+        return tuple([ts[k // s % m]
+                      for ts, s, m in zip(self.type_spaces, self.strides, self.sizes)])
+
+    def digits(self) -> Iterator[tuple]:
+        """Per-agent type indices of every vector, in vector order."""
+        return itertools.product(*(range(k) for k in self.sizes))
+
+    @cached_property
+    def bases(self) -> list:
+        """Per agent i, the vectors whose agent-i type index is 0, in the
+        order of ``opponent_vectors(i)``; add t_i * strides[i] for type
+        index t_i."""
+        places = list(zip(self.sizes, self.strides))
+        return [
+            [sum(c) for c in itertools.product(
+                *(range(0, k * s, s) for j, (k, s) in enumerate(places) if j != i)
+            )]
+            for i in self.agents
+        ]
+
+    def pairs(self) -> Iterator[tuple]:
+        """Every unordered unilateral pair as (agent i, vector ka, vector
+        kb), agent i's type index lower at ka: by agent, then opponent
+        profile in the order of ``bases[i]``, then type-index pair in
+        ``itertools.combinations`` order."""
+        for i, (m, stride) in enumerate(zip(self.sizes, self.strides)):
+            steps = [(a * stride, b * stride)
+                     for a, b in itertools.combinations(range(m), 2)]
+            for k in self.bases[i]:
+                for a, b in steps:
+                    yield i, k + a, k + b
+
+    def pair_index(self) -> tuple:
+        """``pairs()`` as three int64 arrays (agents, ka, kb)."""
+        import numpy as np
+
+        flat = np.fromiter(itertools.chain.from_iterable(self.pairs()), np.int64)
+        return tuple(flat.reshape(-1, 3).T)
+
+    def own(self, i: int, k):
+        """The key of true vector k for agent i's payoffs: under private
+        values the vector of k's agent-i type with every opponent at type
+        index 0, otherwise k.  ``k`` may be an int array, keyed elementwise."""
+        if self.values_kind == PRIVATE_VALUES:
+            return k // self.strides[i] % self.sizes[i] * self.strides[i]
+        return k
+
+    def opponents(self, k: int, i: int) -> tuple:
+        """The types of every agent but i in vector k."""
+        t = self.vector(k)
+        return t[:i] + t[i + 1:]
 
 
 @dataclass(frozen=True)
@@ -215,15 +292,26 @@ def optimal_reaction(env: Environment, i: int, t: tuple, s):
     """Best reaction of agent i at type vector t and alternative s.
 
     Ties are broken toward the lowest index in the agent's reaction space,
-    so the selection is deterministic.
+    so the selection is deterministic.  A one-reaction space is returned
+    without evaluating the utility.
     """
+    reactions = env.reaction_spaces[i]
+    if len(reactions) == 1:
+        return reactions[0]
     best = None
     best_u = None
-    for r in env.reaction_spaces[i]:
+    for r in reactions:
         u = env.utility(i, t, s, r)
         if best is None or _gt(u, best_u):
             best, best_u = r, u
     return best
+
+
+def advantage(env: Environment, i: int, t: tuple, b: tuple, s):
+    """Agent i's utility at true vector t and alternative s under its optimal
+    reaction, minus that under the reaction optimal at announcement b."""
+    u_truth = env.utility(i, t, s, optimal_reaction(env, i, t, s))
+    return u_truth - env.utility(i, t, s, optimal_reaction(env, i, b, s))
 
 
 def optimal_reaction_set(env: Environment, i: int, t: tuple, s) -> tuple:
@@ -260,18 +348,15 @@ def verify_sensitivity(
     """
     check_budget(env.num_deviations() // 2 * len(env.alternatives), budget)
 
-    from .payoffs import PayoffTable  # payoffs builds on this module
-
-    table = PayoffTable(None, env)
-    scores = [[F.eval(t, s) for s in env.alternatives] for t in table.vectors]
+    scores = [[F.eval(t, s) for s in env.alternatives] for t in env.vectors]
     worst = 0.0
     witness = None
-    for i, ka, kb in table.pairs():
+    for i, ka, kb in env.pairs():
         for s, fa, fb in zip(env.alternatives, scores[ka], scores[kb]):
             delta = abs(fa - fb)
             if delta > worst:
                 worst = delta
-                witness = (i, table.vectors[ka], table.vectors[kb], s)
+                witness = (i, env.vectors[ka], env.vectors[kb], s)
     tightest = env.n * worst
     return SensitivityReport(
         tightest_d=float(tightest),
@@ -292,33 +377,25 @@ def compute_gap(env: Environment, budget: int = DEFAULT_BUDGET) -> Gap:
     """
     check_budget(env.num_deviations() * len(env.alternatives), budget)
 
-    from .payoffs import PayoffTable  # payoffs builds on this module
-
-    table = PayoffTable(None, env)
-    alternatives = range(len(env.alternatives))
     gamma = None
     witness = None
     for i in env.agents:
-        types_i, stride = env.type_spaces[i], table.strides[i]
-        profiles = table.bases[i]
+        types_i, stride = env.type_spaces[i], env.strides[i]
+        profiles = env.bases[i]
         if env.values_kind == PRIVATE_VALUES:
-            # the table keys these payoffs by own type, so every other
-            # opponent profile repeats the first one's advantages
+            # every other opponent profile repeats the first one's advantages
             profiles = profiles[:1]
         for k in profiles:
             for t_i, b_i in itertools.permutations(range(len(types_i)), 2):
-                kt, kb = k + t_i * stride, k + b_i * stride
+                t, b = env.vector(k + t_i * stride), env.vector(k + b_i * stride)
                 adv = None
-                for a in alternatives:
-                    # the truth-optimal payoff against the payoff of the
-                    # reaction that is optimal for the misreport
-                    lie = table.reaction(i, kb, a)
-                    d = table.payoff(i, kt, a)[0] - table.payoff(i, kt, a, lie)[0]
+                for s in env.alternatives:
+                    d = advantage(env, i, t, b, s)
                     if adv is None or _gt(d, adv):
                         adv = d
                 if gamma is None or _gt(gamma, adv):
                     gamma = adv
-                    witness = (i, (types_i[t_i], types_i[b_i]), table.opponents(k, i))
+                    witness = (i, (types_i[t_i], types_i[b_i]), env.opponents(k, i))
     if gamma is None:
         # no agent has two types: max of an empty advantage set
         gamma = 0
@@ -342,14 +419,11 @@ def find_separating_set(
     """
     check_budget(env.num_deviations() // 2 * len(env.alternatives), budget)
 
-    from .payoffs import PayoffTable  # payoffs builds on this module
-
-    table = PayoffTable(None, env)
     chosen: list = []
     witness: dict = {}
-    for i, ka, kb in table.pairs():
-        t, t_hat = table.vectors[ka], table.vectors[kb]
-        triple = (i, (t[i], t_hat[i]), table.opponents(ka, i))
+    for i, ka, kb in env.pairs():
+        t, t_hat = env.vectors[ka], env.vectors[kb]
+        triple = (i, (t[i], t_hat[i]), env.opponents(ka, i))
         found = next((s for s in chosen if _separates(env, i, t, t_hat, s)), None)
         if found is None:
             found = next(
@@ -387,19 +461,16 @@ def check_environment(env: Environment, budget: int = DEFAULT_BUDGET) -> None:
                         )
 
     if env.values_kind in (PRIVATE_REACTIONS, PRIVATE_VALUES):
-        from .payoffs import PayoffTable  # payoffs builds on this module
-
-        table = PayoffTable(None, env)
-        for i, stride in enumerate(table.strides):
+        for i, stride in enumerate(env.strides):
             reactions = env.reaction_spaces[i]
             for b, t_i in enumerate(env.type_spaces[i]):
                 # opponents at their first types
-                first = table.vectors[b * stride]
+                first = env.vectors[b * stride]
                 for s in env.alternatives:
                     ref_utils = [env.utility(i, first, s, r) for r in reactions]
                     ref = set(_near_max(reactions, ref_utils))
-                    for k in table.bases[i]:
-                        t = table.vectors[k + b * stride]
+                    for k in env.bases[i]:
+                        t = env.vectors[k + b * stride]
                         utils = [env.utility(i, t, s, r) for r in reactions]
                         if set(_near_max(reactions, utils)) != ref:
                             raise ValueError(

@@ -19,7 +19,7 @@ from .environment import (
 )
 from .errors import PopulationTooSmall, ZeroProbabilityAsymmetry
 from .outcomes import Outcome, OutcomeDistribution, left_sum
-from .payoffs import Mechanism, PayoffTable, payoff_table
+from .payoffs import Mechanism, payoff_table
 from .verify import VerificationReport
 
 DP_RATIO_TOL = 1e-9
@@ -85,7 +85,7 @@ def audit_dp(
     """Exact worst-case privacy loss over all unilateral neighbor pairs.
 
     Compares every pair of type vectors differing in one coordinate, in
-    ``PayoffTable.pairs()`` order, at every alternative of the marginal on
+    ``Environment.pairs()`` order, at every alternative of the marginal on
     S; raises :class:`ZeroProbabilityAsymmetry` at the first ratio with
     exactly one side 0.  The witness is the first pair and alternative of
     largest loss, None when no loss is positive.
@@ -94,20 +94,19 @@ def audit_dp(
 
     check_budget(env.num_deviations() // 2 * len(env.alternatives), budget)
 
-    table = PayoffTable(None, env)
     marginals = []
-    for t in table.vectors:
+    for t in env.vectors:
         marg = mech(t).marginal_alternatives()
         marginals.append([float(marg.get(s, 0)) for s in env.alternatives])
     # math.log, not np.log, so that every loss is the libm value; a zero
     # reads 0.0, so a pair zero on both sides loses 0 (one-sided zeros raise)
     logs = np.array([[math.log(x) if x else 0.0 for x in row] for row in marginals])
     zero = np.array(marginals) == 0.0
-    agents, ka, kb = table.pair_index()
+    agents, ka, kb = env.pair_index()
 
     def at(flat, shape: tuple) -> tuple:
         p, a = divmod(int(flat), shape[1])
-        return (int(agents[p]), table.vectors[ka[p]], table.vectors[kb[p]],
+        return (int(agents[p]), env.vectors[ka[p]], env.vectors[kb[p]],
                 env.alternatives[a])
 
     one_sided = zero[ka] != zero[kb]
@@ -154,7 +153,7 @@ def near_indifference_bound_check(
     table = payoff_table(
         mech, env, "near_indifference", max(env.num_deviations(), 1), budget
     )
-    N = len(table.vectors)
+    N = len(env.vectors)
     dists = [table.dist(k) for k in range(N)]
     dtype = float if all(f for d in dists for _, f, _, _ in d) else object
     width = max(map(len, dists))
@@ -172,9 +171,9 @@ def near_indifference_bound_check(
     # per agent: expected utilities by (true vector, announced type index),
     # and the true vectors' own type indices
     columns = []
-    for i, (m, stride) in enumerate(zip(table.sizes, table.strides)):
+    for i, (m, stride) in enumerate(zip(env.sizes, env.strides)):
         # payoff rows: the vectors that are their own key, in vector order
-        own = table.own(i, kt)
+        own = env.own(i, kt)
         rows = kt[own == kt]
         key = np.searchsorted(rows, own)
         terms: dict = {}
@@ -200,9 +199,9 @@ def near_indifference_bound_check(
     witness = None
     if worst > 0:
         k, col = divmod(int(np.argmax(swing)), swing.shape[1])
-        i, b_i = [(j, b) for j, m in enumerate(table.sizes) for b in range(m)][col]
+        i, b_i = [(j, b) for j, m in enumerate(env.sizes) for b in range(m)][col]
         eu, t_i = columns[i]
-        witness = (i, table.vectors[k], env.type_spaces[i][b_i],
+        witness = (i, env.vectors[k], env.type_spaces[i][b_i],
                    eu.item(k, t_i[k]), eu.item(k, b_i))
     return VerificationReport(
         property="near_indifference",

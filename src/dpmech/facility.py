@@ -76,6 +76,10 @@ def build_grid_env(n: int, m: int, K: int) -> FacilityInstance:
     """
     if n < 1 or m < 1 or K < 1:
         raise ValueError("need n, m, K >= 1")
+    # refuse |S| = (m+1)^K >= 2^K over the cap before listing S; the error
+    # names the power, whose digits a large K would make unprintable
+    if K >= DEFAULT_SUPPORT_CAP.bit_length() or (m + 1) ** K > DEFAULT_SUPPORT_CAP:
+        raise ResolutionBudgetExceeded(f"{m + 1}^{K}", DEFAULT_SUPPORT_CAP)
     locs = grid(m)
     alternatives = tuple(itertools.product(locs, repeat=K))
 

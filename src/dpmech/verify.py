@@ -110,7 +110,7 @@ def check_expost_nash_truthful(
             margin = slack
             if slack < -ABS_TOL:
                 passed = False
-                witness = (i, table.vector(kt), env.type_spaces[i][b_i], base, dev)
+                witness = (i, env.vector(kt), env.type_spaces[i][b_i], base, dev)
     return VerificationReport(EXPOST_NASH, passed, float(margin), witness)
 
 
@@ -142,22 +142,22 @@ def check_strictly_dominant_truthful(
     margin = math.inf
     witness = None
     passed = True
-    for kt, digits in enumerate(table.digits()):
-        for i, (t_i, stride) in enumerate(zip(digits, table.strides)):
-            if table.own(i, kt) != kt:
+    for kt, digits in enumerate(env.digits()):
+        for i, (t_i, stride) in enumerate(zip(digits, env.strides)):
+            if env.own(i, kt) != kt:
                 # the slacks of (i, t_i) at its first vector, own(i, kt)
                 continue
-            for k in table.bases[i]:
+            for k in env.bases[i]:
                 base = table.eu(k + t_i * stride, i, kt)
-                for b_i in range(table.sizes[i]):
+                for b_i in range(env.sizes[i]):
                     if b_i == t_i:
                         continue
                     dev = table.eu(k + b_i * stride, i, kt)
                     slack = base - dev
                     if slack < margin:
                         margin = slack
-                        witness = (i, table.vector(kt), env.type_spaces[i][b_i],
-                                   table.opponents(k, i), base, dev)
+                        witness = (i, env.vector(kt), env.type_spaces[i][b_i],
+                                   env.opponents(k, i), base, dev)
                     if slack <= ABS_TOL:
                         passed = False
     return VerificationReport(STRICTLY_DOMINANT, passed, float(margin), witness)
@@ -187,17 +187,17 @@ def find_dominating_strategy(
     )
     index = {t: j for j, t in enumerate(types_i)}
     old = tuple(index[W_i[t]] for t in types_i)
-    stride = table.strides[i]
+    stride = env.strides[i]
     for images in itertools.product(range(len(types_i)), repeat=len(types_i)):
         if images == old:
             continue
         dominates = True
         strict_somewhere = False
-        for kt, digits in enumerate(table.digits()):
+        for kt, digits in enumerate(env.digits()):
             if not dominates:
                 break
             b_old, b_new = old[digits[i]] * stride, images[digits[i]] * stride
-            for k in table.bases[i]:
+            for k in env.bases[i]:
                 diff = table.eu(k + b_new, i, kt) - table.eu(k + b_old, i, kt)
                 if diff < -ABS_TOL:
                     dominates = False
@@ -229,7 +229,7 @@ def implementation_gap(
     )
     worst = -math.inf
     worst_t = None
-    for k, t in enumerate(table.vectors):
+    for k, t in enumerate(env.vectors):
         scores = [F.eval(t, s) for s in env.alternatives]
         expected = left_sum(p * scores[a] for p, _, a, _ in table.dist(k))
         gap = max(scores) - expected

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -158,6 +159,22 @@ def test_main_exit_code_budget(tmp_path, capsys):
     cfg = {**FACILITY_VERIFY, "budget": 1}
     assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "verify", "seed": 0,
+     "facility": {"n": 3, "m": 1, "K": 40, "mechanism": "loc2"}},
+    {"experiment": "sweep", "seed": 0, "n_list": [2000], "probes": 3,
+     "facility": {"m": 1, "K": 40, "mechanism": "loc2"}},
+], ids=["verify", "sweep"])
+def test_oversized_facility_grid_exits_3_before_building(tmp_path, capsys, cfg):
+    # 2^40 alternatives: refused from m and K alone, before any is listed
+    t0 = time.monotonic()
+    assert main([cfg["experiment"], "--config", write_config(tmp_path, cfg)]) == 3
+    assert time.monotonic() - t0 < 1
+    assert capsys.readouterr().err == (
+        "budget exceeded: grid support 2^40 exceeds cap 131072\n"
+    )
 
 
 def test_main_exit_code_assertion_with_outputs(tmp_path, capsys, monkeypatch):
@@ -416,11 +433,14 @@ def run_cli(*args):
     {"experiment": "verify", "seed": 0, "example": {"n": 4},
      "pricing": {"cohorts": 2, "cohort_size": 1, "grid_m": 4}},
     {"experiment": "example1", "seed": 0, "n_list": [4]},
+    {"experiment": "example1", "seed": 0, "example": {"mu": 0.49999999}},
+    {"experiment": "example3", "seed": 0, "example": {"mu": 1e-9}},
 ], ids=["not-an-object", "pricing-grid-too-coarse", "loc2-single-facility",
         "example3-single-buyer", "facility-n-float", "facility-m-float",
         "probes-float", "n_list-float", "cohort_size-float", "example1-n-float",
         "example3-n-float", "seed-float", "pricing-mu", "sweep-budget",
-        "verify-example", "example1-n_list"])
+        "verify-example", "example1-n_list", "example1-mu-rounds-to-half",
+        "example3-mu-rounds-to-0"])
 def test_bad_config_exits_2_without_traceback(tmp_path, cfg):
     command = cfg["experiment"] if isinstance(cfg, dict) else "verify"
     proc = run_cli(command, "--config", write_config(tmp_path, cfg))

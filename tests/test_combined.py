@@ -35,7 +35,7 @@ def test_saturating_params_saturate_contract():
     eps, q = dm.saturating_params(P, gamma)
     assert q == Fraction(1, 2)
     assert math.isclose(float(q * P.p_tilde * gamma), 2 * eps)
-    assert dm.incentive_contract_holds(eps, q, P.p_tilde, gamma, tol=1e-15)
+    assert dm.incentive_contract_holds(eps, q, P.p_tilde, gamma)
 
 
 def test_schedule_params_against_mpmath():

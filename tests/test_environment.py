@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +52,26 @@ def test_optimal_reaction_and_tie_break():
     # exact tie goes to the first listed reaction
     assert dm.optimal_reaction(env_flat, 0, (0,), "a") == "x"
     assert dm.optimal_reaction_set(env_flat, 0, (0,), "a") == ("x", "y")
+
+
+def test_optimal_reaction_of_one_reaction_space_reads_no_utility():
+    def refuse(i, t, s, r):
+        raise AssertionError("utility evaluated")
+
+    env = dm.Environment(type_spaces=((0, 1),), alternatives=("a",),
+                         reaction_spaces=(("only",),), utility=refuse)
+    assert dm.optimal_reaction(env, 0, (1,), "a") == "only"
+
+
+def test_environment_imports_no_higher_layer():
+    """The payoff table, the checkers and the exponential mechanism build on
+    environment.py, which imports none of them."""
+    tree = ast.parse(Path(dm.environment.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            parts = set((getattr(node, "module", None) or "").split("."))
+            parts |= {p for alias in node.names for p in alias.name.split(".")}
+            assert not parts & {"payoffs", "verify", "exponential"}, ast.unparse(node)
 
 
 def test_compute_gap_exact_value():
@@ -291,12 +313,12 @@ def test_pairs_walk_equals_pair_index():
         tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 5))) for _ in range(30)
     ]
     for sizes in shapes:
-        table = dm.PayoffTable(None, _sized_env(sizes))
-        walk = list(table.pairs())
-        assert walk == list(zip(*(column.tolist() for column in table.pair_index())))
-        assert len(walk) == table.env.num_deviations() // 2
-        assert [(i, table.vector(ka), table.vector(kb)) for i, ka, kb in walk] == [
-            (i, t, t_hat) for i, t, t_hat, _, _ in _naive_pairs(table.env)
+        env = _sized_env(sizes)
+        walk = list(env.pairs())
+        assert walk == list(zip(*(column.tolist() for column in env.pair_index())))
+        assert len(walk) == env.num_deviations() // 2
+        assert [(i, env.vector(ka), env.vector(kb)) for i, ka, kb in walk] == [
+            (i, t, t_hat) for i, t, t_hat, _, _ in _naive_pairs(env)
         ]
 
 

@@ -1,7 +1,7 @@
 """verify and the examples need no numpy, and give the same bytes on every
 interpreter.
 
-Only the sweep, the exponential-mechanism audits, ``PayoffTable.pair_index``
+Only the sweep, the exponential-mechanism audits, ``Environment.pair_index``
 and ``loc3``'s continuous distribution load numpy.  Everything else sums
 left to right (``outcomes.left_sum``), so its floats do not depend on the
 interpreter's built-in ``sum``.  Set ``DPMECH_EXTRA_PYTHONS`` to interpreter
