@@ -485,7 +485,9 @@ def _read_config(args) -> tuple[dict, str | None]:
     try:
         with open(args.config) as f:
             config = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
+        # ValueError covers bad JSON, bytes that are not text and integers
+        # over the interpreter's digit limit
         raise ConfigInvalid(e) from e
     if not isinstance(config, dict):
         raise ConfigInvalid("the config must be a JSON object")

@@ -173,8 +173,28 @@ class Environment:
         """``pairs()`` as three int64 arrays (agents, ka, kb)."""
         import numpy as np
 
-        flat = np.fromiter(itertools.chain.from_iterable(self.pairs()), np.int64)
-        return tuple(flat.reshape(-1, 3).T)
+        agents, ka, kb = [], [], []
+        for i, (m, stride) in enumerate(zip(self.sizes, self.strides)):
+            a, b = np.array(list(itertools.combinations(range(m), 2)),
+                            np.int64).reshape(-1, 2).T * stride
+            base = np.array(self.bases[i], np.int64)[:, None]
+            ka.append((base + a).ravel())
+            kb.append((base + b).ravel())
+            agents.append(np.full(ka[-1].size, i, np.int64))
+        return np.concatenate(agents), np.concatenate(ka), np.concatenate(kb)
+
+    def scores(self, F) -> list:
+        """The exact F.eval(t, s) of every vector t, in ``vectors`` order, as
+        one row per vector in alternative order.  Built on first use, so
+        after a check has compared its enumeration with its budget, and kept
+        per objective as long as the environment, like ``vectors``: every
+        check that reads it shares one evaluation per (vector, alternative)."""
+        memo = self.__dict__.setdefault("_scores", {})
+        rows = memo.get(F)
+        if rows is None:
+            rows = memo[F] = [[F.eval(t, s) for s in self.alternatives]
+                              for t in self.vectors]
+        return rows
 
     def own(self, i: int, k):
         """The key of true vector k for agent i's payoffs: under private
@@ -348,7 +368,7 @@ def verify_sensitivity(
     """
     check_budget(env.num_deviations() // 2 * len(env.alternatives), budget)
 
-    scores = [[F.eval(t, s) for s in env.alternatives] for t in env.vectors]
+    scores = env.scores(F)
     worst = 0.0
     witness = None
     for i, ka, kb in env.pairs():

@@ -73,7 +73,21 @@ def exponential_mechanism(
     def mech(t: tuple) -> OutcomeDistribution:
         return exp_mech_distribution(F, alternatives, t, rate)
 
+    # for the audits; in the function's __dict__, which functools.wraps
+    # copies, so a wrapped mechanism is audited the same way
+    mech.exp_mech = (F, env, rate)
     return mech
+
+
+def _probabilities(mech: Mechanism, env: Environment) -> list | None:
+    """Every vector's selection probabilities, in ``vectors`` and alternative
+    order, when ``mech`` is an ``exponential_mechanism`` on ``env``: the
+    values ``mech(t)`` holds, from ``env.scores`` without building a
+    distribution.  None for any other mechanism or environment."""
+    F, on, rate = getattr(mech, "exp_mech", (None, None, None))
+    if on is not env:
+        return None
+    return [_softmax([float(f) for f in row], rate) for row in env.scores(F)]
 
 
 def audit_dp(
@@ -94,10 +108,12 @@ def audit_dp(
 
     check_budget(env.num_deviations() // 2 * len(env.alternatives), budget)
 
-    marginals = []
-    for t in env.vectors:
-        marg = mech(t).marginal_alternatives()
-        marginals.append([float(marg.get(s, 0)) for s in env.alternatives])
+    marginals = _probabilities(mech, env)
+    if marginals is None:
+        marginals = []
+        for t in env.vectors:
+            marg = mech(t).marginal_alternatives()
+            marginals.append([float(marg.get(s, 0)) for s in env.alternatives])
     # math.log, not np.log, so that every loss is the libm value; a zero
     # reads 0.0, so a pair zero on both sides loses 0 (one-sided zeros raise)
     logs = np.array([[math.log(x) if x else 0.0 for x in row] for row in marginals])
@@ -142,11 +158,14 @@ def near_indifference_bound_check(
     bound asserted is e^eps - 1, which is at most 2*eps for eps <= 1.
 
     Expected utilities are the ``PayoffTable.eu`` sums, computed for every
-    (true vector, agent, announced type) at once: each announcement's
-    outcomes are laid out as (vectors x support) arrays and summed column by
-    column in support order, in float64 when every probability is a float
-    and as exact Python numbers otherwise.  The witness is the first largest
-    swing in ``PayoffTable.unilateral()`` order.
+    (true vector, agent, announced type) at once and summed column by column
+    over a (vectors x columns) probability array: for an
+    ``exponential_mechanism`` on ``env``, one float column per alternative,
+    from ``env.scores``; for any other mechanism, its nonzero outcomes at
+    each announcement in support order, in float64 when every probability
+    is a float and as exact Python numbers otherwise.  Payoffs come from a
+    ``PayoffTable`` either way.  The witness is the first largest swing in
+    ``PayoffTable.unilateral()`` order.
     """
     import numpy as np
 
@@ -154,19 +173,32 @@ def near_indifference_bound_check(
         mech, env, "near_indifference", max(env.num_deviations(), 1), budget
     )
     N = len(env.vectors)
-    dists = [table.dist(k) for k in range(N)]
-    dtype = float if all(f for d in dists for _, f, _, _ in d) else object
-    width = max(map(len, dists))
-    prob = np.array([[p for p, *_ in d] + [0] * (width - len(d)) for d in dists], dtype)
-    # every distinct (float flag, alternative, imposed reaction indices) of
-    # the supports, numbered; -1 pads a short support and reads a 0 payoff at
-    # probability 0, which adds an exact 0 to every sum
-    outcomes: dict = {}
-    ids = np.array([
-        [outcomes.setdefault((f, a, r), len(outcomes)) for _, f, a, r in d]
-        + [-1] * (width - len(d))
-        for d in dists
-    ])
+    rows = _probabilities(mech, env)
+    if rows is None:
+        dists = [table.dist(k) for k in range(N)]
+        dtype = float if all(f for d in dists for _, f, _, _ in d) else object
+        width = max(map(len, dists))
+        prob = np.array(
+            [[p for p, *_ in d] + [0] * (width - len(d)) for d in dists], dtype
+        )
+        # every distinct (float flag, alternative, imposed reaction indices)
+        # of the supports, numbered; -1 pads a short support and reads a 0
+        # payoff at probability 0, which adds an exact 0 to every sum
+        outcomes: dict = {}
+        ids = np.array([
+            [outcomes.setdefault((f, a, r), len(outcomes)) for _, f, a, r in d]
+            + [-1] * (width - len(d))
+            for d in dists
+        ])
+    else:
+        # one column, id and float probability per alternative: a
+        # probability that underflowed to 0 adds an exact 0 in its own
+        # column, where a support drops it and pads the row's end instead
+        dtype = float
+        prob = np.array(rows)
+        width = prob.shape[1]
+        outcomes = {(True, a, None): a for a in range(width)}
+        ids = np.broadcast_to(np.arange(width), prob.shape)
     kt = np.arange(N)
     # per agent: expected utilities by (true vector, announced type index),
     # and the true vectors' own type indices
@@ -220,9 +252,9 @@ def accuracy_bound_check(
     """E[F] under the exponential mechanism is within the closed-form bound
     of the optimum, for every enumerated type vector.
 
-    Requires the population condition n > 2*e*d/(eps*|S|).  F is evaluated
-    once per (vector, alternative); the witness is the first vector of least
-    slack.
+    Requires the population condition n > 2*e*d/(eps*|S|).  F is read from
+    ``env.scores``, evaluated once per (vector, alternative) for as long as
+    the environment lives; the witness is the first vector of least slack.
     """
     import numpy as np
 
@@ -236,8 +268,7 @@ def accuracy_bound_check(
 
     bound = (4 * d / (n * eps)) * math.log(n * eps * s_count / (2 * d))
     rate = exp_mech_rate(n, eps, d)
-    vectors = list(env.type_vectors())
-    scores = [[float(F.eval(t, s)) for s in env.alternatives] for t in vectors]
+    scores = [[float(f) for f in row] for row in env.scores(F)]
     expected = np.array([
         left_sum(p * f for p, f in zip(_softmax(row, rate), row)) for row in scores
     ])
@@ -247,5 +278,5 @@ def accuracy_bound_check(
         property="accuracy_bound",
         passed=not (slack < -BOUND_TOL).any(),
         margin=float(slack[k]),
-        witness=(vectors[k], float(expected[k]), max(scores[k])),
+        witness=(env.vectors[k], float(expected[k]), max(scores[k])),
     )

@@ -221,7 +221,8 @@ def implementation_gap(
 
     Enumerates the full type space, reading each truthful announcement's
     outcome distribution from ``table`` (shared with other checks of the
-    same mechanism).  Returns (beta_measured, worst type vector).
+    same mechanism) and F from ``env.scores``.  Returns (beta_measured,
+    worst type vector).
     """
     table = payoff_table(
         mech, env, "implementation_gap", env.num_type_vectors() * len(env.alternatives),
@@ -229,8 +230,7 @@ def implementation_gap(
     )
     worst = -math.inf
     worst_t = None
-    for k, t in enumerate(env.vectors):
-        scores = [F.eval(t, s) for s in env.alternatives]
+    for k, (t, scores) in enumerate(zip(env.vectors, env.scores(F))):
         expected = left_sum(p * scores[a] for p, _, a, _ in table.dist(k))
         gap = max(scores) - expected
         if gap > worst:

@@ -435,15 +435,26 @@ def run_cli(*args):
     {"experiment": "example1", "seed": 0, "n_list": [4]},
     {"experiment": "example1", "seed": 0, "example": {"mu": 0.49999999}},
     {"experiment": "example3", "seed": 0, "example": {"mu": 1e-9}},
+    # raw config text: an integer over the int-string digit limit, and bytes
+    # that are not UTF-8
+    b'{"experiment": "verify", "seed": 0, "facility": {"n": 3, "m": '
+    + b"9" * 5000 + b', "K": 2, "mechanism": "loc2"}}',
+    b'{"experiment": "verify", "seed": 0, "facility": {"n": 3, "m": 2, "K": 2, '
+    b'"mechanism": "loc\xff"}}',
 ], ids=["not-an-object", "pricing-grid-too-coarse", "loc2-single-facility",
         "example3-single-buyer", "facility-n-float", "facility-m-float",
         "probes-float", "n_list-float", "cohort_size-float", "example1-n-float",
         "example3-n-float", "seed-float", "pricing-mu", "sweep-budget",
         "verify-example", "example1-n_list", "example1-mu-rounds-to-half",
-        "example3-mu-rounds-to-0"])
+        "example3-mu-rounds-to-0", "facility-m-5000-digits", "not-utf8"])
 def test_bad_config_exits_2_without_traceback(tmp_path, cfg):
     command = cfg["experiment"] if isinstance(cfg, dict) else "verify"
-    proc = run_cli(command, "--config", write_config(tmp_path, cfg))
+    if isinstance(cfg, bytes):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(cfg)
+    else:
+        path = write_config(tmp_path, cfg)
+    proc = run_cli(command, "--config", str(path))
     assert proc.returncode == 2
     assert "config error:" in proc.stderr
     assert "Traceback" not in proc.stderr

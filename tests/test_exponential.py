@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -172,6 +173,78 @@ def test_checks_call_mechanism_and_objective_once_per_vector(random_instances):
         if _applies(env, eps):
             dm.accuracy_bound_check(dm.ObjectiveFunction(counted_eval, 1), env, eps)
             assert calls["F"] == N * len(env.alternatives)
+
+
+def test_audits_score_the_objective_once_per_vector_and_alternative():
+    # n * |S| > 20e, so the accuracy check applies at every eps below
+    n, s_count = 6, 10
+    tables = np.random.default_rng(17).random((n, 2, s_count)).tolist()
+    calls = Counter()
+
+    def F_eval(t, s):
+        calls["F"] += 1
+        return sum(tables[i][t_i][s] for i, t_i in enumerate(t)) / n
+
+    def environment():
+        return dm.Environment(
+            type_spaces=((0, 1),) * n,
+            alternatives=tuple(range(s_count)),
+            reaction_spaces=(("noop",),) * n,
+            utility=lambda i, t, s, r: tables[i][t[i]][s],
+            values_kind=dm.PRIVATE_VALUES,
+        )
+
+    F = dm.ObjectiveFunction(F_eval, 1)
+    env = environment()
+    N = env.num_type_vectors()
+    for eps in (0.1, 0.5, 1.0):
+        mech = dm.exponential_mechanism(F, env, eps)
+        assert dm.audit_dp(mech, env, eps).passed
+        assert dm.near_indifference_bound_check(mech, env, eps).passed
+        assert dm.accuracy_bound_check(F, env, eps).passed
+    assert calls["F"] == N * s_count
+
+    calls.clear()
+    env = environment()
+    uniform = dm.OutcomeDistribution([dm.Outcome(s) for s in env.alternatives],
+                                     [1 / s_count] * s_count)
+    dm.verify_sensitivity(F, env)
+    dm.implementation_gap(lambda t: uniform, env, F)
+    assert calls["F"] == N * s_count
+
+
+def _audit(check, mech, env, eps) -> str:
+    try:
+        return repr(check(mech, env, eps))
+    except dm.ZeroProbabilityAsymmetry as e:
+        return f"raised {e.args!r}"
+
+
+def test_audits_of_a_wrapped_mechanism_match_the_per_vector_path(random_instances):
+    # at eps 700 some probabilities underflow to exactly 0
+    calls = Counter()
+    underflows = 0
+    for env, F in random_instances:
+        for eps in (0.5, 700.0):
+            mech = dm.exponential_mechanism(F, env, eps)
+
+            @functools.wraps(mech)
+            def wrapped(t):
+                calls["wrapped"] += 1
+                return mech(t)
+
+            def plain(t):
+                calls["plain"] += 1
+                return mech(t)
+
+            underflows += any(p == 0 for t in env.vectors for p in mech(t).probs)
+            for check in (dm.audit_dp, dm.near_indifference_bound_check):
+                want = _audit(check, plain, env, eps)
+                calls["raised"] += want.startswith("raised")
+                assert _audit(check, mech, env, eps) == want
+                assert _audit(check, wrapped, env, eps) == want
+    assert underflows > 0 and calls["raised"] > 0 and calls["plain"] > 0
+    assert calls["wrapped"] == 0
 
 
 def test_checks_on_single_type_agents():
