@@ -20,6 +20,7 @@ from .commitment import (
     commitment_mechanism,
     truth_advantage,
     uniform_commitment,
+    uniform_histogram_commitment,
     verify_corollary1,
 )
 from .environment import (
@@ -30,6 +31,7 @@ from .environment import (
     PRIVATE_VALUES,
     Environment,
     Gap,
+    HistogramInstance,
     ObjectiveFunction,
     SensitivityReport,
     SeparationCertificate,
@@ -63,7 +65,6 @@ from .exponential import (
 )
 from .facility import (
     DyadicCommitment,
-    FacilityInstance,
     Loc3Mechanism,
     Loc3Params,
     build_grid_env,
@@ -76,21 +77,18 @@ from .facility import (
     loc3,
     loc3_n0,
     loc3_params,
-    uniform_facility_commitment,
 )
 from .outcomes import Outcome, OutcomeDistribution, mix
 from .payoffs import Mechanism, PayoffTable
 from .pricing import (
     BUY,
     NOT_BUY,
-    PricingInstance,
     build_pricing_env,
     example1_env,
     example3_env,
     example3_mechanism,
     optimal_announced_price,
     revenue_per_agent,
-    uniform_price_commitment,
 )
 from .verify import (
     VerificationReport,

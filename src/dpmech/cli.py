@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .combined import build_combined, compute_n0, schedule_params, saturating_params
-from .commitment import commitment_mechanism
-from .environment import DEFAULT_BUDGET, compute_gap, verify_sensitivity
+from .commitment import commitment_mechanism, uniform_histogram_commitment
+from .environment import DEFAULT_BUDGET, check_budget, compute_gap, verify_sensitivity
 from .errors import (
     AssertionFailed,
     ConfigInvalid,
@@ -41,7 +41,6 @@ from .pricing import (
     example3_env,
     example3_mechanism,
     revenue_per_agent,
-    uniform_price_commitment,
 )
 from .verify import (
     check_expost_nash_truthful,
@@ -262,7 +261,7 @@ def _instance(config: dict, n: int | None = None) -> tuple:
         return (hi if X[0] == 1 else lo,) * D
 
     inst = build_pricing_env(N, D, pc["grid_m"], [(0, 1)] + [(0,)] * (D - 1), valuation)
-    return "pricing", inst, uniform_price_commitment(inst)
+    return "pricing", inst, uniform_histogram_commitment(inst)
 
 
 def _record(
@@ -288,6 +287,9 @@ def run_verify(config: dict) -> tuple[dict, dict]:
     budget = config.get("budget", DEFAULT_BUDGET)
     t0 = time.monotonic()
     kind, inst, P = _instance(config)
+    # each check visits every agent, and the environment lists a type space
+    # per agent: a population over the budget is refused before it is built
+    check_budget(inst.n, budget)
     env, F = inst.env, inst.F
     gap = compute_gap(env, budget=budget)
     reports = {"sensitivity": verify_sensitivity(F, env, budget=budget)}
@@ -328,6 +330,8 @@ def run_verify(config: dict) -> tuple[dict, dict]:
 
 
 def _sweep_point(config: dict, n: int, index: int) -> tuple[dict, dict]:
+    # each probe draws n per-agent types in memory
+    check_budget(n, DEFAULT_BUDGET)
     probes = config.get("probes", DEFAULT_PROBES)
     t0 = time.monotonic()
     kind, inst, P = _instance(config, n)
@@ -369,6 +373,7 @@ def _example(config: dict, n: int) -> tuple:
 def run_example1(config: dict) -> tuple[dict, dict]:
     n, mu = _example(config, 6)
     budget = config.get("budget", DEFAULT_BUDGET)
+    check_budget(n, budget)  # as in run_verify
     t0 = time.monotonic()
     inst = example1_env(n, mu)
     env, F = inst.env, inst.F
@@ -397,6 +402,7 @@ def run_example1(config: dict) -> tuple[dict, dict]:
 def run_example3(config: dict) -> tuple[dict, dict]:
     n, mu = _example(config, 8)
     budget = config.get("budget", DEFAULT_BUDGET)
+    check_budget(n, budget)  # as in run_verify
     t0 = time.monotonic()
     inst = example3_env(n, mu)
     env = inst.env
@@ -411,7 +417,7 @@ def run_example3(config: dict) -> tuple[dict, dict]:
         for kt in (0, stride)
     )
     high = env.type_spaces[0][1]
-    revenue = revenue_per_agent(inst, (high,) * n, inst.prices[0])
+    revenue = revenue_per_agent(inst, (high,) * n, env.alternatives[0])
     reports = {
         "bad_profile_is_nash": "pass" if worst >= -1e-12 else "fail",
         "revenue_is_1_over_n": "pass" if revenue == Fraction(1, n) else "fail",

@@ -16,6 +16,7 @@ from .environment import (
     PRIVATE_REACTIONS,
     PRIVATE_VALUES,
     Environment,
+    HistogramInstance,
     advantage,
     compute_gap,
     find_separating_set,
@@ -73,6 +74,22 @@ def uniform_commitment(
         alternatives=env.alternatives,
         probs=tuple(Fraction(1, k) for _ in env.alternatives),
         separating_set=certificate.separating_set or env.alternatives,
+    )
+
+
+def uniform_histogram_commitment(inst: HistogramInstance) -> CommitmentDistribution:
+    """Uniform P over a histogram family's alternatives; p_tilde = 1/|S|.
+
+    All are taken as separating (the full facility grid, or the full price
+    grid by the fineness premise) without the greedy certificate, which is
+    infeasible at sweep-scale populations.
+    """
+    alternatives = inst.objective.alternatives
+    k = len(alternatives)
+    return CommitmentDistribution(
+        alternatives=alternatives,
+        probs=tuple(Fraction(1, k) for _ in alternatives),
+        separating_set=alternatives,
     )
 
 

@@ -96,7 +96,9 @@ class Environment:
         return itertools.product(*self.type_spaces)
 
     def num_type_vectors(self) -> int:
-        return math.prod(len(t) for t in self.type_spaces)
+        # one power per distinct size: a product over a million agents'
+        # sizes is quadratic in the result's digits
+        return math.prod(k ** count for k, count in Counter(self.sizes).items())
 
     def num_deviations(self) -> int:
         """Ordered unilateral pairs (t, t_hat), t_hat differing from t in one
@@ -242,7 +244,7 @@ class HistogramObjective:
     def __init__(self, member_types, alternatives, matrix, offset, weights, denom, units):
         self.member_types = tuple(tuple(s) for s in member_types)
         self.alternatives = tuple(alternatives)
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        self._columns = [[int(x) for x in column] for column in zip(*matrix)]
         self.offset = offset
         self.weights = tuple(weights)
         self.denom = denom
@@ -250,7 +252,6 @@ class HistogramObjective:
         self.cells = tuple(itertools.product(*self.member_types))
         self.index = {s: k for k, s in enumerate(self.alternatives)}
         self._cell = {X: c for c, X in enumerate(self.cells)}
-        self._columns = [list(column) for column in zip(*self.matrix)]
         self._sizes = tuple(len(s) for s in self.member_types)
         self._offset_f = float(offset)
 
@@ -278,10 +279,50 @@ class HistogramObjective:
 
     @cached_property
     def _arrays(self) -> tuple:
-        """``matrix`` as int64 and the weights as float64, for ``scores``."""
+        """The (cells x alternatives) score table as int64 and the weights as
+        float64, for ``scores``."""
         import numpy as np
 
-        return np.array(self.matrix, np.int64), np.array([float(w) for w in self.weights])
+        return (np.array(self._columns, np.int64).T,
+                np.array([float(w) for w in self.weights]))
+
+
+@dataclass(frozen=True)
+class HistogramInstance:
+    """A symmetric family of ``objective.units`` groups (a facility-location
+    agent, a pricing cohort) sharing one reaction space.  ``utility(X, j, s,
+    r)`` is member j's utility when its group's types are X, so a one-member
+    group has private values and a larger one is declared interdependent.
+    """
+
+    F: ObjectiveFunction
+    objective: HistogramObjective  # F.eval's exact definition, batchable
+    reactions: tuple
+    utility: Callable[[tuple, int, Any, Any], Any]
+    gamma_declared: Any
+
+    @property
+    def n(self) -> int:
+        return self.objective.units * len(self.objective.member_types)
+
+    @cached_property
+    def env(self) -> Environment:
+        """The per-agent environment, built on first read (sweeps never read
+        it): agent i is member j of group c, (c, j) = divmod(i, D)."""
+        member_types, utility = self.objective.member_types, self.utility
+        D = len(member_types)
+
+        def agent_utility(i: int, t: tuple, s, r):
+            c, j = divmod(i, D)
+            return utility(t[c * D:(c + 1) * D], j, s, r)
+
+        return Environment(
+            type_spaces=member_types * self.objective.units,
+            alternatives=self.objective.alternatives,
+            reaction_spaces=(self.reactions,) * self.n,
+            utility=agent_utility,
+            values_kind=PRIVATE_VALUES if D == 1 else INTERDEPENDENT,
+        )
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,21 @@ class MechDesignError(Exception):
     """Base class for all package-specific errors."""
 
 
+def _count(x) -> str:
+    """An integer below 2^64 in decimal, a larger one as "more than 10^k"
+    (``str`` refuses 4 300 digits): k = floor((bits - 1) log10 2), log10 2
+    rounded down, so 10^k < 2^(bits - 1) <= x."""
+    if x.bit_length() > 64:
+        return f"more than 10^{(x.bit_length() - 1) * 30102999 // 10**8}"
+    return str(x)
+
+
 class EnumerationBudgetExceeded(MechDesignError):
     """An exhaustive enumeration would exceed the configured evaluation cap."""
 
     def __init__(self, needed, budget):
         super().__init__(
-            f"enumeration needs {needed} evaluations, budget is {budget}"
+            f"enumeration needs {_count(needed)} evaluations, budget is {budget}"
         )
         self.needed = needed
         self.budget = budget
@@ -65,10 +74,10 @@ class GridTooCoarse(MechDesignError):
 
 
 class ResolutionBudgetExceeded(MechDesignError):
-    """The discretized alternative set exceeds the support cap."""
+    """A discretized alternative set (or a table over it) exceeds its cap."""
 
-    def __init__(self, size, cap):
-        super().__init__(f"grid support {size} exceeds cap {cap}")
+    def __init__(self, size, cap, what="grid support"):
+        super().__init__(f"{what} {size} exceeds cap {cap}")
         self.size = size
         self.cap = cap
 

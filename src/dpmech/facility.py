@@ -8,7 +8,6 @@ dyadic imposing mechanism with its quadrature-exact misreport loss.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,19 +15,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combined import MechanismParams, build_combined, schedule_params
-from .commitment import CommitmentDistribution
-from .environment import (
-    PRIVATE_VALUES,
-    Environment,
-    HistogramObjective,
-    ObjectiveFunction,
-)
+from .commitment import CommitmentDistribution, uniform_histogram_commitment
+from .environment import HistogramInstance, HistogramObjective, ObjectiveFunction
 from .errors import PopulationTooSmall, ResolutionBudgetExceeded
 from .outcomes import Outcome, OutcomeDistribution, left_sum
 from .payoffs import Mechanism
 
 DEFAULT_RHO = Fraction(1, 1024)
 DEFAULT_SUPPORT_CAP = 2**17
+SCORE_TABLE_CAP = 2**20
 LOC3_N0_SCAN_LIMIT = 10**7
 
 
@@ -36,39 +31,14 @@ def grid(m: int) -> tuple:
     return tuple(Fraction(j, m) for j in range(m + 1))
 
 
-@dataclass(frozen=True)
-class FacilityInstance:
-    F: ObjectiveFunction
-    objective: HistogramObjective  # F.eval's exact definition, batchable
-    n: int
-    m: int
-    K: int
-    gamma_declared: Fraction  # 1/m; the computed gap is 0 when K = 1
-
-    @functools.cached_property
-    def env(self) -> Environment:
-        """The per-agent environment, built on first read (sweeps never read it).
-
-        Utility is 1 - |t_i - r_i| when the chosen facility r_i is in s, else
-        0 (the raw -|t_i - r_i| / -1 form shifted by +1 into [0, 1]).
-        """
-
-        def utility(i: int, t: tuple, s: tuple, r):
-            if r in s:
-                return 1 - abs(t[i] - r)
-            return 0 if isinstance(t[i], Fraction) else 0.0
-
-        locs = self.objective.member_types[0]
-        return Environment(
-            type_spaces=(locs,) * self.n,
-            alternatives=self.objective.alternatives,
-            reaction_spaces=(locs,) * self.n,
-            utility=utility,
-            values_kind=PRIVATE_VALUES,
-        )
+def _utility(X: tuple, j: int, s: tuple, r):
+    """1 - |x - r| when the chosen facility r is in s, else 0 (the raw
+    -|x - r| / -1 form shifted by +1 into [0, 1]); an agent is its own
+    group, so x = X[j] is its location."""
+    return 1 - abs(X[j] - r) if r in s else 0
 
 
-def build_grid_env(n: int, m: int, K: int) -> FacilityInstance:
+def build_grid_env(n: int, m: int, K: int) -> HistogramInstance:
     """Grid environment: T_i = R_i = L(m), S = L(m)^K.
 
     F is the average utility under nearest-facility reactions, with
@@ -76,10 +46,14 @@ def build_grid_env(n: int, m: int, K: int) -> FacilityInstance:
     """
     if n < 1 or m < 1 or K < 1:
         raise ValueError("need n, m, K >= 1")
-    # refuse |S| = (m+1)^K >= 2^K over the cap before listing S; the error
-    # names the power, whose digits a large K would make unprintable
+    # refuse |S| = (m+1)^K >= 2^K over the cap before listing S, then the
+    # (m+1) x |S| score table over its cap (at most 2^34 entries once S
+    # fits) before building it; each error names the power, whose digits a
+    # large K would make unprintable
     if K >= DEFAULT_SUPPORT_CAP.bit_length() or (m + 1) ** K > DEFAULT_SUPPORT_CAP:
         raise ResolutionBudgetExceeded(f"{m + 1}^{K}", DEFAULT_SUPPORT_CAP)
+    if (m + 1) ** (K + 1) > SCORE_TABLE_CAP:
+        raise ResolutionBudgetExceeded(f"{m + 1}^{K + 1}", SCORE_TABLE_CAP, "score table")
     locs = grid(m)
     alternatives = tuple(itertools.product(locs, repeat=K))
 
@@ -91,35 +65,26 @@ def build_grid_env(n: int, m: int, K: int) -> FacilityInstance:
         denom=m * n, units=n,
     )
     F = ObjectiveFunction(eval=objective.eval, sensitivity_d=1)
-    return FacilityInstance(
-        F=F, objective=objective, n=n, m=m, K=K, gamma_declared=Fraction(1, m)
+    # gamma_declared 1/m; the computed gap is 0 when K = 1
+    return HistogramInstance(
+        F=F, objective=objective, reactions=locs, utility=_utility,
+        gamma_declared=Fraction(1, m),
     )
 
 
-def uniform_facility_commitment(inst: FacilityInstance) -> CommitmentDistribution:
-    """Uniform over all (m+1)^K placements; p_tilde = 1/(m+1)^K."""
-    alternatives = inst.objective.alternatives
-    k = len(alternatives)
-    return CommitmentDistribution(
-        alternatives=alternatives,
-        probs=tuple(Fraction(1, k) for _ in range(k)),
-        separating_set=alternatives,
-    )
-
-
-def dyad_facility_commitment(inst: FacilityInstance) -> CommitmentDistribution:
+def dyad_facility_commitment(inst: HistogramInstance) -> CommitmentDistribution:
     """Uniform over the m dyads (j/m, (j+1)/m, ..., (j+1)/m); p_tilde = 1/m.
 
     The dyad at j separates j/m from every higher type (their nearest
     facilities differ), so the m dyads jointly separate all type pairs.
     Needs K >= 2 to host both dyad endpoints.
     """
-    if inst.K < 2:
+    locs = inst.objective.member_types[0]
+    K = len(inst.objective.alternatives[0])
+    if K < 2:
         raise ValueError("dyad commitment needs K >= 2")
-    m = inst.m
-    dyads = tuple(
-        (Fraction(j, m),) + (Fraction(j + 1, m),) * (inst.K - 1) for j in range(m)
-    )
+    m = len(locs) - 1
+    dyads = tuple((locs[j],) + (locs[j + 1],) * (K - 1) for j in range(m))
     return CommitmentDistribution(
         alternatives=dyads,
         probs=tuple(Fraction(1, m) for _ in range(m)),
@@ -128,7 +93,7 @@ def dyad_facility_commitment(inst: FacilityInstance) -> CommitmentDistribution:
 
 
 # the commitment of each scheduled mechanism, by name
-COMMITMENTS = {"loc1": uniform_facility_commitment, "loc2": dyad_facility_commitment}
+COMMITMENTS = {"loc1": uniform_histogram_commitment, "loc2": dyad_facility_commitment}
 
 
 @dataclass(frozen=True)
@@ -136,7 +101,7 @@ class ScheduledMechanism:
     mech: Mechanism
     params: MechanismParams
     P: CommitmentDistribution
-    inst: FacilityInstance
+    inst: HistogramInstance
 
 
 def _scheduled(n: int, m: int, K: int, mechanism: str) -> ScheduledMechanism:

@@ -10,20 +10,12 @@ all-announce-low profile is a bad Nash equilibrium.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from functools import partial
+from typing import Callable, Sequence
 
-from .commitment import CommitmentDistribution
-from .environment import (
-    INTERDEPENDENT,
-    PRIVATE_VALUES,
-    Environment,
-    HistogramObjective,
-    ObjectiveFunction,
-)
+from .environment import HistogramInstance, HistogramObjective, ObjectiveFunction
 from .errors import GridTooCoarse
 from .outcomes import Outcome, OutcomeDistribution
 from .payoffs import Mechanism
@@ -35,53 +27,10 @@ NOT_BUY = "not-buy"
 REACTIONS = (NOT_BUY, BUY)
 
 
-@dataclass(frozen=True)
-class PricingInstance:
-    """A built pricing economy with its normalization bookkeeping.
-
-    Utilities are (raw + 1) / (1 + vmax) where raw is V - p for a purchase
-    and 0 otherwise, so ``scale`` converts raw valuation units into
-    normalized utility units.  ``gamma_declared`` is the grid lower bound
-    1/m expressed in normalized units; the computed gap may exceed it.
-    ``valuations`` maps a cohort's signal vector to its D member valuations.
-    """
-
-    F: ObjectiveFunction
-    objective: HistogramObjective  # F.eval's exact definition, batchable
-    N: int
-    D: int
-    prices: tuple
-    vmax: Any
-    scale: Any
-    gamma_declared: Any
-    valuations: dict
-    mu: Any = None
-
-    @property
-    def n(self) -> int:
-        return self.N * self.D
-
-    @functools.cached_property
-    def env(self) -> Environment:
-        """The per-agent environment, built on first read (sweeps never read it)."""
-        D, table, vmax = self.D, self.valuations, self.vmax
-
-        def utility(i: int, t: tuple, p, r):
-            c, j = divmod(i, D)
-            V = table[t[c * D:(c + 1) * D]][j]
-            return _normalized_utility(V, p, r, vmax)
-
-        return Environment(
-            type_spaces=tuple(self.objective.member_types[i % D] for i in range(self.n)),
-            alternatives=self.prices,
-            reaction_spaces=(REACTIONS,) * self.n,
-            utility=utility,
-            values_kind=PRIVATE_VALUES if D == 1 else INTERDEPENDENT,
-        )
-
-
-def _normalized_utility(V, p, r, vmax):
-    raw = (V - p) if r == BUY else 0
+def _utility(table: dict, vmax, X: tuple, j: int, p, r):
+    """Member j's utility at its cohort's signals X: (raw + 1) / (1 + vmax),
+    where raw is V - p for a purchase and 0 otherwise, V = table[X][j]."""
+    raw = (table[X][j] - p) if r == BUY else 0
     return (raw + 1) / (1 + vmax)
 
 
@@ -96,7 +45,7 @@ def build_pricing_env(
     m: int,
     signal_spaces: Sequence[Sequence],
     valuation: Callable[[tuple], tuple],
-) -> PricingInstance:
+) -> HistogramInstance:
     """Cohort pricing economy on the price grid {0, 1/m, ..., 1}.
 
     ``signal_spaces`` gives each cohort member's finite signal set (listed in
@@ -122,10 +71,10 @@ def build_pricing_env(
 
     objective = _revenue_objective(signal_spaces, table, prices, N)
     F = ObjectiveFunction(eval=objective.eval, sensitivity_d=D)
-    scale = Fraction(1, 1) / (1 + vmax) if not isinstance(vmax, float) else 1 / (1 + vmax)
-    return PricingInstance(
-        F=F, objective=objective, N=N, D=D, prices=prices, vmax=vmax,
-        scale=scale, gamma_declared=Fraction(1, m) * scale, valuations=table,
+    # gamma_declared: the grid bound 1/m in utility units; the gap may exceed it
+    return HistogramInstance(
+        F=F, objective=objective, reactions=REACTIONS,
+        utility=partial(_utility, table, vmax), gamma_declared=Fraction(1, m) / (1 + vmax),
     )
 
 
@@ -180,22 +129,7 @@ def _check_fineness(signal_spaces, table, D, m):
                     raise GridTooCoarse(v_lo, v_hi)
 
 
-def uniform_price_commitment(inst: PricingInstance) -> CommitmentDistribution:
-    """Uniform draw over the whole price grid; p_tilde = 1/|prices|.
-
-    The full grid separates every own-signal pair by the fineness premise,
-    so it is taken as the separating set without re-deriving the greedy
-    certificate (which is infeasible at sweep-scale populations).
-    """
-    k = len(inst.prices)
-    return CommitmentDistribution(
-        alternatives=inst.prices,
-        probs=tuple(Fraction(1, k) for _ in inst.prices),
-        separating_set=inst.prices,
-    )
-
-
-def _two_level_instance(n: int, v_low, v_high, prices, mu) -> PricingInstance:
+def _two_level_instance(n: int, v_low, v_high, prices, mu) -> HistogramInstance:
     """n independent buyers with valuation v_low or v_high; custom price set.
 
     A cohort economy of size D=1 whose signal is the valuation itself.
@@ -204,14 +138,13 @@ def _two_level_instance(n: int, v_low, v_high, prices, mu) -> PricingInstance:
     table = {(v,): (v,) for v in types}
     objective = _revenue_objective((types,), table, prices, n, scale=1 / (1 + mu))
     F = ObjectiveFunction(eval=objective.eval, sensitivity_d=1)
-    return PricingInstance(
-        F=F, objective=objective, N=n, D=1, prices=tuple(prices), vmax=v_high,
-        scale=Fraction(1, 1) / (1 + v_high), gamma_declared=None, valuations=table,
-        mu=mu,
+    return HistogramInstance(
+        F=F, objective=objective, reactions=REACTIONS,
+        utility=partial(_utility, table, v_high), gamma_declared=None,
     )
 
 
-def example1_env(n: int, mu=Fraction(1, 4)) -> PricingInstance:
+def example1_env(n: int, mu=Fraction(1, 4)) -> HistogramInstance:
     """Buyers valued 1/2+mu or 1+mu, prices {1/2, 1}.
 
     Under the pure exponential mechanism the constant low announcement
@@ -227,7 +160,7 @@ def example1_env(n: int, mu=Fraction(1, 4)) -> PricingInstance:
     )
 
 
-def example3_env(n: int, mu=Fraction(1, 4)) -> PricingInstance:
+def example3_env(n: int, mu=Fraction(1, 4)) -> HistogramInstance:
     """Buyers valued 1/n or 1+mu, prices {1/n, 1}."""
     mu = Fraction(mu) if not isinstance(mu, float) else mu
     if not 0 < mu < Fraction(1, 2):
@@ -237,7 +170,7 @@ def example3_env(n: int, mu=Fraction(1, 4)) -> PricingInstance:
     return _two_level_instance(n, Fraction(1, n), 1 + mu, (Fraction(1, n), Fraction(1)), mu)
 
 
-def optimal_announced_price(inst: PricingInstance, b: tuple):
+def optimal_announced_price(inst: HistogramInstance, b: tuple):
     """Revenue-maximizing price for the announced valuations, ties upward.
 
     Counts announced buyers weakly (V >= p): the monopolist prices assuming
@@ -246,14 +179,14 @@ def optimal_announced_price(inst: PricingInstance, b: tuple):
     """
     best_p = None
     best_rev = None
-    for p in inst.prices:
+    for p in inst.objective.alternatives:
         rev = p * sum(1 for v in b if v >= p)
         if best_rev is None or rev >= best_rev:
             best_p, best_rev = p, rev
     return best_p
 
 
-def example3_mechanism(inst: PricingInstance, imposing_prob=None) -> Mechanism:
+def example3_mechanism(inst: HistogramInstance, imposing_prob=None) -> Mechanism:
     """Posts the announced-optimal price; imposes reactions with low probability.
 
     For D=1 instances, where announced types are the valuations (as
@@ -274,11 +207,11 @@ def example3_mechanism(inst: PricingInstance, imposing_prob=None) -> Mechanism:
     return mech
 
 
-def revenue_per_agent(inst: PricingInstance, t: tuple, p):
+def revenue_per_agent(inst: HistogramInstance, t: tuple, p):
     """Exact unnormalized average revenue p * |{i: V_i > p}| / n.
 
     Only for D=1 instances, where announced types are the valuations.
     """
-    if inst.D != 1:
+    if len(inst.objective.member_types) != 1:
         raise ValueError("revenue_per_agent expects a D=1 instance")
     return p * Fraction(_buyer_count(t, p), inst.n)

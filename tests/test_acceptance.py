@@ -89,7 +89,7 @@ def test_criterion_04_commitment_advantage():
     # and the strict clause is exercised on the smallest nontrivial K=2 twin
     inst1 = dm.build_grid_env(3, 2, 1)
     assert dm.compute_gap(inst1.env).gamma == 0
-    P1 = dm.uniform_facility_commitment(inst1)
+    P1 = dm.uniform_histogram_commitment(inst1)
     for t in inst1.env.type_vectors():
         for i in inst1.env.agents:
             for b_i in inst1.env.type_spaces[i]:
@@ -110,7 +110,7 @@ def test_criterion_04_commitment_advantage():
 
     pinst = cohort_pricing_instance()
     penv = pinst.env
-    Pp = dm.uniform_price_commitment(pinst)
+    Pp = dm.uniform_histogram_commitment(pinst)
     floor = Pp.p_tilde * dm.compute_gap(penv).gamma
     for t in penv.type_vectors():
         for i in penv.agents:
@@ -141,7 +141,7 @@ def test_criterion_05_combined_mechanism():
     assert dm.check_strictly_dominant_truthful(mech_f, finst.env).passed
 
     pinst = cohort_pricing_instance()
-    Pp = dm.uniform_price_commitment(pinst)
+    Pp = dm.uniform_histogram_commitment(pinst)
     eps_p, q_p = dm.saturating_params(Pp, pinst.gamma_declared)
     mech_p = dm.build_combined(
         pinst.env, pinst.F, Pp, pinst.gamma_declared, eps_p, q_p

@@ -19,7 +19,7 @@ from dpmech.cli import (
     task_rng,
     validate_config,
 )
-from dpmech.errors import ConfigInvalid
+from dpmech.errors import ConfigInvalid, EnumerationBudgetExceeded
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -161,20 +161,28 @@ def test_main_exit_code_budget(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("cfg", [
-    {"experiment": "verify", "seed": 0,
-     "facility": {"n": 3, "m": 1, "K": 40, "mechanism": "loc2"}},
-    {"experiment": "sweep", "seed": 0, "n_list": [2000], "probes": 3,
-     "facility": {"m": 1, "K": 40, "mechanism": "loc2"}},
-], ids=["verify", "sweep"])
-def test_oversized_facility_grid_exits_3_before_building(tmp_path, capsys, cfg):
-    # 2^40 alternatives: refused from m and K alone, before any is listed
+GRID_SUPPORT_ERR = "budget exceeded: grid support 2^40 exceeds cap 131072\n"
+SCORE_TABLE_ERR = "budget exceeded: score table 131072^2 exceeds cap 1048576\n"
+
+
+@pytest.mark.parametrize("cfg,err", [
+    ({"experiment": "verify", "seed": 0,
+      "facility": {"n": 3, "m": 1, "K": 40, "mechanism": "loc2"}}, GRID_SUPPORT_ERR),
+    ({"experiment": "sweep", "seed": 0, "n_list": [2000], "probes": 3,
+      "facility": {"m": 1, "K": 40, "mechanism": "loc2"}}, GRID_SUPPORT_ERR),
+    ({"experiment": "verify", "seed": 0,
+      "facility": {"n": 3, "m": 131071, "K": 1}}, SCORE_TABLE_ERR),
+    ({"experiment": "sweep", "seed": 0, "n_list": [2000], "probes": 3,
+      "facility": {"m": 131071, "K": 1}}, SCORE_TABLE_ERR),
+], ids=["verify", "sweep", "verify-score-table", "sweep-score-table"])
+def test_oversized_facility_grid_exits_3_before_building(tmp_path, capsys, cfg, err):
+    # 2^40 alternatives, or 2^17 alternatives (at the support cap) whose
+    # score table has 2^34 entries: refused from m and K alone, before any
+    # alternative is listed or any score computed
     t0 = time.monotonic()
     assert main([cfg["experiment"], "--config", write_config(tmp_path, cfg)]) == 3
     assert time.monotonic() - t0 < 1
-    assert capsys.readouterr().err == (
-        "budget exceeded: grid support 2^40 exceeds cap 131072\n"
-    )
+    assert capsys.readouterr().err == err
 
 
 def test_main_exit_code_assertion_with_outputs(tmp_path, capsys, monkeypatch):
@@ -339,6 +347,50 @@ def test_example3_budget_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "budget exceeded: enumeration needs 2048 evaluations, budget is 10\n"
     )
+
+
+@pytest.mark.parametrize("cfg,err", [
+    # verify: refused at the gap's enumeration count, printed compactly
+    ({"experiment": "verify", "facility": {"n": 10**6, "m": 2, "K": 2, "mechanism": "loc2"}},
+     "enumeration needs more than 10^477128 evaluations"),
+    ({"experiment": "verify", "pricing": {"cohorts": 15000, "cohort_size": 1, "grid_m": 4}},
+     "enumeration needs more than 10^4520 evaluations"),
+    ({"experiment": "example1", "example": {"n": 15000}},
+     "enumeration needs more than 10^4519 evaluations"),
+    ({"experiment": "example3", "example": {"n": 15000}},
+     "enumeration needs more than 10^4519 evaluations"),
+    # populations over the budget, refused before any per-agent work
+    ({"experiment": "verify", "facility": {"n": 2**63, "m": 2, "K": 2, "mechanism": "loc2"}},
+     "enumeration needs 9223372036854775808 evaluations"),
+    ({"experiment": "sweep", "facility": {"m": 2, "K": 2, "mechanism": "loc2"},
+      "n_list": [10**13], "probes": 3},
+     "enumeration needs 10000000000000 evaluations"),
+    ({"experiment": "sweep", "facility": {"m": 2, "K": 2, "mechanism": "loc2"},
+      "n_list": [2000, 2**70], "probes": 3},
+     "enumeration needs more than 10^21 evaluations"),
+    ({"experiment": "sweep", "pricing": {"cohort_size": 2, "grid_m": 4},
+      "n_list": [10**300], "probes": 3},
+     "enumeration needs more than 10^299 evaluations"),
+], ids=["verify-facility-1e6", "verify-pricing-15000", "example1-15000",
+        "example3-15000", "verify-facility-2^63", "sweep-1e13", "sweep-2^70",
+        "sweep-1e300"])
+def test_huge_enumeration_exits_3_without_traceback(tmp_path, cfg, err):
+    path = write_config(tmp_path, {"seed": 0, **cfg})
+    t0 = time.monotonic()
+    proc = run_cli(cfg["experiment"], "--config", path)
+    assert time.monotonic() - t0 < 5
+    assert proc.returncode == 3
+    assert proc.stderr == f"budget exceeded: {err}, budget is 10000000\n"
+
+
+def test_budget_error_prints_long_counts_compactly():
+    # a count below 2^64 prints in full; from 2^64, a power of ten below it
+    assert str(EnumerationBudgetExceeded(2**64 - 1, 10)) == (
+        "enumeration needs 18446744073709551615 evaluations, budget is 10")
+    assert str(EnumerationBudgetExceeded(2**64, 10)) == (
+        "enumeration needs more than 10^19 evaluations, budget is 10")
+    assert str(EnumerationBudgetExceeded(10**5000, 10)) == (
+        "enumeration needs more than 10^4999 evaluations, budget is 10")
 
 
 def test_example3_reads_vectors_without_listing_them(monkeypatch):
@@ -534,7 +586,8 @@ def _contract_grid():
     for size in (1, 2):
         app = {"cohorts": 1, "cohort_size": size, "grid_m": 4}
         _, inst, P = cli._instance({"pricing": app})
-        n0 = dm.compute_n0(P.p_tilde, inst.gamma_declared, size, len(inst.prices))
+        s_count = len(inst.objective.alternatives)
+        n0 = dm.compute_n0(P.p_tilde, inst.gamma_declared, size, s_count)
         for n in (1, n0, n0 + 1, n0 + 2):
             # n counts agents, rounded down to whole cohorts
             yield {"experiment": "sweep", "n_list": [n], "probes": 2, "pricing": app}, \

@@ -74,7 +74,7 @@ def test_truth_advantage_lower_bound_facility():
 def test_truth_advantage_is_never_negative():
     inst = dm.build_grid_env(2, 3, 2)
     env = inst.env
-    P = dm.uniform_facility_commitment(inst)
+    P = dm.uniform_histogram_commitment(inst)
     for t in env.type_vectors():
         for b_i in env.type_spaces[0]:
             assert dm.truth_advantage(env, P, 0, t, b_i) >= 0
@@ -92,6 +92,6 @@ def test_verify_corollary1_rejects_trivial_single_facility():
     # K = 1: one imposed facility never separates types, gap is 0
     inst = dm.build_grid_env(3, 2, 1)
     assert dm.compute_gap(inst.env).gamma == 0
-    P = dm.uniform_facility_commitment(inst)
+    P = dm.uniform_histogram_commitment(inst)
     with pytest.raises(dm.NotNonTrivial):
         dm.verify_corollary1(inst.env, P)

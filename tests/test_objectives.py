@@ -41,8 +41,11 @@ def random_vectors(env, count, seed):
             for _ in range(count)]
 
 
+FACILITY_SHAPES = [(n, m, K) for n in SIZES for m in (2, 3) for K in (1, 2)]
+
+
 def facility_cases():
-    return [dm.build_grid_env(n, m, K) for n in SIZES for m in (2, 3) for K in (1, 2)]
+    return [dm.build_grid_env(n, m, K) for n, m, K in FACILITY_SHAPES]
 
 
 def pricing_cases():
@@ -51,7 +54,8 @@ def pricing_cases():
     ]
 
 
-@pytest.mark.parametrize("inst", facility_cases(), ids=lambda i: f"n{i.n}-m{i.m}-K{i.K}")
+@pytest.mark.parametrize("inst", facility_cases(),
+                         ids=[f"n{n}-m{m}-K{K}" for n, m, K in FACILITY_SHAPES])
 def test_facility_eval_is_exact(inst):
     for t in random_vectors(inst.env, 8, MASTER_SEED + inst.n):
         for s in inst.env.alternatives:
@@ -77,8 +81,10 @@ def _counts(objective, t):
     return objective.histogram(idx)
 
 
+# ids name each model's instances, as the suite always has
 @pytest.mark.parametrize("inst", facility_cases() + [i for i, _ in pricing_cases()],
-                         ids=lambda i: f"{type(i).__name__}-n{i.n}")
+                         ids=[f"FacilityInstance-n{n}" for n, _, _ in FACILITY_SHAPES]
+                         + [f"PricingInstance-n{i.n}" for i, _ in pricing_cases()])
 def test_batched_scores_match_eval(inst):
     vectors = random_vectors(inst.env, 8, MASTER_SEED)
     counts = np.array([_counts(inst.objective, t) for t in vectors])
@@ -91,9 +97,10 @@ def test_batched_scores_match_eval(inst):
 
 
 def test_example_revenue_stays_exact():
-    inst = dm.example3_env(5)
+    mu = Fraction(1, 4)
+    inst = dm.example3_env(5, mu)
     low, high = inst.env.type_spaces[0]
     t = (low, high, high, low, high)
-    for p in inst.prices:
+    for p in inst.env.alternatives:
         buyers = sum(v > p for v in t)
-        assert inst.F.eval(t, p) == p * Fraction(buyers, 5) / (1 + inst.mu)
+        assert inst.F.eval(t, p) == p * Fraction(buyers, 5) / (1 + mu)

@@ -28,7 +28,8 @@ def test_instance_shape_and_normalization():
     env = inst.env
     assert env.n == 4
     assert len(env.alternatives) == 5
-    assert inst.scale == Fraction(10, 19)  # 1 / (1 + 9/10)
+    # the grid bound 1/m in utility units: 1/4 / (1 + 9/10)
+    assert inst.gamma_declared == Fraction(1, 4) * Fraction(10, 19)
     # all utilities in [0, 1], exact
     for t in env.type_vectors():
         for p in env.alternatives:
@@ -72,7 +73,7 @@ def test_computed_gap_dominates_declared():
 def test_commitment_advantage_and_expost_nash():
     inst = cohort_pricing_instance()
     env = inst.env
-    P = dm.uniform_price_commitment(inst)
+    P = dm.uniform_histogram_commitment(inst)
     assert P.p_tilde == Fraction(1, 5)
     gamma = dm.compute_gap(env).gamma
     floor = P.p_tilde * gamma
@@ -139,7 +140,7 @@ def test_example3_bad_profile_nash_and_revenue():
                 dev[i] = dm.constant_map(env, i, high)
                 assert base >= dm.expected_utility(mech, env, tuple(dev), i, t)
     all_high = tuple(high for _ in env.agents)
-    assert dm.revenue_per_agent(inst, all_high, inst.prices[0]) == Fraction(1, n)
+    assert dm.revenue_per_agent(inst, all_high, env.alternatives[0]) == Fraction(1, n)
 
 
 def test_example3_imposes_buy_on_weak_preference():

@@ -344,7 +344,7 @@ def test_table_checkers_match_naive_on_lotteries():
     pricing = cohort_pricing_instance(N=2, D=2, m=4)
     assert pricing.env.values_kind == dm.INTERDEPENDENT
     _assert_matches_naive(
-        _lottery(pricing, dm.uniform_price_commitment(pricing)), pricing.env
+        _lottery(pricing, dm.uniform_histogram_commitment(pricing)), pricing.env
     )
 
 
@@ -352,7 +352,7 @@ def test_table_checkers_stay_exact_on_gap_zero_commitment():
     inst = dm.build_grid_env(2, 2, 1)
     env = inst.env
     assert dm.compute_gap(env).gamma == 0
-    mech = dm.commitment_mechanism(dm.uniform_facility_commitment(inst), env)
+    mech = dm.commitment_mechanism(dm.uniform_histogram_commitment(inst), env)
     slack_min = _assert_matches_naive(mech, env)
     assert isinstance(slack_min, Fraction) and slack_min == 0
     rep = dm.check_strictly_dominant_truthful(mech, env)
@@ -370,11 +370,11 @@ def test_near_indifference_matches_naive_off_the_benchmark():
     fac = dm.build_grid_env(2, 2, 2)
     _assert_matches_naive(_lottery(fac, dm.dyad_facility_commitment(fac)), fac.env, 0.5)
     inst = dm.build_grid_env(2, 2, 1)
-    P = dm.uniform_facility_commitment(inst)
+    P = dm.uniform_histogram_commitment(inst)
     _assert_matches_naive(dm.commitment_mechanism(P, inst.env), inst.env, 0.1)
     pricing = cohort_pricing_instance(N=2, D=2, m=4)
     _assert_matches_naive(
-        _lottery(pricing, dm.uniform_price_commitment(pricing)), pricing.env, 1.0
+        _lottery(pricing, dm.uniform_histogram_commitment(pricing)), pricing.env, 1.0
     )
 
 
@@ -478,7 +478,7 @@ def test_budget_checks_report_needed_and_budget():
 def test_shared_table_checks_budget_before_listing_vectors():
     # 3^40 type vectors: listing them would never finish
     inst = dm.build_grid_env(40, 2, 1)
-    mech = dm.commitment_mechanism(dm.uniform_facility_commitment(inst), inst.env)
+    mech = dm.commitment_mechanism(dm.uniform_histogram_commitment(inst), inst.env)
     table = dm.PayoffTable(mech, inst.env)
     with pytest.raises(dm.EnumerationBudgetExceeded):
         dm.check_expost_nash_truthful(mech, inst.env, table=table)
