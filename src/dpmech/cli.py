@@ -238,9 +238,16 @@ def _props(reports: dict) -> str:
 # ------------------------------------------------------------- experiments
 
 
-def _instance(config: dict, n: int | None = None) -> tuple:
+def _check_population(n: int, budget: int) -> None:
+    """Refuse over ``budget`` or ``DEFAULT_BUDGET`` agents before anything is
+    built: a check visits, a probe draws and an environment lists each."""
+    check_budget(n, min(budget, DEFAULT_BUDGET))
+
+
+def _instance(config: dict, n: int | None = None, budget: int = DEFAULT_BUDGET) -> tuple:
     """(kind, instance, commitment) of a verify or sweep config, at the
-    config's own size or at a sweep point's population n.
+    config's own size or at a sweep point's population n, refused by
+    ``_check_population`` first.
 
     Pricing builds the default two-signal cohort family: each cohort has
     one informative member (signals 0 < 1 mapping the whole cohort to
@@ -249,12 +256,15 @@ def _instance(config: dict, n: int | None = None) -> tuple:
     """
     if "facility" in config:
         fc = config["facility"]
-        inst = build_grid_env(fc["n"] if n is None else n, fc["m"], fc["K"])
+        n = fc["n"] if n is None else n
+        _check_population(n, budget)
+        inst = build_grid_env(n, fc["m"], fc["K"])
         return "facility", inst, COMMITMENTS[fc.get("mechanism", "loc1")](inst)
     pc = config["pricing"]
     D = pc["cohort_size"]
     # n counts agents; round down to whole cohorts
     N = pc["cohorts"] if n is None else max(1, n // D)
+    _check_population(N * D, budget)
     lo, hi = Fraction(1, 5), Fraction(9, 10)
 
     def valuation(X):
@@ -286,10 +296,7 @@ def _record(
 def run_verify(config: dict) -> tuple[dict, dict]:
     budget = config.get("budget", DEFAULT_BUDGET)
     t0 = time.monotonic()
-    kind, inst, P = _instance(config)
-    # each check visits every agent, and the environment lists a type space
-    # per agent: a population over the budget is refused before it is built
-    check_budget(inst.n, budget)
+    kind, inst, P = _instance(config, budget=budget)
     env, F = inst.env, inst.F
     gap = compute_gap(env, budget=budget)
     reports = {"sensitivity": verify_sensitivity(F, env, budget=budget)}
@@ -330,8 +337,6 @@ def run_verify(config: dict) -> tuple[dict, dict]:
 
 
 def _sweep_point(config: dict, n: int, index: int) -> tuple[dict, dict]:
-    # each probe draws n per-agent types in memory
-    check_budget(n, DEFAULT_BUDGET)
     probes = config.get("probes", DEFAULT_PROBES)
     t0 = time.monotonic()
     kind, inst, P = _instance(config, n)
@@ -373,7 +378,7 @@ def _example(config: dict, n: int) -> tuple:
 def run_example1(config: dict) -> tuple[dict, dict]:
     n, mu = _example(config, 6)
     budget = config.get("budget", DEFAULT_BUDGET)
-    check_budget(n, budget)  # as in run_verify
+    _check_population(n, budget)
     t0 = time.monotonic()
     inst = example1_env(n, mu)
     env, F = inst.env, inst.F
@@ -402,7 +407,7 @@ def run_example1(config: dict) -> tuple[dict, dict]:
 def run_example3(config: dict) -> tuple[dict, dict]:
     n, mu = _example(config, 8)
     budget = config.get("budget", DEFAULT_BUDGET)
-    check_budget(n, budget)  # as in run_verify
+    _check_population(n, budget)
     t0 = time.monotonic()
     inst = example3_env(n, mu)
     env = inst.env

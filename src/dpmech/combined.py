@@ -8,6 +8,7 @@ the exponential branch's manipulation gain of at most 2 * eps.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -90,9 +91,10 @@ def schedule_params(
 def compute_n0(p_tilde, gamma, d: float, s_count: int) -> int:
     """Smallest population size from which the schedule is admissible.
 
-    Ascending scan for the least n with
+    The least n up to N0_SCAN_LIMIT with
       n >= max(8d/(p_tilde*gamma) * ln(p_tilde*gamma*|S|/(2d)), 4e^2 d/(p_tilde*gamma*|S|))
-    and n / ln(n) > 8d / (p_tilde*gamma).
+    and n / ln(n) > 8d / (p_tilde*gamma).  n / ln(n) increases from n = 3
+    on and 2 / ln 2 > 3 / ln 3, so past the first candidate it is bisected.
     """
     pg = float(p_tilde) * float(gamma)
     if pg <= 0:
@@ -100,12 +102,16 @@ def compute_n0(p_tilde, gamma, d: float, s_count: int) -> int:
     c = 8 * d / pg
     floor_a = c * math.log(max(pg * s_count / (2 * d), 1.0))
     floor_b = 4 * math.e**2 * d / (pg * s_count)
-    n = max(2, math.ceil(max(floor_a, floor_b)))
-    while n <= N0_SCAN_LIMIT:
-        if n / math.log(n) > c:
-            return n
-        n += 1
-    raise ParamContractViolated(f"no admissible population size below {N0_SCAN_LIMIT}")
+    candidates = range(max(2, math.ceil(max(floor_a, floor_b))), N0_SCAN_LIMIT + 1)
+
+    def admissible(n: int) -> bool:
+        return n / math.log(n) > c
+
+    k = 0 if candidates and admissible(candidates[0]) else bisect.bisect_left(
+        candidates, True, lo=1, key=admissible)
+    if k >= len(candidates):
+        raise ParamContractViolated(f"no admissible population size below {N0_SCAN_LIMIT}")
+    return candidates[k]
 
 
 def combined_mechanism(

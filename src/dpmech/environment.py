@@ -150,13 +150,12 @@ class Environment:
     def bases(self) -> list:
         """Per agent i, the vectors whose agent-i type index is 0, in the
         order of ``opponent_vectors(i)``; add t_i * strides[i] for type
-        index t_i."""
-        places = list(zip(self.sizes, self.strides))
+        index t_i.  In increasing order, hi + lo: hi a multiple of sizes[i] *
+        strides[i] (earlier agents' digits), lo below strides[i] (later)."""
+        N = self.num_type_vectors()
         return [
-            [sum(c) for c in itertools.product(
-                *(range(0, k * s, s) for j, (k, s) in enumerate(places) if j != i)
-            )]
-            for i in self.agents
+            [hi + lo for hi in range(0, N, k * s) for lo in range(s)]
+            for k, s in zip(self.sizes, self.strides)
         ]
 
     def pairs(self) -> Iterator[tuple]:

@@ -157,84 +157,58 @@ def near_indifference_bound_check(
     announcements (every richer unilateral map factors through these).  The
     bound asserted is e^eps - 1, which is at most 2*eps for eps <= 1.
 
-    Expected utilities are the ``PayoffTable.eu`` sums, computed for every
-    (true vector, agent, announced type) at once and summed column by column
-    over a (vectors x columns) probability array: for an
-    ``exponential_mechanism`` on ``env``, one float column per alternative,
-    from ``env.scores``; for any other mechanism, its nonzero outcomes at
-    each announcement in support order, in float64 when every probability
-    is a float and as exact Python numbers otherwise.  Payoffs come from a
-    ``PayoffTable`` either way.  The witness is the first largest swing in
-    ``PayoffTable.unilateral()`` order.
+    Expected utilities are the ``PayoffTable.eu`` sums of the deviations
+    ``PayoffTable.unilateral()`` walks.  For an ``exponential_mechanism`` on
+    ``env`` the same sums are added up at once, over dense (vectors x
+    alternatives) float arrays: one probability column per alternative,
+    from ``env.scores``, against the ``PayoffTable`` payoffs.  The witness
+    is the first largest swing in ``PayoffTable.unilateral()`` order.
     """
-    import numpy as np
-
     table = payoff_table(
         mech, env, "near_indifference", max(env.num_deviations(), 1), budget
     )
-    N = len(env.vectors)
     rows = _probabilities(mech, env)
+    worst, witness = 0.0, None
     if rows is None:
-        dists = [table.dist(k) for k in range(N)]
-        dtype = float if all(f for d in dists for _, f, _, _ in d) else object
-        width = max(map(len, dists))
-        prob = np.array(
-            [[p for p, *_ in d] + [0] * (width - len(d)) for d in dists], dtype
-        )
-        # every distinct (float flag, alternative, imposed reaction indices)
-        # of the supports, numbered; -1 pads a short support and reads a 0
-        # payoff at probability 0, which adds an exact 0 to every sum
-        outcomes: dict = {}
-        ids = np.array([
-            [outcomes.setdefault((f, a, r), len(outcomes)) for _, f, a, r in d]
-            + [-1] * (width - len(d))
-            for d in dists
-        ])
+        for kt, i, b_i, base, dev in table.unilateral():
+            swing = abs(float(base - dev))
+            if swing > worst:
+                worst = swing
+                witness = (i, env.vector(kt), env.type_spaces[i][b_i], base, dev)
     else:
-        # one column, id and float probability per alternative: a
-        # probability that underflowed to 0 adds an exact 0 in its own
-        # column, where a support drops it and pads the row's end instead
-        dtype = float
+        import numpy as np
+
+        # each sum adds the alternatives' terms left to right, as
+        # PayoffTable.eu does; a probability that underflowed adds an exact 0
         prob = np.array(rows)
-        width = prob.shape[1]
-        outcomes = {(True, a, None): a for a in range(width)}
-        ids = np.broadcast_to(np.arange(width), prob.shape)
-    kt = np.arange(N)
-    # per agent: expected utilities by (true vector, announced type index),
-    # and the true vectors' own type indices
-    columns = []
-    for i, (m, stride) in enumerate(zip(env.sizes, env.strides)):
-        # payoff rows: the vectors that are their own key, in vector order
-        own = env.own(i, kt)
-        rows = kt[own == kt]
-        key = np.searchsorted(rows, own)
-        terms: dict = {}
-        term_of = np.array([
-            terms.setdefault((f, a, None if r is None else r[i]), len(terms))
-            for f, a, r in outcomes
-        ] + [len(terms)])  # a pad's -1 reads the last, 0 column
-        payoff = np.array([
-            [table.payoff(i, k, a, r)[f] for f, a, r in terms] + [0]
-            for k in rows.tolist()
-        ], dtype)
-        t_i = kt // stride % m
-        kb = kt[:, None] + (np.arange(m) - t_i[:, None]) * stride
-        eu = np.zeros((N, m), dtype)
-        for c in range(width):
-            eu += prob[kb, c] * payoff[key[:, None], term_of[ids[kb, c]]]
-        columns.append((eu, t_i))
-    swing = np.abs(np.concatenate(
-        [(eu[kt, t_i][:, None] - eu).astype(float) for eu, t_i in columns], axis=1
-    ))
+        N, width = prob.shape
+        kt = np.arange(N)
+        # per agent: expected utilities by (true vector, announced type
+        # index), and the true vectors' own type indices
+        columns = []
+        for i, (m, stride) in enumerate(zip(env.sizes, env.strides)):
+            # payoffs at the vectors that are their own key, read by key
+            own = env.own(i, kt)
+            keys = kt[own == kt]
+            payoff = np.array([[table.payoff(i, k, a)[1] for a in range(width)]
+                               for k in keys.tolist()])[np.searchsorted(keys, own)]
+            t_i = kt // stride % m
+            kb = kt[:, None] + (np.arange(m) - t_i[:, None]) * stride
+            eu = np.zeros((N, m))
+            for a in range(width):
+                eu += prob[kb, a] * payoff[:, a, None]
+            columns.append((eu, t_i))
+        swing = np.abs(np.concatenate(
+            [eu[kt, t_i][:, None] - eu for eu, t_i in columns], axis=1
+        ))
+        if swing.max() > 0:
+            k, col = divmod(int(np.argmax(swing)), swing.shape[1])
+            i, b_i = [(j, b) for j, m in enumerate(env.sizes) for b in range(m)][col]
+            eu, t_i = columns[i]
+            worst = float(swing.item(k, col))
+            witness = (i, env.vector(k), env.type_spaces[i][b_i],
+                       eu.item(k, t_i[k]), eu.item(k, b_i))
     bound = math.exp(eps) - 1
-    worst = float(swing.max())
-    witness = None
-    if worst > 0:
-        k, col = divmod(int(np.argmax(swing)), swing.shape[1])
-        i, b_i = [(j, b) for j, m in enumerate(env.sizes) for b in range(m)][col]
-        eu, t_i = columns[i]
-        witness = (i, env.vectors[k], env.type_spaces[i][b_i],
-                   eu.item(k, t_i[k]), eu.item(k, b_i))
     return VerificationReport(
         property="near_indifference",
         passed=worst <= bound + BOUND_TOL,

@@ -11,12 +11,14 @@ all-announce-low profile is a bad Nash equilibrium.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
 from .environment import HistogramInstance, HistogramObjective, ObjectiveFunction
-from .errors import GridTooCoarse
+from .errors import GridTooCoarse, ResolutionBudgetExceeded
+from .facility import DEFAULT_SUPPORT_CAP, SCORE_TABLE_CAP
 from .outcomes import Outcome, OutcomeDistribution
 from .payoffs import Mechanism
 
@@ -59,6 +61,13 @@ def build_pricing_env(
     if len(signal_spaces) != D:
         raise ValueError("need one signal space per cohort member")
 
+    # the m + 1 prices, then the cells x prices score table, over their caps
+    # are refused before either is listed
+    cells = math.prod(map(len, signal_spaces))
+    if m + 1 > DEFAULT_SUPPORT_CAP:
+        raise ResolutionBudgetExceeded(m + 1, DEFAULT_SUPPORT_CAP)
+    if cells * (m + 1) > SCORE_TABLE_CAP:
+        raise ResolutionBudgetExceeded(f"{cells}x{m + 1}", SCORE_TABLE_CAP, "score table")
     table = {X: tuple(valuation(X)) for X in itertools.product(*signal_spaces)}
     for X, vals in table.items():
         if len(vals) != D:
@@ -94,12 +103,14 @@ def _revenue_objective(signal_spaces, table, prices, N, scale=1) -> HistogramObj
 
 def _check_monotone(signal_spaces, table, D):
     for j in range(D):
+        if len(signal_spaces[j]) < 2:
+            continue
         others = [signal_spaces[k] for k in range(D) if k != j]
         for rest in itertools.product(*others):
             for lo, hi in zip(signal_spaces[j], signal_spaces[j][1:]):
-                X_lo = rest[:j] + (lo,) + rest[j:]
-                X_hi = rest[:j] + (hi,) + rest[j:]
-                diffs = [table[X_hi][k] - table[X_lo][k] for k in range(D)]
+                v_lo = table[rest[:j] + (lo,) + rest[j:]]
+                v_hi = table[rest[:j] + (hi,) + rest[j:]]
+                diffs = [h - l for l, h in zip(v_lo, v_hi)]
                 if any(d < 0 for d in diffs):
                     raise ValueError(
                         f"valuation not monotone in member {j}'s signal at {rest}"

@@ -163,6 +163,7 @@ def test_main_exit_code_budget(tmp_path, capsys):
 
 GRID_SUPPORT_ERR = "budget exceeded: grid support 2^40 exceeds cap 131072\n"
 SCORE_TABLE_ERR = "budget exceeded: score table 131072^2 exceeds cap 1048576\n"
+PRICE_GRID_ERR = "budget exceeded: grid support {} exceeds cap 131072\n"
 
 
 @pytest.mark.parametrize("cfg,err", [
@@ -174,11 +175,20 @@ SCORE_TABLE_ERR = "budget exceeded: score table 131072^2 exceeds cap 1048576\n"
       "facility": {"n": 3, "m": 131071, "K": 1}}, SCORE_TABLE_ERR),
     ({"experiment": "sweep", "seed": 0, "n_list": [2000], "probes": 3,
       "facility": {"m": 131071, "K": 1}}, SCORE_TABLE_ERR),
-], ids=["verify", "sweep", "verify-score-table", "sweep-score-table"])
+    ({"experiment": "verify", "seed": 0,
+      "pricing": {"cohorts": 1, "cohort_size": 2, "grid_m": 10**8}},
+     PRICE_GRID_ERR.format(10**8 + 1)),
+    ({"experiment": "sweep", "seed": 0, "n_list": [2000], "probes": 3,
+      "pricing": {"cohort_size": 2, "grid_m": 10**6}}, PRICE_GRID_ERR.format(10**6 + 1)),
+    ({"experiment": "sweep", "seed": 0, "n_list": [2000], "probes": 3,
+      "pricing": {"cohort_size": 2, "grid_m": 131072}}, PRICE_GRID_ERR.format(131073)),
+], ids=["verify", "sweep", "verify-score-table", "sweep-score-table",
+        "verify-pricing", "sweep-pricing", "sweep-pricing-past-cap"])
 def test_oversized_facility_grid_exits_3_before_building(tmp_path, capsys, cfg, err):
     # 2^40 alternatives, or 2^17 alternatives (at the support cap) whose
     # score table has 2^34 entries: refused from m and K alone, before any
-    # alternative is listed or any score computed
+    # alternative is listed or any score computed; a pricing grid of more
+    # than 2^17 prices, from grid_m alone, before any price is listed
     t0 = time.monotonic()
     assert main([cfg["experiment"], "--config", write_config(tmp_path, cfg)]) == 3
     assert time.monotonic() - t0 < 1
@@ -371,9 +381,27 @@ def test_example3_budget_exits_3(tmp_path, capsys):
     ({"experiment": "sweep", "pricing": {"cohort_size": 2, "grid_m": 4},
       "n_list": [10**300], "probes": 3},
      "enumeration needs more than 10^299 evaluations"),
+    # populations over the default budget, refused whatever budget says
+    ({"experiment": "verify", "budget": 10**30,
+      "facility": {"n": 10**20, "m": 2, "K": 2, "mechanism": "loc2"}},
+     "enumeration needs more than 10^19 evaluations"),
+    ({"experiment": "verify", "budget": 10**30,
+      "facility": {"n": 10**8, "m": 2, "K": 2, "mechanism": "loc2"}},
+     "enumeration needs 100000000 evaluations"),
+    ({"experiment": "example3", "budget": 10**30, "example": {"n": 10**20}},
+     "enumeration needs more than 10^19 evaluations"),
+    # a pricing population counts every cohort member, before any member's
+    # signal space is listed; a sweep point's is whole cohorts, at least one
+    ({"experiment": "verify", "pricing": {"cohorts": 1, "cohort_size": 10**8, "grid_m": 4}},
+     "enumeration needs 100000000 evaluations"),
+    ({"experiment": "sweep", "pricing": {"cohort_size": 10**8, "grid_m": 4},
+      "n_list": [5], "probes": 3},
+     "enumeration needs 100000000 evaluations"),
 ], ids=["verify-facility-1e6", "verify-pricing-15000", "example1-15000",
         "example3-15000", "verify-facility-2^63", "sweep-1e13", "sweep-2^70",
-        "sweep-1e300"])
+        "sweep-1e300", "verify-facility-1e20-budget-1e30",
+        "verify-facility-1e8-budget-1e30", "example3-1e20-budget-1e30",
+        "verify-pricing-cohort-1e8", "sweep-pricing-cohort-1e8"])
 def test_huge_enumeration_exits_3_without_traceback(tmp_path, cfg, err):
     path = write_config(tmp_path, {"seed": 0, **cfg})
     t0 = time.monotonic()
@@ -552,6 +580,23 @@ def test_sweep_below_n0_exits_2(tmp_path, capsys):
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "population 100" in err and "164" in err
+
+
+@pytest.mark.parametrize("pricing,n0", [
+    ({"cohort_size": 1, "grid_m": 400}, 42844600),
+    ({"cohort_size": 20000, "grid_m": 4}, 112726066),
+], ids=["grid_m-400", "cohort_size-20000"])
+def test_sweep_far_below_n0_exits_2_quickly(tmp_path, capsys, pricing, n0):
+    # n0 is found by bisection, and a large cohort is checked in time
+    # linear in its members
+    cfg = {"experiment": "sweep", "seed": 0, "n_list": [2000], "probes": 3,
+           "pricing": pricing}
+    t0 = time.monotonic()
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+    assert time.monotonic() - t0 < 2
+    n = max(1, 2000 // pricing["cohort_size"]) * pricing["cohort_size"]
+    assert capsys.readouterr().err == (
+        f"config error: population {n} does not exceed required size {n0}\n")
 
 
 def _contract_grid():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -81,6 +82,40 @@ def test_compute_n0_is_minimal_admissible():
     assert 0 < params.q < 1 and params.eps <= 1 and params.n0 == n0
     with pytest.raises(dm.PopulationTooSmall):
         dm.schedule_params(P, gamma_, 1, 9, n0)
+
+
+def _scan_n0(p_tilde, gamma, d, s_count):
+    """compute_n0 as an ascending scan from the least candidate."""
+    pg = float(p_tilde) * float(gamma)
+    c = 8 * d / pg
+    floor_a = c * math.log(max(pg * s_count / (2 * d), 1.0))
+    n = max(2, math.ceil(max(floor_a, 4 * math.e**2 * d / (pg * s_count))))
+    while not n / math.log(n) > c:
+        n += 1
+    return n
+
+
+def test_compute_n0_bisection_matches_scan():
+    rng = random.Random(20261019)
+    cases = 0
+    while cases < 300:
+        p_tilde, gamma = rng.uniform(0.01, 1), rng.uniform(0.01, 1)
+        d, s_count = rng.uniform(0.05, 3), rng.randint(1, 2000)
+        if 8 * d / (p_tilde * gamma) > 5000:
+            continue  # keeps n0 below 10^6 and the scan short
+        want = _scan_n0(p_tilde, gamma, d, s_count)
+        assert dm.compute_n0(p_tilde, gamma, d, s_count) == want
+        cases += 1
+    # the n0 of the pinned verify and acceptance runs
+    for args, n0 in (((Fraction(1, 2), Fraction(1, 2), 1.0, 9), 164),
+                     ((Fraction(1, 5), Fraction(11, 38), 1, 5), 948),
+                     ((Fraction(1, 7), Fraction(17, 57), 2, 7), 3008)):
+        assert dm.compute_n0(*args) == _scan_n0(*args) == n0
+    # no admissible n up to the scan limit: the least candidate is past it,
+    # or below it with n / ln(n) <= 8d / (p_tilde * gamma) at the limit
+    for args in ((1e-9, 1.0, 1.0, 2), (1.6e-7, 1.0, 1.0, 1000)):
+        with pytest.raises(dm.ParamContractViolated, match="below 1000000000"):
+            dm.compute_n0(*args)
 
 
 def test_combined_truthful_at_saturating_params():

@@ -304,6 +304,20 @@ def _sized_env(sizes):
     )
 
 
+def test_bases_match_opponent_vectors(pair_walk_instances):
+    # agent i's bases are the vectors with agent-i type index 0, listed by
+    # opponent profile
+    envs = [env for env, _ in pair_walk_instances]
+    envs += [_sized_env(sizes) for sizes in ((1,), (4,), (2, 1, 3), (3, 4, 1, 2))]
+    for env in envs:
+        index = {t: k for k, t in enumerate(env.vectors)}
+        assert env.bases == [
+            [index[env.insert_type(i, env.type_spaces[i][0], t_minus)]
+             for t_minus in env.opponent_vectors(i)]
+            for i in env.agents
+        ]
+
+
 def test_pairs_walk_equals_pair_index():
     """The pure-Python walk and its int64 arrays list the same pairs, in
     the naive tuple order, on seeded shapes (single-type agents and n=1

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -286,3 +287,47 @@ def test_budget_checks_run_before_any_mechanism_call():
         with pytest.raises(dm.EnumerationBudgetExceeded) as e:
             check()
         assert (e.value.needed, e.value.budget) == (needed, 1)
+
+
+# (agents, types per agent, alternatives): the shapes of the audit-dp benchmark
+AUDIT_SHAPES = [(n, k, s) for n, k in ((3, 3), (4, 3), (5, 2), (5, 3)) for s in (4, 6)]
+# md5 of every report below: the audits' sums, witnesses and raises are
+# fixed to the bit, whichever path computes them
+AUDIT_REPORTS_MD5 = "d10c48a238e8d17aacec6148cac0454b"
+
+
+def _audit_instance(rows):
+    """Private values with agent i's utility ``rows[i][t_i][s]``, F their
+    average and singleton reactions, as in the audit-dp benchmark."""
+    n = len(rows)
+    env = dm.Environment(
+        type_spaces=tuple(tuple(range(len(r))) for r in rows),
+        alternatives=tuple(range(len(rows[0][0]))),
+        reaction_spaces=(("noop",),) * n,
+        utility=lambda i, t, s, r: rows[i][t[i]][s],
+        values_kind=dm.PRIVATE_VALUES,
+    )
+    F = dm.ObjectiveFunction(
+        eval=lambda t, s: sum(rows[i][t_i][s] for i, t_i in enumerate(t)) / n,
+        sensitivity_d=1,
+    )
+    return env, F
+
+
+def test_audit_reports_pinned():
+    # the exponential mechanism's array path and a plain closure (the
+    # per-vector path) on the same tables; eps 700 underflows probabilities
+    reports = []
+    for seed in (1, 7, 11):
+        rng = np.random.default_rng(seed)
+        for n, k, s in AUDIT_SHAPES:
+            env, F = _audit_instance([rng.random((k, s)).tolist() for _ in range(n)])
+            for eps in (0.1, 0.5, 1.0, 700.0):
+                mech = dm.exponential_mechanism(F, env, eps)
+                for m in (mech, lambda t: mech(t)):
+                    reports.append(_audit(dm.audit_dp, m, env, eps))
+                    reports.append(_audit(dm.near_indifference_bound_check, m, env, eps))
+                if n > 2 * math.e / (eps * s):
+                    reports.append(repr(dm.accuracy_bound_check(F, env, eps)))
+    digest = hashlib.md5("\n".join(reports).encode()).hexdigest()
+    assert digest == AUDIT_REPORTS_MD5

@@ -187,3 +187,17 @@ def test_optimal_announced_price_ties_upward():
     b = (high,) + tuple(low for _ in range(7))
     assert dm.optimal_announced_price(inst, b) == Fraction(1)
     assert dm.optimal_announced_price(inst, tuple(low for _ in range(8))) == Fraction(1, 8)
+
+
+def test_oversized_price_grid_refused_before_listing():
+    def untouchable(X):
+        raise AssertionError("valuation read before the size checks")
+
+    # m + 1 prices over the support cap
+    with pytest.raises(dm.ResolutionBudgetExceeded, match="grid support 131073 exceeds"):
+        dm.build_pricing_env(1, 1, 2**17, [(0, 1)], untouchable)
+    # 2^17 prices fit, but 9 signal cells x 2^17 prices exceed the score table cap
+    with pytest.raises(dm.ResolutionBudgetExceeded,
+                       match="score table 9x131072 exceeds cap 1048576"):
+        dm.build_pricing_env(1, 2, 2**17 - 1, [(0, 1, 2)] * 2, untouchable)
+
