@@ -79,15 +79,51 @@ def exponential_mechanism(
     return mech
 
 
-def _probabilities(mech: Mechanism, env: Environment) -> list | None:
-    """Every vector's selection probabilities, in ``vectors`` and alternative
-    order, when ``mech`` is an ``exponential_mechanism`` on ``env``: the
-    values ``mech(t)`` holds, from ``env.scores`` without building a
-    distribution.  None for any other mechanism or environment."""
+def probability_table(F: ObjectiveFunction, env: Environment, rate: float):
+    """Every vector's exponential-mechanism probabilities at ``rate``, as one
+    float (vectors x alternatives) array in ``vectors`` and alternative order.
+
+    Bit for bit what ``_softmax`` gives on each row of ``env.scores(F)``:
+    ``rate * f`` less the row's max, libm's ``math.exp`` of each entry, then
+    each weight divided by its row's sum, added left to right.  Built on
+    first use and held on the environment, one table per objective, replaced
+    when the rate changes; every audit at that rate reads the same array.
+    """
+    memo = env.__dict__.setdefault("_probability_tables", {})
+    held = memo.get(F)
+    if held is not None and held[0] == rate:
+        return held[1]
+    import numpy as np
+
+    x = np.array(env.scores(F), float) * float(rate)
+    x -= x.max(axis=1, keepdims=True)
+    weights = np.fromiter(map(math.exp, x.ravel().tolist()), float,
+                          x.size).reshape(x.shape)
+    weights /= _left_sums(weights)[:, None]
+    weights.flags.writeable = False  # shared by every audit at this rate
+    memo[F] = (rate, weights)
+    return weights
+
+
+def _left_sums(a):
+    """Sums over the last axis of ``a``, its entries added left to right from
+    0 as ``left_sum`` adds them, one column at a time."""
+    import numpy as np
+
+    total = np.zeros(a.shape[:-1])
+    for k in range(a.shape[-1]):
+        total += a[..., k]
+    return total
+
+
+def _probabilities(mech: Mechanism, env: Environment):
+    """``probability_table`` of an ``exponential_mechanism`` on ``env``: the
+    values ``mech(t)`` holds, without building a distribution.  None for any
+    other mechanism or environment."""
     F, on, rate = getattr(mech, "exp_mech", (None, None, None))
     if on is not env:
         return None
-    return [_softmax([float(f) for f in row], rate) for row in env.scores(F)]
+    return probability_table(F, env, rate)
 
 
 def audit_dp(
@@ -108,16 +144,19 @@ def audit_dp(
 
     check_budget(env.num_deviations() // 2 * len(env.alternatives), budget)
 
-    marginals = _probabilities(mech, env)
-    if marginals is None:
+    prob = _probabilities(mech, env)
+    if prob is None:
         marginals = []
         for t in env.vectors:
             marg = mech(t).marginal_alternatives()
             marginals.append([float(marg.get(s, 0)) for s in env.alternatives])
+        prob = np.array(marginals)
     # math.log, not np.log, so that every loss is the libm value; a zero
-    # reads 0.0, so a pair zero on both sides loses 0 (one-sided zeros raise)
-    logs = np.array([[math.log(x) if x else 0.0 for x in row] for row in marginals])
-    zero = np.array(marginals) == 0.0
+    # reads as 1.0, log 0.0, so a pair zero on both sides loses 0 (one-sided
+    # zeros raise)
+    zero = prob == 0.0
+    logs = np.fromiter(map(math.log, np.where(zero, 1.0, prob).ravel().tolist()),
+                       float, prob.size).reshape(prob.shape)
     agents, ka, kb = env.pair_index()
 
     def at(flat, shape: tuple) -> tuple:
@@ -161,15 +200,15 @@ def near_indifference_bound_check(
     ``PayoffTable.unilateral()`` walks.  For an ``exponential_mechanism`` on
     ``env`` the same sums are added up at once, over dense (vectors x
     alternatives) float arrays: one probability column per alternative,
-    from ``env.scores``, against the ``PayoffTable`` payoffs.  The witness
-    is the first largest swing in ``PayoffTable.unilateral()`` order.
+    from ``probability_table``, against the ``PayoffTable`` payoffs.  The
+    witness is the first largest swing in ``PayoffTable.unilateral()`` order.
     """
     table = payoff_table(
         mech, env, "near_indifference", max(env.num_deviations(), 1), budget
     )
-    rows = _probabilities(mech, env)
+    prob = _probabilities(mech, env)
     worst, witness = 0.0, None
-    if rows is None:
+    if prob is None:
         for kt, i, b_i, base, dev in table.unilateral():
             swing = abs(float(base - dev))
             if swing > worst:
@@ -180,7 +219,6 @@ def near_indifference_bound_check(
 
         # each sum adds the alternatives' terms left to right, as
         # PayoffTable.eu does; a probability that underflowed adds an exact 0
-        prob = np.array(rows)
         N, width = prob.shape
         kt = np.arange(N)
         # per agent: expected utilities by (true vector, announced type
@@ -194,9 +232,7 @@ def near_indifference_bound_check(
                                for k in keys.tolist()])[np.searchsorted(keys, own)]
             t_i = kt // stride % m
             kb = kt[:, None] + (np.arange(m) - t_i[:, None]) * stride
-            eu = np.zeros((N, m))
-            for a in range(width):
-                eu += prob[kb, a] * payoff[:, a, None]
+            eu = _left_sums(prob[kb] * payoff[:, None, :])
             columns.append((eu, t_i))
         swing = np.abs(np.concatenate(
             [eu[kt, t_i][:, None] - eu for eu, t_i in columns], axis=1
@@ -228,7 +264,8 @@ def accuracy_bound_check(
 
     Requires the population condition n > 2*e*d/(eps*|S|).  F is read from
     ``env.scores``, evaluated once per (vector, alternative) for as long as
-    the environment lives; the witness is the first vector of least slack.
+    the environment lives, and E[F] adds each row of ``probability_table``
+    times F left to right; the witness is the first vector of least slack.
     """
     import numpy as np
 
@@ -241,16 +278,14 @@ def accuracy_bound_check(
     check_budget(env.num_type_vectors() * s_count, budget)
 
     bound = (4 * d / (n * eps)) * math.log(n * eps * s_count / (2 * d))
-    rate = exp_mech_rate(n, eps, d)
-    scores = [[float(f) for f in row] for row in env.scores(F)]
-    expected = np.array([
-        left_sum(p * f for p, f in zip(_softmax(row, rate), row)) for row in scores
-    ])
-    slack = expected - (np.max(scores, axis=1) - bound)
+    scores = np.array(env.scores(F), float)
+    expected = _left_sums(probability_table(F, env, exp_mech_rate(n, eps, d)) * scores)
+    best = scores.max(axis=1)
+    slack = expected - (best - bound)
     k = int(np.argmin(slack))
     return VerificationReport(
         property="accuracy_bound",
         passed=not (slack < -BOUND_TOL).any(),
         margin=float(slack[k]),
-        witness=(env.vectors[k], float(expected[k]), max(scores[k])),
+        witness=(env.vectors[k], float(expected[k]), float(best[k])),
     )

@@ -10,6 +10,7 @@ all-announce-low profile is a bad Nash equilibrium.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -92,9 +93,13 @@ def _revenue_objective(signal_spaces, table, prices, N, scale=1) -> HistogramObj
 
     B[X, p] counts the members of a cohort with signal vector X who value
     the good strictly above p; F(t, p) = scale * p * (c @ B[:, p]) / n.
+    Each cell's valuations are sorted once, and the members at or below p
+    found by bisection.
     """
-    B = [[_buyer_count(table[X], p) for p in prices]
-         for X in itertools.product(*signal_spaces)]
+    B = []
+    for X in itertools.product(*signal_spaces):
+        vals = sorted(table[X])
+        B.append([len(vals) - bisect.bisect_right(vals, p) for p in prices])
     return HistogramObjective(
         signal_spaces, prices, B, offset=0, weights=[scale * p for p in prices],
         denom=N * len(signal_spaces), units=N,

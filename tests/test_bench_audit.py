@@ -1,0 +1,31 @@
+"""The audit-dp benchmark's correctness check passes at its toy scale.
+
+``perfbench/audit.py`` recomputes every DP loss, near-indifference margin
+and accuracy margin in numpy, a second implementation the library's audits
+are compared against; this runs that comparison in the test suite, so a
+change to the audits that breaks it fails here and not only in a benchmark
+run.  The module is loaded from its file and left as it is.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+AUDIT = Path(__file__).resolve().parents[1] / "perfbench" / "audit.py"
+
+
+def _audit():
+    spec = importlib.util.spec_from_file_location("perfbench_audit", AUDIT)
+    audit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(audit)
+    return audit
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_benchmark_audit_check_passes_at_toy_scale(seed):
+    audit = _audit()
+    tables = audit.make_tables(seed, "toy")
+    records = audit.run_checks([audit.build(t) for t in tables])
+    assert len(records) == len(tables) * len(audit.EPS_GRID)
+    assert audit.check(tables, records) == []

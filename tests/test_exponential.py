@@ -331,3 +331,54 @@ def test_audit_reports_pinned():
                     reports.append(repr(dm.accuracy_bound_check(F, env, eps)))
     digest = hashlib.md5("\n".join(reports).encode()).hexdigest()
     assert digest == AUDIT_REPORTS_MD5
+
+
+@pytest.mark.parametrize("eps", [0.1, 1.0, 700.0])
+def test_probability_table_rows_equal_the_distribution_path(eps):
+    # the audits' shared table is bit for bit what the mechanism draws from,
+    # including the probabilities that underflow to 0 at eps 700; the last
+    # shape's rows are wider than numpy's pairwise sums add one by one
+    rng = np.random.default_rng(3)
+    underflows = 0
+    for n, k, s in AUDIT_SHAPES + [(2, 3, 40)]:
+        env, F = _audit_instance([rng.random((k, s)).tolist() for _ in range(n)])
+        mech = dm.exponential_mechanism(F, env, eps)
+        _, _, rate = mech.exp_mech
+        table = dm.exponential.probability_table(F, env, rate)
+        assert table.shape == (env.num_type_vectors(), s)
+        for row, t in zip(table.tolist(), env.vectors):
+            assert row == list(dm.exp_mech_distribution(F, env.alternatives, t, rate).probs)
+        underflows += int((table == 0.0).sum())
+    assert (underflows > 0) == (eps == 700.0)
+
+
+def test_one_probability_table_per_objective_and_one_exp_per_entry(monkeypatch):
+    env, F = _audit_instance(np.random.default_rng(4).random((4, 3, 5)).tolist())
+    G = dm.ObjectiveFunction(eval=lambda t, s: F.eval(t, s) / 2, sensitivity_d=1)
+    for eps in np.linspace(0.1, 2.0, 20).tolist():
+        for obj in (F, G):
+            mech = dm.exponential_mechanism(obj, env, eps)
+            dm.audit_dp(mech, env, eps)
+        # the memo on the environment: the latest rate's table per objective
+        held = env.__dict__["_probability_tables"]
+        assert set(held) == {F, G}
+        assert held[G][0] == mech.exp_mech[2]
+
+    calls = Counter()
+    exp = math.exp
+
+    def counted_exp(x):
+        calls["exp"] += 1
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", counted_exp)
+    env, F = _audit_instance(np.random.default_rng(5).random((4, 3, 5)).tolist())
+    eps = 0.5
+    for _ in range(2):
+        mech = dm.exponential_mechanism(F, env, eps)
+        dm.audit_dp(mech, env, eps)
+        dm.near_indifference_bound_check(mech, env, eps)
+        dm.accuracy_bound_check(F, env, eps)
+    # one exp per (vector, alternative), plus the bound e^eps - 1 of each
+    # near-indifference check
+    assert calls["exp"] == env.num_type_vectors() * len(env.alternatives) + 2

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import mpmath
@@ -5,7 +6,7 @@ import pytest
 
 import dpmech as dm
 from dpmech.pricing import BUY, NOT_BUY
-from tests.conftest import cohort_pricing_instance
+from tests.conftest import cohort_pricing_instance, two_signal_pricing_instance
 
 
 def test_build_checks_monotone_and_fineness():
@@ -201,3 +202,37 @@ def test_oversized_price_grid_refused_before_listing():
                        match="score table 9x131072 exceeds cap 1048576"):
         dm.build_pricing_env(1, 2, 2**17 - 1, [(0, 1, 2)] * 2, untouchable)
 
+
+def _naive_buyers(inst):
+    """B by its definition: per cell, the members valuing the good strictly
+    above each price, from the valuation table the instance's utility reads."""
+    table = inst.utility.args[0]
+    return [[sum(1 for v in table[X] if v > p) for p in inst.objective.alternatives]
+            for X in inst.objective.cells]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cohort_pricing_instance(D=1),
+    lambda: cohort_pricing_instance(D=2),
+    lambda: cohort_pricing_instance(D=5),
+    # every valuation is a grid price, so each one ties at its own price
+    two_signal_pricing_instance,
+    # a value equal to a price (1/4) does not buy at it
+    lambda: dm.build_pricing_env(
+        1, 1, 8, [(0, 1)],
+        lambda X: (Fraction(1, 4),) if X[0] == 0 else (Fraction(19, 20),),
+    ),
+])
+def test_buyer_table_matches_naive_count(build):
+    inst = build()
+    B = [list(row) for row in zip(*inst.objective._columns)]
+    assert B == _naive_buyers(inst)
+
+
+def test_large_cohort_builds_in_time():
+    # 20 000 members and 401 prices: counting each price's buyers member by
+    # member took seconds; bisecting sorted valuations takes milliseconds
+    start = time.perf_counter()
+    inst = cohort_pricing_instance(N=1, D=20_000, m=400)
+    assert time.perf_counter() - start < 2
+    assert [row[200] for row in zip(*inst.objective._columns)] == [0, 20_000]
