@@ -310,18 +310,17 @@ def run_verify(config: dict) -> tuple[dict, dict]:
         mech = build_combined(env, F, P, gap.gamma, eps, q)
     else:
         mech = commitment_mechanism(P, env)
-    # every expected utility ex-post Nash needs, strict dominance needs too;
-    # the implementation gap reads the truthful distributions
-    table = PayoffTable(mech, env)
+    # in the table env holds, every expected utility ex-post Nash needs strict
+    # dominance needs too; the implementation gap reads the distributions
     reports["expost_nash"] = check_expost_nash_truthful(
-        mech, env, budget=budget, table=table
+        mech, env, budget=budget
     )
     if gap.gamma > 0:
         if env.values_kind != "interdependent":
             reports["strictly_dominant"] = check_strictly_dominant_truthful(
-                mech, env, budget=budget, table=table
+                mech, env, budget=budget
             )
-        beta_measured, _ = implementation_gap(mech, env, F, budget=budget, table=table)
+        beta_measured, _ = implementation_gap(mech, env, F, budget=budget)
         n0 = compute_n0(P.p_tilde, gap.gamma, F.sensitivity_d, len(env.alternatives))
         fields.update(eps=eps, q=q, n0=n0, beta_measured=beta_measured)
     else:
@@ -332,7 +331,7 @@ def run_verify(config: dict) -> tuple[dict, dict]:
             name: repr(getattr(rep, "witness", None))
             for name, rep in reports.items()
         },
-        payoff_table={**table.stats(), "budget": budget},
+        payoff_table={**PayoffTable.of(mech, env).stats(), "budget": budget},
     )
 
 
@@ -385,10 +384,9 @@ def run_example1(config: dict) -> tuple[dict, dict]:
     eps = 0.1
     mech = exponential_mechanism(F, env, eps)
     low = env.type_spaces[0][0]
-    table = PayoffTable(mech, env)
-    nash = check_expost_nash_truthful(mech, env, budget=budget, table=table)
+    nash = check_expost_nash_truthful(mech, env, budget=budget)
     dominating = find_dominating_strategy(
-        mech, env, 0, dict(truthful_profile(env)[0]), budget=budget, table=table
+        mech, env, 0, dict(truthful_profile(env)[0]), budget=budget
     )
     is_const_low = dominating == constant_map(env, 0, low)
     reports = {

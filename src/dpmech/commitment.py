@@ -24,7 +24,7 @@ from .environment import (
 )
 from .errors import NotNonTrivial
 from .outcomes import SUM_TOL, Outcome, OutcomeDistribution
-from .payoffs import Mechanism, PayoffTable
+from .payoffs import Mechanism
 from .verify import (
     VerificationReport,
     check_expost_nash_truthful,
@@ -143,12 +143,11 @@ def verify_corollary1(
     if not gap.gamma > 0:
         raise NotNonTrivial(gap.argmin_witness)
     mech = commitment_mechanism(P, env)
-    table = PayoffTable(mech, env)
     reports = {
-        "expost_nash": check_expost_nash_truthful(mech, env, budget=budget, table=table)
+        "expost_nash": check_expost_nash_truthful(mech, env, budget=budget)
     }
     if env.values_kind in (PRIVATE_REACTIONS, PRIVATE_VALUES):
         reports["strictly_dominant"] = check_strictly_dominant_truthful(
-            mech, env, budget=budget, table=table
+            mech, env, budget=budget
         )
     return reports

@@ -170,8 +170,9 @@ class Environment:
                 for a, b in steps:
                     yield i, k + a, k + b
 
+    @cached_property
     def pair_index(self) -> tuple:
-        """``pairs()`` as three int64 arrays (agents, ka, kb)."""
+        """``pairs()`` as three read-only int64 arrays (agents, ka, kb)."""
         import numpy as np
 
         agents, ka, kb = [], [], []
@@ -182,7 +183,10 @@ class Environment:
             ka.append((base + a).ravel())
             kb.append((base + b).ravel())
             agents.append(np.full(ka[-1].size, i, np.int64))
-        return np.concatenate(agents), np.concatenate(ka), np.concatenate(kb)
+        index = np.concatenate(agents), np.concatenate(ka), np.concatenate(kb)
+        for column in index:
+            column.flags.writeable = False  # shared by every audit
+        return index
 
     def scores(self, F) -> list:
         """The exact F.eval(t, s) of every vector t, in ``vectors`` order, as
@@ -204,6 +208,22 @@ class Environment:
         if self.values_kind == PRIVATE_VALUES:
             return k // self.strides[i] % self.sizes[i] * self.strides[i]
         return k
+
+    def payoff(self, i: int, k: int, a: int, imposed: int | None = None) -> tuple:
+        """Agent i's utility at true vector k and alternative a, as (exact,
+        float), under the reaction index ``imposed`` or, when None, its
+        optimal reaction; kept by ``own(i, k)`` as long as the environment."""
+        k = self.own(i, k)
+        key = (i, k, a, imposed)
+        memo = self.__dict__.setdefault("_payoffs", {})
+        hit = memo.get(key)
+        if hit is None:
+            t, s = self.vector(k), self.alternatives[a]
+            r = (optimal_reaction(self, i, t, s) if imposed is None
+                 else self.reaction_spaces[i][imposed])
+            u = self.utility(i, t, s, r)
+            hit = memo[key] = (u, float(u))
+        return hit
 
     def opponents(self, k: int, i: int) -> tuple:
         """The types of every agent but i in vector k."""

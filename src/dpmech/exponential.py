@@ -157,7 +157,7 @@ def audit_dp(
     zero = prob == 0.0
     logs = np.fromiter(map(math.log, np.where(zero, 1.0, prob).ravel().tolist()),
                        float, prob.size).reshape(prob.shape)
-    agents, ka, kb = env.pair_index()
+    agents, ka, kb = env.pair_index
 
     def at(flat, shape: tuple) -> tuple:
         p, a = divmod(int(flat), shape[1])
@@ -200,15 +200,15 @@ def near_indifference_bound_check(
     ``PayoffTable.unilateral()`` walks.  For an ``exponential_mechanism`` on
     ``env`` the same sums are added up at once, over dense (vectors x
     alternatives) float arrays: one probability column per alternative,
-    from ``probability_table``, against the ``PayoffTable`` payoffs.  The
-    witness is the first largest swing in ``PayoffTable.unilateral()`` order.
+    from ``probability_table``, against ``env.payoff``.  The witness is
+    the first largest swing in ``PayoffTable.unilateral()`` order.
     """
-    table = payoff_table(
-        mech, env, "near_indifference", max(env.num_deviations(), 1), budget
-    )
+    needed = max(env.num_deviations(), 1)
+    check_budget(needed, budget)
     prob = _probabilities(mech, env)
     worst, witness = 0.0, None
     if prob is None:
+        table = payoff_table(mech, env, "near_indifference", needed, budget)
         for kt, i, b_i, base, dev in table.unilateral():
             swing = abs(float(base - dev))
             if swing > worst:
@@ -228,7 +228,7 @@ def near_indifference_bound_check(
             # payoffs at the vectors that are their own key, read by key
             own = env.own(i, kt)
             keys = kt[own == kt]
-            payoff = np.array([[table.payoff(i, k, a)[1] for a in range(width)]
+            payoff = np.array([[env.payoff(i, k, a)[1] for a in range(width)]
                                for k in keys.tolist()])[np.searchsorted(keys, own)]
             t_i = kt // stride % m
             kb = kt[:, None] + (np.arange(m) - t_i[:, None]) * stride

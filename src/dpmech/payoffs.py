@@ -6,32 +6,29 @@ table memoizes
 
 - each announcement's outcome distribution, as (probability, alternative
   index, per-agent imposed reaction indices) entries;
-- each payoff at a (true vector, alternative, imposed reaction), with the
-  agent's optimal reaction when none is imposed;
 - each expected utility (announcement, agent, true vector);
 
-so no type tuple is hashed and no payoff is evaluated twice.  Under
-private values an agent's payoffs and expected utilities depend on the
-true vector only through its own type, so the table keys them by the
-agent's own type index alone (every opponent at index 0); under the other
-kinds, whose utilities may read opponents' types, by the full true vector.
-Everything a table holds is bounded by the enumeration of the checks it
-serves; build one per check, or one per run of checks on the same
-mechanism.
+over the payoffs ``Environment.payoff`` holds for every mechanism, so no
+type tuple is hashed and no payoff is evaluated twice.  Under private
+values both are keyed by the agent's own type index alone (every opponent
+at index 0); under the other kinds, whose utilities may read opponents'
+types, by the full true vector.  The environment holds the table of the
+last mechanism a check read (:meth:`PayoffTable.of`), so its checks share
+it and what it holds is bounded by the enumeration of the checks it serves.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .environment import Environment, check_budget, optimal_reaction
+from .environment import Environment, check_budget
 from .outcomes import OutcomeDistribution, left_sum
 
 Mechanism = Callable[[tuple], OutcomeDistribution]
 
 
 class PayoffTable:
-    """Index-keyed payoffs of one mechanism on one environment.
+    """Index-keyed distributions and expected utilities of one mechanism.
 
     Expected utilities are exact sums in the distribution's support order:
     a float probability multiplies the payoff's float value (what ``p * u``
@@ -48,11 +45,19 @@ class PayoffTable:
             {r: j for j, r in enumerate(rs)} for rs in env.reaction_spaces
         ]
         self._dists: dict = {}
-        self._payoffs: dict = {}
         self._eus: dict = {}
         self.eu_lookups = 0
         # evaluations each check enumerated, by check name
         self.enumerated: dict = {}
+
+    @classmethod
+    def of(cls, mech: Mechanism, env: Environment) -> PayoffTable:
+        """The table ``env`` holds, when it belongs to ``mech``; otherwise a
+        new table for ``mech``, which replaces the held one."""
+        table = env.__dict__.get("_payoff_table")
+        if table is None or table.mech is not mech:
+            table = env.__dict__["_payoff_table"] = cls(mech, env)
+        return table
 
     def dist(self, k: int) -> list:
         """The mechanism's nonzero-probability outcomes at vector k, as
@@ -73,22 +78,6 @@ class PayoffTable:
             ]
         return d
 
-    def payoff(self, i: int, k: int, a: int, imposed: int | None = None) -> tuple:
-        """Agent i's utility at true vector k and alternative a, as (exact,
-        float), under the reaction index ``imposed`` or, when None, its
-        optimal reaction."""
-        env = self.env
-        k = env.own(i, k)
-        key = (i, k, a, imposed)
-        hit = self._payoffs.get(key)
-        if hit is None:
-            t, s = env.vector(k), env.alternatives[a]
-            r = (optimal_reaction(env, i, t, s) if imposed is None
-                 else env.reaction_spaces[i][imposed])
-            u = env.utility(i, t, s, r)
-            hit = self._payoffs[key] = (u, float(u))
-        return hit
-
     def eu(self, kb: int, i: int, kt: int):
         """Agent i's exact expected utility with true vector kt when vector
         kb is announced."""
@@ -98,7 +87,7 @@ class PayoffTable:
         v = self._eus.get(key)
         if v is None:
             v = self._eus[key] = left_sum(
-                p * self.payoff(i, kt, a, None if r is None else r[i])[is_float]
+                p * self.env.payoff(i, kt, a, None if r is None else r[i])[is_float]
                 for p, is_float, a, r in self.dist(kb)
             )
         return v
@@ -115,11 +104,11 @@ class PayoffTable:
                         yield kt, i, b_i, base, self.eu(kt + (b_i - t_i) * stride, i, kt)
 
     def stats(self) -> dict:
-        """Work counters: distributions built, payoffs evaluated, expected
-        utilities looked up and found, and each check's enumeration size."""
+        """Work counters: distributions built, the environment's payoffs,
+        expected utilities looked up and found, each check's enumeration."""
         return {
             "distributions_built": len(self._dists),
-            "utility_evaluations": len(self._payoffs),
+            "utility_evaluations": len(self.env.__dict__.get("_payoffs", ())),
             "eu_lookups": self.eu_lookups,
             "eu_hits": self.eu_lookups - len(self._eus),
             "enumerated": dict(self.enumerated),
@@ -132,18 +121,14 @@ def payoff_table(
     check: str,
     needed: int,
     budget: int,
-    table: PayoffTable | None = None,
 ) -> PayoffTable:
-    """The table for a check that enumerates ``needed`` evaluations.
+    """The table ``env`` holds for a check of ``mech`` that enumerates
+    ``needed`` evaluations.
 
     Raises EnumerationBudgetExceeded before building anything when
-    ``needed`` exceeds ``budget``; returns ``table`` (which must belong to
-    ``mech`` and ``env``) or, when None, a fresh table.
+    ``needed`` exceeds ``budget``.
     """
     check_budget(needed, budget)
-    if table is None:
-        table = PayoffTable(mech, env)
-    elif table.mech is not mech or table.env is not env:
-        raise ValueError("payoff table belongs to another mechanism or environment")
+    table = PayoffTable.of(mech, env)
     table.enumerated[check] = needed
     return table

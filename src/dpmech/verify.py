@@ -29,7 +29,7 @@ from .environment import (
 )
 from .errors import WrongValuesKind
 from .outcomes import left_sum
-from .payoffs import Mechanism, PayoffTable, payoff_table
+from .payoffs import Mechanism, payoff_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -89,17 +89,15 @@ def check_expost_nash_truthful(
     mech: Mechanism,
     env: Environment,
     budget: int = DEFAULT_BUDGET,
-    *,
-    table: PayoffTable | None = None,
 ) -> VerificationReport:
     """Truth is a best response to truthful opponents at every type vector.
 
     Margin is the minimum slack over all (t, i, b_i); a failing report
-    carries the witness (i, t, b_i, truthful EU, deviation EU).  ``table``
-    shares payoffs with other checks of the same mechanism.
+    carries the witness (i, t, b_i, truthful EU, deviation EU), reading
+    the table ``env`` holds for ``mech`` (``PayoffTable.of``).
     """
     table = payoff_table(
-        mech, env, EXPOST_NASH, max(env.num_deviations(), 1), budget, table
+        mech, env, EXPOST_NASH, max(env.num_deviations(), 1), budget
     )
     margin = math.inf
     witness = None
@@ -118,8 +116,6 @@ def check_strictly_dominant_truthful(
     mech: Mechanism,
     env: Environment,
     budget: int = DEFAULT_BUDGET,
-    *,
-    table: PayoffTable | None = None,
 ) -> VerificationReport:
     """Truth strictly beats every misreport against every opponent announcement.
 
@@ -129,7 +125,8 @@ def check_strictly_dominant_truthful(
     through t_i (the table keys them so), and only the first true vector
     with each (i, t_i) is visited: the budget counts the
     ``env.num_deviations()`` slacks evaluated, where the full loop of the
-    other kinds counts N * sum_i (|T_i| - 1) * |T_-i|.
+    other kinds counts N * sum_i (|T_i| - 1) * |T_-i|.  Reads the table
+    ``env`` holds for ``mech``.
     """
     if env.values_kind not in (PRIVATE_REACTIONS, PRIVATE_VALUES):
         raise WrongValuesKind(env.values_kind)
@@ -138,7 +135,7 @@ def check_strictly_dominant_truthful(
         needed = env.num_deviations()
     else:
         needed = N * sum((len(ts) - 1) * (N // len(ts)) for ts in env.type_spaces)
-    table = payoff_table(mech, env, STRICTLY_DOMINANT, max(needed, 1), budget, table)
+    table = payoff_table(mech, env, STRICTLY_DOMINANT, max(needed, 1), budget)
     margin = math.inf
     witness = None
     passed = True
@@ -169,21 +166,19 @@ def find_dominating_strategy(
     i: int,
     W_i: dict,
     budget: int = DEFAULT_BUDGET,
-    *,
-    table: PayoffTable | None = None,
 ) -> Optional[dict]:
     """First announcement map (canonical order) that dominates W_i, if any.
 
     A candidate dominates when it is weakly better against every opponent
     announcement vector and every true type vector, and strictly better
-    somewhere (slack above ``ABS_TOL``).
+    somewhere (slack above ``ABS_TOL``).  Reads the table ``env`` holds.
     """
     types_i = env.type_spaces[i]
     map_count = len(types_i) ** len(types_i)
     opp = math.prod(len(env.type_spaces[j]) for j in env.agents if j != i)
     table = payoff_table(
         mech, env, "dominating_strategy", map_count * env.num_type_vectors() * opp,
-        budget, table,
+        budget,
     )
     index = {t: j for j, t in enumerate(types_i)}
     old = tuple(index[W_i[t]] for t in types_i)
@@ -214,19 +209,16 @@ def implementation_gap(
     env: Environment,
     F: ObjectiveFunction,
     budget: int = DEFAULT_BUDGET,
-    *,
-    table: PayoffTable | None = None,
 ):
     """Worst shortfall of E[F] under truthful play from the pointwise optimum.
 
     Enumerates the full type space, reading each truthful announcement's
-    outcome distribution from ``table`` (shared with other checks of the
-    same mechanism) and F from ``env.scores``.  Returns (beta_measured,
-    worst type vector).
+    outcome distribution from the table ``env`` holds for ``mech`` and F
+    from ``env.scores``.  Returns (beta_measured, worst type vector).
     """
     table = payoff_table(
         mech, env, "implementation_gap", env.num_type_vectors() * len(env.alternatives),
-        budget, table,
+        budget,
     )
     worst = -math.inf
     worst_t = None

@@ -29,3 +29,47 @@ def test_benchmark_audit_check_passes_at_toy_scale(seed):
     records = audit.run_checks([audit.build(t) for t in tables])
     assert len(records) == len(tables) * len(audit.EPS_GRID)
     assert audit.check(tables, records) == []
+
+
+def test_audit_dp_shaped_payoffs_and_pairs_built_once_per_environment(monkeypatch):
+    """Across eps 0.1, 0.5 and 1.0, ``audit_dp`` and the near-indifference
+    check evaluate each (agent, own type, alternative) utility once and build
+    each environment's pair index once: they are held by the environment."""
+    import dataclasses
+    import functools
+    from collections import Counter
+
+    import dpmech as dm
+
+    audit = _audit()
+    calls = Counter()
+    build = dm.Environment.pair_index.func
+
+    def counted_pairs(env):
+        calls["pair_index", id(env)] += 1
+        return build(env)
+
+    pair_index = functools.cached_property(counted_pairs)
+    pair_index.__set_name__(dm.Environment, "pair_index")
+    monkeypatch.setattr(dm.Environment, "pair_index", pair_index)
+
+    def counted(utility):
+        def wrapped(*args):
+            calls["utility"] += 1
+            return utility(*args)
+        return wrapped
+
+    instances = []
+    for tables in audit.make_tables(7, "full"):
+        env, F = audit.build(tables)
+        instances.append((dataclasses.replace(env, utility=counted(env.utility)), F))
+    for env, F in instances:
+        for eps in audit.EPS_GRID:
+            mech = dm.exponential_mechanism(F, env, eps)
+            dm.audit_dp(mech, env, eps)
+            dm.near_indifference_bound_check(mech, env, eps)
+    assert len(instances) == 16
+    assert calls.pop("utility") == sum(
+        env.n * len(env.type_spaces[0]) * len(env.alternatives) for env, _ in instances
+    ) == 920
+    assert sorted(calls.values()) == [1] * 16

@@ -435,7 +435,7 @@ def test_example3_reads_vectors_without_listing_them(monkeypatch):
     # run_config raises AssertionFailed if a property fails
     rows, _ = cli.run_config({"experiment": "example3", "seed": 0, "example": {"n": 19}})
     assert rows[0]["n"] == 19
-    assert len(tables) == 1 and "vectors" not in tables[0].__dict__
+    assert len(tables) == 1 and "vectors" not in tables[0].env.__dict__
 
 
 def test_stdout_when_no_out(tmp_path, capsys):

@@ -329,7 +329,7 @@ def test_pairs_walk_equals_pair_index():
     for sizes in shapes:
         env = _sized_env(sizes)
         walk = list(env.pairs())
-        assert walk == list(zip(*(column.tolist() for column in env.pair_index())))
+        assert walk == list(zip(*(column.tolist() for column in env.pair_index)))
         assert len(walk) == env.num_deviations() // 2
         assert [(i, env.vector(ka), env.vector(kb)) for i, ka, kb in walk] == [
             (i, t, t_hat) for i, t, t_hat, _, _ in _naive_pairs(env)

@@ -284,8 +284,7 @@ def _assert_matches_naive(mech, env, eps=None):
     """The table-backed checkers reproduce the naive reference exactly:
     same margins, and witnesses with the same values and number types."""
     slack_min, witness, swing, swing_witness = _naive_expost(mech, env)
-    table = dm.PayoffTable(mech, env)
-    rep = dm.check_expost_nash_truthful(mech, env, table=table)
+    rep = dm.check_expost_nash_truthful(mech, env)
     assert rep.margin == float(slack_min)
     assert repr(rep.witness) == repr(witness)
     if eps is not None:
@@ -294,11 +293,13 @@ def _assert_matches_naive(mech, env, eps=None):
         assert repr(ni.witness) == repr(swing_witness)
     if env.values_kind != dm.INTERDEPENDENT:
         strict_min, strict_witness = _naive_strict(mech, env)
-        rep = dm.check_strictly_dominant_truthful(mech, env, table=table)
+        rep = dm.check_strictly_dominant_truthful(mech, env)
         assert rep.margin == float(strict_min)
         assert repr(rep.witness) == repr(strict_witness)
-        # the truthful-opponent expected utilities were looked up again
-        assert table.stats()["eu_hits"] >= env.num_type_vectors() * env.n
+        # the truthful-opponent expected utilities were looked up again in
+        # the table the environment holds
+        stats = dm.PayoffTable.of(mech, env).stats()
+        assert stats["eu_hits"] >= env.num_type_vectors() * env.n
     return slack_min
 
 
@@ -421,9 +422,11 @@ def test_dominating_strategy_through_shared_table():
     mech = dm.exponential_mechanism(inst.F, env, 0.1)
     low, high = env.type_spaces[0]
     W = dm.truthful_profile(env)
-    table = dm.PayoffTable(mech, env)
-    found = dm.find_dominating_strategy(mech, env, 0, dict(W[0]), table=table)
+    dm.check_expost_nash_truthful(mech, env)
+    found = dm.find_dominating_strategy(mech, env, 0, dict(W[0]))
     assert found == dm.constant_map(env, 0, low)
+    assert set(dm.PayoffTable.of(mech, env).enumerated) == {
+        "expost_nash", "dominating_strategy"}
     # against truthful opponents, the constant low map beats truth weakly
     # everywhere and strictly somewhere
     diffs = [
@@ -432,15 +435,6 @@ def test_dominating_strategy_through_shared_table():
         for t in env.type_vectors()
     ]
     assert min(diffs) >= -dm.ABS_TOL and max(diffs) > dm.ABS_TOL
-
-
-def test_table_rejects_another_mechanism():
-    inst = dm.build_grid_env(2, 2, 1)
-    mech = dm.exponential_mechanism(inst.F, inst.env, 0.5)
-    other = dm.exponential_mechanism(inst.F, inst.env, 0.5)
-    table = dm.PayoffTable(other, inst.env)
-    with pytest.raises(ValueError):
-        dm.check_expost_nash_truthful(mech, inst.env, table=table)
 
 
 def test_budget_checks_report_needed_and_budget():
@@ -479,8 +473,83 @@ def test_shared_table_checks_budget_before_listing_vectors():
     # 3^40 type vectors: listing them would never finish
     inst = dm.build_grid_env(40, 2, 1)
     mech = dm.commitment_mechanism(dm.uniform_histogram_commitment(inst), inst.env)
-    table = dm.PayoffTable(mech, inst.env)
+    table = dm.PayoffTable.of(mech, inst.env)
     with pytest.raises(dm.EnumerationBudgetExceeded):
-        dm.check_expost_nash_truthful(mech, inst.env, table=table)
+        dm.check_expost_nash_truthful(mech, inst.env)
     with pytest.raises(dm.EnumerationBudgetExceeded):
-        dm.check_strictly_dominant_truthful(mech, inst.env, table=table)
+        dm.check_strictly_dominant_truthful(mech, inst.env)
+    # the held table is still the empty one, and no vector was listed
+    assert dm.PayoffTable.of(mech, inst.env) is table
+    assert table.stats()["enumerated"] == {} and "vectors" not in inst.env.__dict__
+
+
+def _alternating_checks(inst) -> list:
+    """(name, check) pairs on inst's environment, alternating between an
+    exponential mechanism, a commitment mechanism and a saturating lottery."""
+    env, F = inst.env, inst.F
+    P = dm.uniform_histogram_commitment(inst)
+    gamma = dm.compute_gap(env).gamma
+    eps, q = dm.saturating_params(P, gamma)
+    exp = dm.exponential_mechanism(F, env, 0.5)
+    commit = dm.commitment_mechanism(P, env)
+    lottery = dm.build_combined(env, F, P, gamma, eps, q)
+    W0 = dict(dm.truthful_profile(env)[0])
+    checks = [
+        ("nash-exp", lambda: dm.check_expost_nash_truthful(exp, env)),
+        ("nash-commit", lambda: dm.check_expost_nash_truthful(commit, env)),
+        ("nash-lottery", lambda: dm.check_expost_nash_truthful(lottery, env)),
+        ("dominating-exp", lambda: dm.find_dominating_strategy(exp, env, 0, W0)),
+        ("gap-commit", lambda: dm.implementation_gap(commit, env, F)),
+        ("near-lottery", lambda: dm.near_indifference_bound_check(lottery, env, eps)),
+        ("near-exp", lambda: dm.near_indifference_bound_check(exp, env, 0.5)),
+        ("dominating-lottery",
+         lambda: dm.find_dominating_strategy(lottery, env, 0, W0)),
+        ("gap-lottery", lambda: dm.implementation_gap(lottery, env, F)),
+        ("nash-exp-again", lambda: dm.check_expost_nash_truthful(exp, env)),
+    ]
+    if env.values_kind != dm.INTERDEPENDENT:
+        checks += [
+            ("strict-commit", lambda: dm.check_strictly_dominant_truthful(commit, env)),
+            ("strict-lottery", lambda: dm.check_strictly_dominant_truthful(lottery, env)),
+            ("strict-exp", lambda: dm.check_strictly_dominant_truthful(exp, env)),
+        ]
+    return checks
+
+
+def _held_tables(env) -> list:
+    return [v for v in env.__dict__.values() if isinstance(v, dm.PayoffTable)]
+
+
+def _halved(env):
+    """env with every utility halved, through dataclasses.replace."""
+    return dataclasses.replace(
+        env, utility=lambda i, t, s, r, u=env.utility: u(i, t, s, r) / 2)
+
+
+@pytest.mark.parametrize("family", ["facility", "cohort-pricing"])
+def test_held_table_checks_match_fresh_environments(family):
+    from tests.conftest import cohort_pricing_instance
+
+    def build():
+        if family == "facility":
+            return dm.build_grid_env(2, 2, 2)
+        return cohort_pricing_instance(N=2, D=2)
+
+    inst = build()
+    for name, check in _alternating_checks(inst):
+        # the same check alone, on an environment no other check has read
+        alone = dict(_alternating_checks(build()))[name]
+        assert repr(check()) == repr(alone()), name
+        # one table, that of the last mechanism a check read it for
+        assert len(_held_tables(inst.env)) <= 1
+    assert len(_held_tables(inst.env)) == 1
+    # a replaced environment with another utility holds none of its payoffs
+    half = _halved(inst.env)
+    assert "_payoffs" not in half.__dict__ and not _held_tables(half)
+    P = dm.uniform_histogram_commitment(inst)
+    on_half, on_fresh = (
+        repr(dm.check_expost_nash_truthful(dm.commitment_mechanism(P, e), e))
+        for e in (half, _halved(build().env))
+    )
+    assert on_half == on_fresh
+    assert half.__dict__["_payoffs"] is not inst.env.__dict__["_payoffs"]
