@@ -11,8 +11,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .commitment import CommitmentDistribution, commitment_mechanism
 from .environment import Environment, ObjectiveFunction
@@ -24,8 +24,7 @@ from .payoffs import Mechanism
 N0_SCAN_LIMIT = 10**9
 
 
-@dataclass(frozen=True)
-class MechanismParams:
+class MechanismParams(NamedTuple):
     eps: float
     q: float
     d: float

@@ -8,7 +8,6 @@ loss of p_tilde * gamma in non-trivial environments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .environment import (
@@ -32,7 +31,6 @@ from .verify import (
 )
 
 
-@dataclass(frozen=True)
 class CommitmentDistribution:
     """An announcement-independent distribution with a separating support.
 
@@ -40,15 +38,10 @@ class CommitmentDistribution:
     computed, not declared.
     """
 
-    alternatives: tuple
-    probs: tuple
-    separating_set: tuple
-    p_tilde: Fraction | float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "alternatives", tuple(self.alternatives))
-        object.__setattr__(self, "probs", tuple(self.probs))
-        object.__setattr__(self, "separating_set", tuple(self.separating_set))
+    def __init__(self, alternatives, probs, separating_set):
+        self.alternatives = tuple(alternatives)
+        self.probs = tuple(probs)
+        self.separating_set = tuple(separating_set)
         if abs(sum(self.probs) - 1) > SUM_TOL:
             raise ValueError("probabilities must sum to 1")
         if not self.separating_set:
@@ -57,7 +50,7 @@ class CommitmentDistribution:
         p_tilde = min(index.get(s, 0) for s in self.separating_set)
         if p_tilde <= 0:
             raise ValueError("separating set must have positive mass everywhere")
-        object.__setattr__(self, "p_tilde", p_tilde)
+        self.p_tilde: Fraction | float = p_tilde
 
 
 def uniform_commitment(
@@ -98,13 +91,24 @@ def commitment_mechanism(P: CommitmentDistribution, env: Environment) -> Mechani
 
     The imposed reaction for agent i at alternative s is the deterministic
     optimal reaction for the full announced vector, which collapses to a
-    function of the agent's own announcement under private reactions.
+    function of the agent's own announcement under private reactions: there
+    each is computed once per (agent, own announced type, alternative).
     """
+    private = env.values_kind in (PRIVATE_REACTIONS, PRIVATE_VALUES)
+    imposed: dict = {}
+
+    def reaction(i: int, b: tuple, a: int, s):
+        if not private:
+            return optimal_reaction(env, i, b, s)
+        key = (i, b[i], a)
+        if key not in imposed:
+            imposed[key] = optimal_reaction(env, i, b, s)
+        return imposed[key]
 
     def mech(b: tuple) -> OutcomeDistribution:
         outcomes = [
-            Outcome(s, imposed=tuple(optimal_reaction(env, i, b, s) for i in env.agents))
-            for s in P.alternatives
+            Outcome(s, imposed=tuple(reaction(i, b, a, s) for i in env.agents))
+            for a, s in enumerate(P.alternatives)
         ]
         return OutcomeDistribution(outcomes, P.probs)
 

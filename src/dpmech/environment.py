@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 from .errors import EnumerationBudgetExceeded, NotNonTrivial
 
@@ -51,7 +50,6 @@ def _close(a, b) -> bool:
     return abs(a - b) <= ABS_TOL
 
 
-@dataclass(frozen=True)
 class Environment:
     """A finite environment (type spaces, alternatives, reactions, utility).
 
@@ -61,27 +59,28 @@ class Environment:
     by enumeration.
     """
 
-    type_spaces: tuple
-    alternatives: tuple
-    reaction_spaces: tuple
-    utility: Callable[[int, tuple, Any, Any], Any]
-    values_kind: str = INTERDEPENDENT
-
-    def __post_init__(self):
-        if self.values_kind not in _VALUES_KINDS:
-            raise ValueError(f"unknown values_kind {self.values_kind!r}")
-        if not self.type_spaces or not self.alternatives or not self.reaction_spaces:
+    def __init__(
+        self,
+        type_spaces,
+        alternatives,
+        reaction_spaces,
+        utility: Callable[[int, tuple, Any, Any], Any],
+        values_kind: str = INTERDEPENDENT,
+    ):
+        if values_kind not in _VALUES_KINDS:
+            raise ValueError(f"unknown values_kind {values_kind!r}")
+        if not type_spaces or not alternatives or not reaction_spaces:
             raise ValueError("type spaces, alternatives and reactions must be non-empty")
-        if len(self.type_spaces) != len(self.reaction_spaces):
+        if len(type_spaces) != len(reaction_spaces):
             raise ValueError("need one reaction space per agent")
-        for space in (*self.type_spaces, *self.reaction_spaces):
+        for space in (*type_spaces, *reaction_spaces):
             if len(space) == 0:
                 raise ValueError("empty per-agent space")
-        object.__setattr__(self, "type_spaces", tuple(tuple(t) for t in self.type_spaces))
-        object.__setattr__(self, "alternatives", tuple(self.alternatives))
-        object.__setattr__(
-            self, "reaction_spaces", tuple(tuple(r) for r in self.reaction_spaces)
-        )
+        self.type_spaces = tuple(tuple(t) for t in type_spaces)
+        self.alternatives = tuple(alternatives)
+        self.reaction_spaces = tuple(tuple(r) for r in reaction_spaces)
+        self.utility = utility
+        self.values_kind = values_kind
 
     @property
     def n(self) -> int:
@@ -201,6 +200,25 @@ class Environment:
                               for t in self.vectors]
         return rows
 
+    def _held_scores(self, F, t: tuple) -> list | None:
+        """The row of ``scores(F)`` at type vector t when a check has built
+        it; None before that, or when t is not a vector of this environment."""
+        rows = self.__dict__.get("_scores", {}).get(F)
+        if rows is None or len(t) != self.n:
+            return None
+        k = 0
+        for index, t_i, stride in zip(self._type_index, t, self.strides):
+            j = index.get(t_i)
+            if j is None:
+                return None
+            k += j * stride
+        return rows[k]
+
+    @cached_property
+    def _type_index(self) -> list:
+        """Per agent, each type's index in its type space."""
+        return [{t_i: j for j, t_i in enumerate(ts)} for ts in self.type_spaces]
+
     def own(self, i: int, k):
         """The key of true vector k for agent i's payoffs: under private
         values the vector of k's agent-i type with every opponent at type
@@ -231,7 +249,6 @@ class Environment:
         return t[:i] + t[i + 1:]
 
 
-@dataclass(frozen=True)
 class ObjectiveFunction:
     """Social objective F: (type vector, alternative) -> [0, 1].
 
@@ -239,12 +256,11 @@ class ObjectiveFunction:
     moves F by at most d/n at any fixed alternative.
     """
 
-    eval: Callable[[tuple, Any], Any]
-    sensitivity_d: float
-
-    def __post_init__(self):
-        if self.sensitivity_d <= 0:
+    def __init__(self, eval: Callable[[tuple, Any], Any], sensitivity_d: float):
+        if sensitivity_d <= 0:
             raise ValueError("sensitivity bound must be positive")
+        self.eval = eval
+        self.sensitivity_d = sensitivity_d
 
 
 class HistogramObjective:
@@ -306,19 +322,27 @@ class HistogramObjective:
                 np.array([float(w) for w in self.weights]))
 
 
-@dataclass(frozen=True)
 class HistogramInstance:
     """A symmetric family of ``objective.units`` groups (a facility-location
     agent, a pricing cohort) sharing one reaction space.  ``utility(X, j, s,
     r)`` is member j's utility when its group's types are X, so a one-member
     group has private values and a larger one is declared interdependent.
+    ``objective`` is F.eval's exact definition, batchable.
     """
 
-    F: ObjectiveFunction
-    objective: HistogramObjective  # F.eval's exact definition, batchable
-    reactions: tuple
-    utility: Callable[[tuple, int, Any, Any], Any]
-    gamma_declared: Any
+    def __init__(
+        self,
+        F: ObjectiveFunction,
+        objective: HistogramObjective,
+        reactions: tuple,
+        utility: Callable[[tuple, int, Any, Any], Any],
+        gamma_declared: Any,
+    ):
+        self.F = F
+        self.objective = objective
+        self.reactions = reactions
+        self.utility = utility
+        self.gamma_declared = gamma_declared
 
     @property
     def n(self) -> int:
@@ -344,24 +368,21 @@ class HistogramInstance:
         )
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(NamedTuple):
     """The environment's gap: worst-case best-alternative misreport loss."""
 
     gamma: Any
     argmin_witness: tuple | None  # (agent, (t_i, b_i), t_minus)
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
+class SeparationCertificate(NamedTuple):
     """A separating subset of alternatives with a per-triple witness map."""
 
     separating_set: tuple
-    witness: dict = field(compare=False)
+    witness: dict
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
+class SensitivityReport(NamedTuple):
     tightest_d: float
     declared_d: float
     passed: bool

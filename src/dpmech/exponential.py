@@ -9,7 +9,7 @@ n*eps/(2d) buys on a d-sensitive objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .environment import (
     DEFAULT_BUDGET,
@@ -27,8 +27,7 @@ DP_RATIO_TOL = 1e-9
 BOUND_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DpAuditReport:
+class DpAuditReport(NamedTuple):
     epsilon_measured: float
     witness: tuple | None  # (agent, t, t_hat, alternative)
     target_epsilon: float
@@ -59,19 +58,32 @@ def exp_mech_distribution(
     privacy on a d-sensitive objective.  The result is non-imposing.
     """
     alternatives = tuple(alternatives)
-    probs = _softmax([float(F.eval(t, s)) for s in alternatives], rate)
+    return _distribution(alternatives, [F.eval(t, s) for s in alternatives], rate)
+
+
+def _distribution(alternatives: tuple, values: list, rate: float) -> OutcomeDistribution:
+    """The exponential mechanism over ``alternatives`` given F's value at each."""
+    probs = _softmax([float(v) for v in values], rate)
     return OutcomeDistribution([Outcome(s) for s in alternatives], probs)
 
 
 def exponential_mechanism(
     F: ObjectiveFunction, env: Environment, eps: float
 ) -> Mechanism:
-    """Mechanism t -> exponential distribution at rate n*eps/(2d)."""
+    """Mechanism t -> exponential distribution at rate n*eps/(2d).
+
+    F is read from the row ``env.scores(F)`` holds for t once a check has
+    built it, and evaluated at t otherwise; the mechanism never lists the
+    type vectors itself.
+    """
     rate = exp_mech_rate(env.n, eps, F.sensitivity_d)
     alternatives = env.alternatives
 
     def mech(t: tuple) -> OutcomeDistribution:
-        return exp_mech_distribution(F, alternatives, t, rate)
+        values = env._held_scores(F, t)
+        if values is None:
+            return exp_mech_distribution(F, alternatives, t, rate)
+        return _distribution(alternatives, values, rate)
 
     # for the audits; in the function's __dict__, which functools.wraps
     # copies, so a wrapped mechanism is audited the same way

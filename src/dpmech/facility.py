@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .combined import MechanismParams, build_combined, schedule_params
 from .commitment import CommitmentDistribution, uniform_histogram_commitment
@@ -96,8 +95,7 @@ def dyad_facility_commitment(inst: HistogramInstance) -> CommitmentDistribution:
 COMMITMENTS = {"loc1": uniform_histogram_commitment, "loc2": dyad_facility_commitment}
 
 
-@dataclass(frozen=True)
-class ScheduledMechanism:
+class ScheduledMechanism(NamedTuple):
     mech: Mechanism
     params: MechanismParams
     P: CommitmentDistribution
@@ -183,17 +181,15 @@ def continuous_expmech_sample(t, eps, K, rho, rng):
     return continuous_expmech_distribution(t, eps, K, rho).sample(rng).alternative
 
 
-@dataclass(frozen=True)
 class DyadicCommitment:
     """X uniform in {1..m_bar}, Y uniform in [0, 2^X - 1]; facilities at
     Y/2^X and (at the remaining K-1 slots) (Y+1)/2^X."""
 
-    m_bar: int
-    K: int = 1
-
-    def __post_init__(self):
-        if self.m_bar < 1 or self.K < 1:
+    def __init__(self, m_bar: int, K: int = 1):
+        if m_bar < 1 or K < 1:
             raise ValueError("need m_bar >= 1 and K >= 1")
+        self.m_bar = m_bar
+        self.K = K
 
     def sample(self, rng):
         x = int(rng.integers(1, self.m_bar + 1))
@@ -243,8 +239,7 @@ class DyadicCommitment:
         return total / self.m_bar
 
 
-@dataclass(frozen=True)
-class Loc3Params:
+class Loc3Params(NamedTuple):
     n: int
     K: int
     eps: float
@@ -299,8 +294,7 @@ def domination_margin(p: Loc3Params) -> float:
     return p.q * delta**2 / (8 * p.m_bar) - 2 * p.eps * delta
 
 
-@dataclass(frozen=True)
-class Loc3Mechanism:
+class Loc3Mechanism(NamedTuple):
     params: Loc3Params
     dyadic: DyadicCommitment
 

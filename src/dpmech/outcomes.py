@@ -7,8 +7,7 @@ reacts freely (a non-imposing outcome).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 SUM_TOL = 1e-12
 
@@ -27,8 +26,7 @@ def left_sum(terms):
     return total
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     alternative: Any
     imposed: tuple | None = None  # one reaction per agent
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 from .environment import (
     ABS_TOL,
@@ -38,8 +37,7 @@ EXPOST_NASH = "expost_nash"
 STRICTLY_DOMINANT = "strictly_dominant"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     property: str
     passed: bool
     margin: float

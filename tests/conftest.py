@@ -41,6 +41,14 @@ def random_private_instance(rng):
     return env, dm.ObjectiveFunction(eval=F_eval, sensitivity_d=1)
 
 
+def replaced_env(env, **changes):
+    """A new ``dm.Environment`` with env's fields, ``changes`` in their place."""
+    fields = {"type_spaces": env.type_spaces, "alternatives": env.alternatives,
+              "reaction_spaces": env.reaction_spaces, "utility": env.utility,
+              "values_kind": env.values_kind}
+    return dm.Environment(**{**fields, **changes})
+
+
 @pytest.fixture(scope="session")
 def random_instances():
     rng = np.random.default_rng(MASTER_SEED)

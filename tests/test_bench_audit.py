@@ -35,11 +35,11 @@ def test_audit_dp_shaped_payoffs_and_pairs_built_once_per_environment(monkeypatc
     """Across eps 0.1, 0.5 and 1.0, ``audit_dp`` and the near-indifference
     check evaluate each (agent, own type, alternative) utility once and build
     each environment's pair index once: they are held by the environment."""
-    import dataclasses
     import functools
     from collections import Counter
 
     import dpmech as dm
+    from tests.conftest import replaced_env
 
     audit = _audit()
     calls = Counter()
@@ -62,7 +62,7 @@ def test_audit_dp_shaped_payoffs_and_pairs_built_once_per_environment(monkeypatc
     instances = []
     for tables in audit.make_tables(7, "full"):
         env, F = audit.build(tables)
-        instances.append((dataclasses.replace(env, utility=counted(env.utility)), F))
+        instances.append((replaced_env(env, utility=counted(env.utility)), F))
     for env, F in instances:
         for eps in audit.EPS_GRID:
             mech = dm.exponential_mechanism(F, env, eps)

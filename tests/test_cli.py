@@ -552,10 +552,10 @@ def test_refuses_output_that_would_overwrite_config(tmp_path, capsys):
 def test_sweep_builds_no_environment(monkeypatch):
     import dpmech.environment
 
-    def refuse(self):
+    def refuse(self, *args, **kwargs):
         raise AssertionError("a sweep point built a per-agent Environment")
 
-    monkeypatch.setattr(dpmech.environment.Environment, "__post_init__", refuse)
+    monkeypatch.setattr(dpmech.environment.Environment, "__init__", refuse)
     for app in ({"facility": {"n": 1, "m": 2, "K": 2, "mechanism": "loc1"}},
                 {"facility": {"n": 1, "m": 2, "K": 2, "mechanism": "loc2"}},
                 {"pricing": {"cohorts": 1, "cohort_size": 2, "grid_m": 4}}):

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import itertools
 import math
 import random
@@ -10,7 +9,11 @@ import pytest
 
 import dpmech as dm
 from dpmech.outcomes import Outcome, OutcomeDistribution
-from tests.conftest import cohort_pricing_instance, two_signal_pricing_instance
+from tests.conftest import (
+    cohort_pricing_instance,
+    replaced_env,
+    two_signal_pricing_instance,
+)
 
 
 def tiny_env():
@@ -371,13 +374,13 @@ def _opponent_dependent(env):
         j = (i + 1) % env.n
         half = t[j] == env.type_spaces[j][0]
         return env.utility(i, t, s, r) * (Fraction(1, 2) if half else 1)
-    return dataclasses.replace(env, utility=utility, values_kind=dm.PRIVATE_VALUES)
+    return replaced_env(env, utility=utility, values_kind=dm.PRIVATE_VALUES)
 
 
 def test_check_environment_private_kinds_match_naive_order(pair_walk_instances):
     messages = set()
     for env, _ in pair_walk_instances:
-        variants = [dataclasses.replace(env, values_kind=kind)
+        variants = [replaced_env(env, values_kind=kind)
                     for kind in (dm.PRIVATE_REACTIONS, dm.PRIVATE_VALUES)]
         if env.n > 1:
             variants.append(_opponent_dependent(env))

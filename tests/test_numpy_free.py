@@ -73,11 +73,25 @@ def reference(tmp_path_factory):
     return run_configs(sys.executable, tmp_path_factory.mktemp("reference") / "out")
 
 
-def test_import_leaves_out_numpy():
-    code = "import dpmech, dpmech.cli, sys; assert 'numpy' not in sys.modules"
+@pytest.fixture(scope="module")
+def imported() -> set:
+    """The modules a fresh ``import dpmech.cli`` leaves in ``sys.modules``."""
+    code = "import dpmech, dpmech.cli, sys; print(*sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_import_leaves_out_numpy(imported):
+    assert "numpy" not in imported
+
+
+def test_import_generates_no_dataclass_code(imported):
+    # importing dataclasses pulls in inspect, ast, dis and tokenize, and each
+    # generated class costs about a millisecond of every process's start-up
+    assert "dpmech.cli" in imported
+    assert not {"dataclasses", "inspect"} & imported
 
 
 def test_verify_and_examples_run_with_numpy_blocked(tmp_path, reference):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -6,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import dpmech as dm
+from tests.conftest import replaced_env
 
 
 def test_truthful_profile_and_announce():
@@ -231,6 +231,41 @@ def test_verify_outputs_pinned(tmp_path, app, row, witnesses, counts):
     assert table["budget"] == dm.DEFAULT_BUDGET
 
 
+@pytest.mark.parametrize("app,f_evals,reactions", [
+    ({"facility": {"n": 3, "m": 2, "K": 2, "mechanism": "loc2"}}, 27 * 9, 423),
+    ({"pricing": {"cohorts": 5, "cohort_size": 1, "grid_m": 4}}, 32 * 5, 200),
+], ids=["facility", "pricing"])
+def test_verify_lottery_reuses_scores_and_imposed_reactions(monkeypatch, app, f_evals,
+                                                            reactions):
+    """On the benchmark's verify configs the lottery's exponential branch
+    reads the objective from ``env.scores``, so F is evaluated once per
+    (vector, alternative), and its commitment branch, under private values,
+    computes each imposed reaction once per (agent, own announced type,
+    alternative): 2 x 3 x 3 of the facility's 423 calls, 5 x 5 x 2 of the
+    pricing's 200, against one per agent and alternative of every
+    announcement (27 x 2 x 3 and 32 x 5 x 5)."""
+    from collections import Counter
+
+    from dpmech import cli, commitment, environment, verify
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    objective = environment.HistogramObjective
+    monkeypatch.setattr(objective, "eval", counted("F", objective.eval))
+    reaction = counted("optimal_reaction", environment.optimal_reaction)
+    for module in (environment, commitment, verify):
+        monkeypatch.setattr(module, "optimal_reaction", reaction)
+    row, _ = cli.run_verify({"seed": 1, **app})
+    assert "fail" not in row["properties"]
+    assert calls == {"F": f_evals, "optimal_reaction": reactions}
+
+
 def _naive_expost(mech, env):
     """Ex-post Nash margin and witness, and the near-indifference swing,
     from the public expected_utility."""
@@ -315,7 +350,7 @@ def _opponent_dependent(env):
     def utility(i, t, s, r):
         others = sum(t_j for j, t_j in enumerate(t) if j != i)
         return 0.9 * env.utility(i, t, s, r) + 0.1 * ((s + others) % 2)
-    return dataclasses.replace(env, utility=utility, values_kind=dm.PRIVATE_REACTIONS)
+    return replaced_env(env, utility=utility, values_kind=dm.PRIVATE_REACTIONS)
 
 
 def test_strict_dominance_keys_private_reactions_by_full_vector(random_instances):
@@ -325,7 +360,7 @@ def test_strict_dominance_keys_private_reactions_by_full_vector(random_instances
         variant = _opponent_dependent(env)
         dm.check_environment(variant)
         with pytest.raises(ValueError, match="utility"):
-            dm.check_environment(dataclasses.replace(variant, values_kind=dm.PRIVATE_VALUES))
+            dm.check_environment(replaced_env(variant, values_kind=dm.PRIVATE_VALUES))
         _assert_matches_naive(dm.exponential_mechanism(F, variant, (0.5, 2.0)[k % 2]), variant)
 
 
@@ -442,7 +477,7 @@ def test_budget_checks_report_needed_and_budget():
     env, F = inst.env, inst.F
     mech = dm.exponential_mechanism(F, env, 1.0)
     W = dm.truthful_profile(env)
-    reacting = dataclasses.replace(env, values_kind=dm.PRIVATE_REACTIONS)
+    reacting = replaced_env(env, values_kind=dm.PRIVATE_REACTIONS)
     checks = [
         (36, lambda: dm.check_expost_nash_truthful(mech, env, budget=1)),
         # private values: one slack per (agent, true type, misreport,
@@ -521,8 +556,8 @@ def _held_tables(env) -> list:
 
 
 def _halved(env):
-    """env with every utility halved, through dataclasses.replace."""
-    return dataclasses.replace(
+    """env with every utility halved, in a new Environment."""
+    return replaced_env(
         env, utility=lambda i, t, s, r, u=env.utility: u(i, t, s, r) / 2)
 
 
@@ -553,3 +588,79 @@ def test_held_table_checks_match_fresh_environments(family):
     )
     assert on_half == on_fresh
     assert half.__dict__["_payoffs"] is not inst.env.__dict__["_payoffs"]
+
+
+def _on_grid(check):
+    """check(env, F, mech) on facility n=2, m=2, K=2 with its eps-1
+    exponential mechanism."""
+    inst = dm.build_grid_env(2, 2, 2)
+    return check(inst.env, inst.F, dm.exponential_mechanism(inst.F, inst.env, 1.0))
+
+
+def _failing_nash():
+    inst = dm.example1_env(2)
+    return dm.check_expost_nash_truthful(
+        dm.exponential_mechanism(inst.F, inst.env, 0.1), inst.env)
+
+
+# the records' reprs, as their frozen dataclasses printed them; a report's
+# truth value is its ``passed``, although a non-empty tuple is always true
+RECORD_REPRS = {
+    "MechanismParams": (
+        lambda: dm.MechanismParams(eps=0.125, q=0.5, d=1.0, p_tilde=0.5, gamma=0.5,
+                                   s_count=9, n=300, n0=200),
+        "MechanismParams(eps=0.125, q=0.5, d=1.0, p_tilde=0.5, gamma=0.5, s_count=9, "
+        "n=300, n0=200)"),
+    "Gap": (
+        lambda: _on_grid(lambda env, F, mech: dm.compute_gap(env)),
+        "Gap(gamma=Fraction(1, 2), argmin_witness=(0, (Fraction(0, 1), Fraction(1, 2)), "
+        "(Fraction(0, 1),)))"),
+    "SensitivityReport": (
+        lambda: _on_grid(lambda env, F, mech: dm.verify_sensitivity(F, env)),
+        "SensitivityReport(tightest_d=1.0, declared_d=1.0, passed=True, witness=(0, "
+        "(Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1)), "
+        "(Fraction(0, 1), Fraction(0, 1))))"),
+    "SeparationCertificate": (
+        lambda: dm.find_separating_set(dm.build_grid_env(1, 1, 2).env),
+        "SeparationCertificate(separating_set=((Fraction(0, 1), Fraction(1, 1)),), "
+        "witness={(0, (Fraction(0, 1), Fraction(1, 1)), ()): (Fraction(0, 1), "
+        "Fraction(1, 1))})"),
+    "DpAuditReport": (
+        lambda: _on_grid(lambda env, F, mech: dm.audit_dp(mech, env, 1.0)),
+        "DpAuditReport(epsilon_measured=0.535787920615455, witness=(0, (Fraction(0, 1), "
+        "Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1)), (Fraction(1, 1), "
+        "Fraction(1, 1))), target_epsilon=1.0, passed=True)"),
+    "VerificationReport-passed": (
+        lambda: _on_grid(lambda env, F, mech: dm.check_expost_nash_truthful(mech, env)),
+        "VerificationReport(property='expost_nash', passed=True, "
+        "margin=0.03319958203570017, witness=None)"),
+    "VerificationReport-failed": (
+        _failing_nash,
+        "VerificationReport(property='expost_nash', passed=False, "
+        "margin=-0.0022219259733257113, witness=(1, (Fraction(3, 4), Fraction(5, 4)), "
+        "Fraction(3, 4), 0.6666666666666667, 0.6688885926399925))"),
+    "Outcome": (
+        lambda: dm.Outcome(Fraction(1, 2), imposed=("buy", "not-buy")),
+        "Outcome(alternative=Fraction(1, 2), imposed=('buy', 'not-buy'))"),
+    "Outcome-free": (lambda: dm.Outcome("a"), "Outcome(alternative='a', imposed=None)"),
+    "ScheduledMechanism": (
+        lambda: dm.facility.ScheduledMechanism(mech="mech", params=None, P="P", inst="inst"),
+        "ScheduledMechanism(mech='mech', params=None, P='P', inst='inst')"),
+    "Loc3Params": (
+        lambda: dm.Loc3Params(n=1000, K=2, eps=0.125, m_bar=1, q=0.5,
+                              rho=Fraction(1, 1024), accuracy_target=2.5),
+        "Loc3Params(n=1000, K=2, eps=0.125, m_bar=1, q=0.5, rho=Fraction(1, 1024), "
+        "accuracy_target=2.5)"),
+    "Loc3Mechanism": (
+        lambda: dm.Loc3Mechanism(params=None, dyadic="dyadic"),
+        "Loc3Mechanism(params=None, dyadic='dyadic')"),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_REPRS)
+def test_record_reprs_pinned(name):
+    build, expected = RECORD_REPRS[name]
+    record = build()
+    assert repr(record) == expected
+    if isinstance(record, dm.VerificationReport):
+        assert bool(record) is record.passed is ("passed=True" in expected)
