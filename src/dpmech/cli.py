@@ -342,6 +342,8 @@ def _sweep_point(config: dict, n: int, index: int) -> tuple[dict, dict]:
     F, objective, gamma = inst.F, inst.objective, inst.gamma_declared
     s_count = len(objective.alternatives)
     params = schedule_params(P, gamma, F.sensitivity_d, s_count, inst.n)
+    # one uniform draw per probe and agent
+    check_budget(probes * inst.n, DEFAULT_BUDGET)
     counts = sample_probes(objective, probes, task_rng(config["seed"], "sweep", index))
     rate = exp_mech_rate(inst.n, params.eps, F.sensitivity_d)
     beta_measured, worst = histogram_gap(objective, counts, rate, P, params.q)

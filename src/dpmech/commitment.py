@@ -16,10 +16,8 @@ from .environment import (
     PRIVATE_VALUES,
     Environment,
     HistogramInstance,
-    advantage,
     compute_gap,
     find_separating_set,
-    optimal_reaction,
 )
 from .errors import NotNonTrivial
 from .outcomes import SUM_TOL, Outcome, OutcomeDistribution
@@ -89,26 +87,19 @@ def uniform_histogram_commitment(inst: HistogramInstance) -> CommitmentDistribut
 def commitment_mechanism(P: CommitmentDistribution, env: Environment) -> Mechanism:
     """M^P: draw s from P; impose the announced-type-optimal reaction.
 
-    The imposed reaction for agent i at alternative s is the deterministic
-    optimal reaction for the full announced vector, which collapses to a
-    function of the agent's own announcement under private reactions: there
-    each is computed once per (agent, own announced type, alternative).
+    Agent i's imposed reaction at s is the optimal one for the announced
+    vector b, read from the row ``env.utilities`` holds for (i, b, s), so
+    it is computed once per (agent, own announced type, alternative) under
+    private values.  Raises ValueError when b is not a vector of ``env``.
     """
-    private = env.values_kind in (PRIVATE_REACTIONS, PRIVATE_VALUES)
-    imposed: dict = {}
-
-    def reaction(i: int, b: tuple, a: int, s):
-        if not private:
-            return optimal_reaction(env, i, b, s)
-        key = (i, b[i], a)
-        if key not in imposed:
-            imposed[key] = optimal_reaction(env, i, b, s)
-        return imposed[key]
+    columns = [env.alternatives.index(s) for s in P.alternatives]
 
     def mech(b: tuple) -> OutcomeDistribution:
+        k = env.index(b)
         outcomes = [
-            Outcome(s, imposed=tuple(reaction(i, b, a, s) for i in env.agents))
-            for a, s in enumerate(P.alternatives)
+            Outcome(s, imposed=tuple(reactions[env.utilities(i, k, a)[1]]
+                                     for i, reactions in enumerate(env.reaction_spaces)))
+            for s, a in zip(P.alternatives, columns)
         ]
         return OutcomeDistribution(outcomes, P.probs)
 
@@ -120,15 +111,18 @@ def truth_advantage(
 ):
     """Exact expected gain of announcing t_i over b_i under M^P.
 
-    E_P[u_i(t, s, r_i(t, s))] - E_P[u_i(t, s, r_i((b_i, t_-i), s))]; the
-    imposed-commitment bound says this is at least p_tilde * gamma when b_i
-    differs from t_i.
+    E_P[u_i(t, s, r_i(t, s))] - E_P[u_i(t, s, r_i((b_i, t_-i), s))], read
+    from the held rows ``env.utilities``; the imposed-commitment bound says
+    this is at least p_tilde * gamma when b_i differs from t_i.
     """
-    b = env.insert_type(i, b_i, t[:i] + t[i + 1:])
+    kt = env.index(t)
+    kb = env.index(env.insert_type(i, b_i, t[:i] + t[i + 1:]))
     total = 0
     for s, p in zip(P.alternatives, P.probs):
         if p != 0:
-            total += p * advantage(env, i, t, b, s)
+            a = env.alternatives.index(s)
+            row, best = env.utilities(i, kt, a)
+            total += p * (row[best][0] - row[env.utilities(i, kb, a)[1]][0])
     return total
 
 

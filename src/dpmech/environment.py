@@ -204,15 +204,18 @@ class Environment:
         """The row of ``scores(F)`` at type vector t when a check has built
         it; None before that, or when t is not a vector of this environment."""
         rows = self.__dict__.get("_scores", {}).get(F)
-        if rows is None or len(t) != self.n:
+        try:
+            return None if rows is None else rows[self.index(t)]
+        except ValueError:
             return None
-        k = 0
-        for index, t_i, stride in zip(self._type_index, t, self.strides):
-            j = index.get(t_i)
-            if j is None:
-                return None
-            k += j * stride
-        return rows[k]
+
+    def index(self, t: tuple) -> int:
+        """Vector t's index; ValueError when t is not a vector of this environment."""
+        try:
+            return sum(index[t_i] * stride for index, t_i, stride
+                       in zip(self._type_index, t, self.strides, strict=True))
+        except (KeyError, ValueError):
+            raise ValueError(f"{t!r} is not a type vector of the environment") from None
 
     @cached_property
     def _type_index(self) -> list:
@@ -227,21 +230,25 @@ class Environment:
             return k // self.strides[i] % self.sizes[i] * self.strides[i]
         return k
 
+    def utilities(self, i: int, k: int, a: int) -> tuple:
+        """Agent i's (exact, float) utility under each reaction at true vector
+        k and alternative a, and the optimum's index (``optimal_reaction``'s
+        tie rule); kept by ``own(i, k)`` as long as the environment."""
+        key = (i, self.own(i, k), a)
+        memo = self.__dict__.setdefault("_utilities", {})
+        held = memo.get(key)
+        if held is None:
+            t, s = self.vector(key[1]), self.alternatives[a]
+            utils = [self.utility(i, t, s, r) for r in self.reaction_spaces[i]]
+            held = memo[key] = ([(u, float(u)) for u in utils], _argmax(utils))
+        return held
+
     def payoff(self, i: int, k: int, a: int, imposed: int | None = None) -> tuple:
-        """Agent i's utility at true vector k and alternative a, as (exact,
-        float), under the reaction index ``imposed`` or, when None, its
-        optimal reaction; kept by ``own(i, k)`` as long as the environment."""
-        k = self.own(i, k)
-        key = (i, k, a, imposed)
-        memo = self.__dict__.setdefault("_payoffs", {})
-        hit = memo.get(key)
-        if hit is None:
-            t, s = self.vector(k), self.alternatives[a]
-            r = (optimal_reaction(self, i, t, s) if imposed is None
-                 else self.reaction_spaces[i][imposed])
-            u = self.utility(i, t, s, r)
-            hit = memo[key] = (u, float(u))
-        return hit
+        """Agent i's (exact, float) utility at true vector k and alternative
+        a under the reaction index ``imposed`` or, when None, its optimal
+        reaction: an entry of ``utilities(i, k, a)``."""
+        row, best = self.utilities(i, k, a)
+        return row[best if imposed is None else imposed]
 
     def opponents(self, k: int, i: int) -> tuple:
         """The types of every agent but i in vector k."""
@@ -389,6 +396,15 @@ class SensitivityReport(NamedTuple):
     witness: tuple | None  # (agent, t, t_hat, s)
 
 
+def _argmax(utils: list) -> int:
+    """The first index whose utility no later one beats (``_gt``)."""
+    best = 0
+    for j, u in enumerate(utils):
+        if _gt(u, utils[best]):
+            best = j
+    return best
+
+
 def optimal_reaction(env: Environment, i: int, t: tuple, s):
     """Best reaction of agent i at type vector t and alternative s.
 
@@ -399,20 +415,7 @@ def optimal_reaction(env: Environment, i: int, t: tuple, s):
     reactions = env.reaction_spaces[i]
     if len(reactions) == 1:
         return reactions[0]
-    best = None
-    best_u = None
-    for r in reactions:
-        u = env.utility(i, t, s, r)
-        if best is None or _gt(u, best_u):
-            best, best_u = r, u
-    return best
-
-
-def advantage(env: Environment, i: int, t: tuple, b: tuple, s):
-    """Agent i's utility at true vector t and alternative s under its optimal
-    reaction, minus that under the reaction optimal at announcement b."""
-    u_truth = env.utility(i, t, s, optimal_reaction(env, i, t, s))
-    return u_truth - env.utility(i, t, s, optimal_reaction(env, i, b, s))
+    return reactions[_argmax([env.utility(i, t, s, r) for r in reactions])]
 
 
 def optimal_reaction_set(env: Environment, i: int, t: tuple, s) -> tuple:
@@ -423,10 +426,7 @@ def optimal_reaction_set(env: Environment, i: int, t: tuple, s) -> tuple:
 
 def _near_max(reactions, utils: list) -> tuple:
     """The reactions whose utility is within tolerance of the maximum."""
-    best_u = utils[0]
-    for u in utils[1:]:
-        if _gt(u, best_u):
-            best_u = u
+    best_u = utils[_argmax(utils)]
     return tuple(
         r for r, u in zip(reactions, utils) if not _gt(best_u, u) or _close(u, best_u)
     )
@@ -472,9 +472,10 @@ def compute_gap(env: Environment, budget: int = DEFAULT_BUDGET) -> Gap:
 
     For every (agent, true type, misreport, opponent profile) the inner max
     runs over alternatives of the utility advantage of the truth-consistent
-    optimal reaction over the misreport-consistent one; the gap is the outer
-    minimum, with the argmin witness.  Under private values the advantages
-    do not depend on the opponent profile, so only the first is walked.
+    optimal reaction over the misreport-consistent one, both read from the
+    held rows ``env.utilities``; the gap is the outer minimum, with the
+    argmin witness.  Under private values the advantages do not depend on
+    the opponent profile, so only the first is walked.
     """
     check_budget(env.num_deviations() * len(env.alternatives), budget)
 
@@ -488,10 +489,10 @@ def compute_gap(env: Environment, budget: int = DEFAULT_BUDGET) -> Gap:
             profiles = profiles[:1]
         for k in profiles:
             for t_i, b_i in itertools.permutations(range(len(types_i)), 2):
-                t, b = env.vector(k + t_i * stride), env.vector(k + b_i * stride)
                 adv = None
-                for s in env.alternatives:
-                    d = advantage(env, i, t, b, s)
+                for a in range(len(env.alternatives)):
+                    row, best = env.utilities(i, k + t_i * stride, a)
+                    d = row[best][0] - row[env.utilities(i, k + b_i * stride, a)[1]][0]
                     if adv is None or _gt(d, adv):
                         adv = d
                 if gamma is None or _gt(gamma, adv):

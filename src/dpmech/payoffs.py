@@ -8,13 +8,14 @@ table memoizes
   index, per-agent imposed reaction indices) entries;
 - each expected utility (announcement, agent, true vector);
 
-over the payoffs ``Environment.payoff`` holds for every mechanism, so no
-type tuple is hashed and no payoff is evaluated twice.  Under private
-values both are keyed by the agent's own type index alone (every opponent
-at index 0); under the other kinds, whose utilities may read opponents'
-types, by the full true vector.  The environment holds the table of the
-last mechanism a check read (:meth:`PayoffTable.of`), so its checks share
-it and what it holds is bounded by the enumeration of the checks it serves.
+over the environment's utility rows, which ``Environment.payoff`` reads for
+every mechanism, so no type tuple is hashed and no utility is evaluated
+twice.  Under private values both are keyed by the agent's own type index
+alone (every opponent at index 0); under the other kinds, whose utilities
+may read opponents' types, by the full true vector.  The environment holds
+the table of the last mechanism a check read (:meth:`PayoffTable.of`), so
+its checks share it and what it holds is bounded by the enumeration of the
+checks it serves.
 """
 
 from __future__ import annotations
@@ -104,11 +105,12 @@ class PayoffTable:
                         yield kt, i, b_i, base, self.eu(kt + (b_i - t_i) * stride, i, kt)
 
     def stats(self) -> dict:
-        """Work counters: distributions built, the environment's payoffs,
-        expected utilities looked up and found, each check's enumeration."""
+        """Work counters: distributions built, utilities in the environment's
+        rows, expected utilities looked up and found, each check's enumeration."""
+        rows = self.env.__dict__.get("_utilities", {})
         return {
             "distributions_built": len(self._dists),
-            "utility_evaluations": len(self.env.__dict__.get("_payoffs", ())),
+            "utility_evaluations": sum(len(row) for row, _ in rows.values()),
             "eu_lookups": self.eu_lookups,
             "eu_hits": self.eu_lookups - len(self._eus),
             "enumerated": dict(self.enumerated),

@@ -582,6 +582,31 @@ def test_sweep_below_n0_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and "population 100" in err and "164" in err
 
 
+def test_sweep_probes_over_budget_exits_3_before_drawing(tmp_path, capsys, monkeypatch):
+    # 10^11 probes of 200 agents: refused from probes x n, before any draw
+    def no_draws(*args):
+        raise AssertionError("drew probes")
+
+    monkeypatch.setattr(cli, "sample_probes", no_draws)
+    cfg = {"experiment": "sweep", "seed": 0, "n_list": [200], "probes": 10**11,
+           "facility": {"m": 2, "K": 2, "mechanism": "loc2"}}
+    t0 = time.monotonic()
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 3
+    assert time.monotonic() - t0 < 1
+    assert capsys.readouterr().err == ("budget exceeded: enumeration needs "
+                                       "20000000000000 evaluations, budget is 10000000\n")
+
+
+@pytest.mark.parametrize("budget,code", [(599, 3), (600, 0)])
+def test_sweep_probes_budget_is_inclusive(tmp_path, capsys, monkeypatch, budget, code):
+    # 3 probes of 200 agents draw 600 types
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", budget)
+    cfg = {"experiment": "sweep", "seed": 0, "n_list": [200], "probes": 3,
+           "facility": {"m": 2, "K": 2, "mechanism": "loc2"}}
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == code
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("pricing,n0", [
     ({"cohort_size": 1, "grid_m": 400}, 42844600),
     ({"cohort_size": 20000, "grid_m": 4}, 112726066),

@@ -95,3 +95,11 @@ def test_verify_corollary1_rejects_trivial_single_facility():
     P = dm.uniform_histogram_commitment(inst)
     with pytest.raises(dm.NotNonTrivial):
         dm.verify_corollary1(inst.env, P)
+
+
+@pytest.mark.parametrize("b", [(0, 7), (0,), (0, 0, 0)])
+def test_commitment_announcement_outside_the_type_space_rejected(b):
+    inst = dm.build_grid_env(2, 2, 2)
+    mech = dm.commitment_mechanism(dm.uniform_histogram_commitment(inst), inst.env)
+    with pytest.raises(ValueError, match="not a type vector"):
+        mech(b)

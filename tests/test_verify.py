@@ -138,7 +138,7 @@ PINNED_VERIFY = [
             "0.8917743648200944, 0.7657145007674057)",
         },
         # distributions built, utility evaluations, EU lookups, EU hits
-        (27, 117, 486, 243),
+        (27, 243, 486, 243),
     ),
     (
         {"pricing": {"cohorts": 5, "cohort_size": 1, "grid_m": 4}},
@@ -151,7 +151,7 @@ PINNED_VERIFY = [
             "strictly_dominant": "(0, (0, 0, 0, 0, 0), 1, (1, 1, 1, 1), "
             "0.5472770320864261, 0.4998857718967166)",
         },
-        (32, 130, 640, 320),
+        (32, 100, 640, 320),
     ),
     (
         {"facility": {"n": 5, "m": 2, "K": 2, "mechanism": "loc2"}},
@@ -169,7 +169,7 @@ PINNED_VERIFY = [
             "Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), "
             "0.8936881488501582, 0.767632833259176)",
         },
-        (243, 195, 7290, 3645),
+        (243, 405, 7290, 3645),
     ),
     (
         {"pricing": {"cohorts": 7, "cohort_size": 1, "grid_m": 4}},
@@ -183,7 +183,7 @@ PINNED_VERIFY = [
             "strictly_dominant": "(0, (0, 0, 0, 0, 0, 0, 0), 1, (1, 1, 1, 1, 1, 1), "
             "0.5472313573781351, 0.49984010448238875)",
         },
-        (128, 182, 3584, 1792),
+        (128, 140, 3584, 1792),
     ),
     (
         # cohorts of 2: interdependent values, so payoffs and reactions are
@@ -195,7 +195,7 @@ PINNED_VERIFY = [
             "sensitivity": "(0, (0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), Fraction(5, 6))",
             "expost_nash": "None",
         },
-        (8, 768, 72, 0),
+        (8, 672, 72, 0),
     ),
 ]
 
@@ -216,9 +216,10 @@ def test_verify_outputs_pinned(tmp_path, app, row, witnesses, counts):
     assert out.read_text() == ",".join(CSV_COLUMNS) + "\n" + row + "\n"
     side = json.loads((tmp_path / "rows.json").read_text())[0]
     assert side["witnesses"] == witnesses
-    # work counters live in the sidecar only; each distinct (agent, own type,
-    # alternative, imposed reaction) payoff is evaluated once, and every
-    # expected utility strict dominance looks up, ex-post Nash has computed
+    # work counters live in the sidecar only; each utility the environment's
+    # rows hold, one per (agent, own type, alternative, reaction), is
+    # evaluated once, and every expected utility strict dominance looks up,
+    # ex-post Nash has computed
     table = side["payoff_table"]
     assert (table["distributions_built"], table["utility_evaluations"],
             table["eu_lookups"], table["eu_hits"]) == counts
@@ -231,39 +232,68 @@ def test_verify_outputs_pinned(tmp_path, app, row, witnesses, counts):
     assert table["budget"] == dm.DEFAULT_BUDGET
 
 
-@pytest.mark.parametrize("app,f_evals,reactions", [
-    ({"facility": {"n": 3, "m": 2, "K": 2, "mechanism": "loc2"}}, 27 * 9, 423),
-    ({"pricing": {"cohorts": 5, "cohort_size": 1, "grid_m": 4}}, 32 * 5, 200),
+def _count_utility_calls(monkeypatch, calls):
+    """Count, under "utility", the utility calls of every Environment built
+    from now on."""
+    from dpmech import environment
+
+    init = environment.Environment.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        utility = self.utility
+
+        def counted(*args):
+            calls["utility"] += 1
+            return utility(*args)
+
+        self.utility = counted
+
+    monkeypatch.setattr(environment.Environment, "__init__", counting_init)
+
+
+@pytest.mark.parametrize("app,f_evals,utilities", [
+    ({"facility": {"n": 3, "m": 2, "K": 2, "mechanism": "loc2"}}, 27 * 9, 243),
+    ({"pricing": {"cohorts": 5, "cohort_size": 1, "grid_m": 4}}, 32 * 5, 100),
 ], ids=["facility", "pricing"])
 def test_verify_lottery_reuses_scores_and_imposed_reactions(monkeypatch, app, f_evals,
-                                                            reactions):
+                                                            utilities):
     """On the benchmark's verify configs the lottery's exponential branch
     reads the objective from ``env.scores``, so F is evaluated once per
-    (vector, alternative), and its commitment branch, under private values,
-    computes each imposed reaction once per (agent, own announced type,
-    alternative): 2 x 3 x 3 of the facility's 423 calls, 5 x 5 x 2 of the
-    pricing's 200, against one per agent and alternative of every
-    announcement (27 x 2 x 3 and 32 x 5 x 5)."""
+    (vector, alternative), and under private values the gap, the payoffs
+    and the commitment branch's imposed reactions read one held utility row
+    per (agent, own type, alternative): 3 x 3 x 9 rows of 3 reactions for
+    the facility, 5 x 2 x 5 rows of 2 for the pricing."""
     from collections import Counter
 
-    from dpmech import cli, commitment, environment, verify
+    from dpmech import cli, environment
 
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
-
     objective = environment.HistogramObjective
-    monkeypatch.setattr(objective, "eval", counted("F", objective.eval))
-    reaction = counted("optimal_reaction", environment.optimal_reaction)
-    for module in (environment, commitment, verify):
-        monkeypatch.setattr(module, "optimal_reaction", reaction)
+    evaluate = objective.eval
+
+    def counted_eval(*args):
+        calls["F"] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(objective, "eval", counted_eval)
+    _count_utility_calls(monkeypatch, calls)
     row, _ = cli.run_verify({"seed": 1, **app})
     assert "fail" not in row["properties"]
-    assert calls == {"F": f_evals, "optimal_reaction": reactions}
+    assert calls == {"F": f_evals, "utility": utilities}
+
+
+def test_compute_gap_reads_held_utility_rows(monkeypatch):
+    """compute_gap evaluates each (agent, own type, alternative, reaction)
+    utility once: 3 agents x 3 types x 9 alternatives x 3 reactions."""
+    from collections import Counter
+
+    calls = Counter()
+    _count_utility_calls(monkeypatch, calls)
+    env = dm.build_grid_env(3, 2, 2).env
+    gap = dm.compute_gap(env)
+    assert calls == {"utility": 243}
+    assert gap == _naive_gap(env)
 
 
 def _naive_expost(mech, env):
@@ -580,14 +610,14 @@ def test_held_table_checks_match_fresh_environments(family):
     assert len(_held_tables(inst.env)) == 1
     # a replaced environment with another utility holds none of its payoffs
     half = _halved(inst.env)
-    assert "_payoffs" not in half.__dict__ and not _held_tables(half)
+    assert "_utilities" not in half.__dict__ and not _held_tables(half)
     P = dm.uniform_histogram_commitment(inst)
     on_half, on_fresh = (
         repr(dm.check_expost_nash_truthful(dm.commitment_mechanism(P, e), e))
         for e in (half, _halved(build().env))
     )
     assert on_half == on_fresh
-    assert half.__dict__["_payoffs"] is not inst.env.__dict__["_payoffs"]
+    assert half.__dict__["_utilities"] is not inst.env.__dict__["_utilities"]
 
 
 def _on_grid(check):
