@@ -509,12 +509,18 @@ def _read_config(args) -> tuple[dict, str | None]:
         raise ConfigInvalid(
             f"config says {config['experiment']!r}, subcommand is {args.command!r}"
         )
+    validate_config(config)  # before reading its out
     out = args.out or config.get("out")
-    if out and os.path.realpath(args.config) in {
-        os.path.realpath(p) for p in (out, sidecar_path(out))
-    }:
-        raise ConfigInvalid(f"output {out!r} would overwrite the config")
-    return validate_config(config), out
+    if out:
+        paths = (out, sidecar_path(out))
+        if os.path.realpath(args.config) in {os.path.realpath(p) for p in paths}:
+            raise ConfigInvalid(f"output {out!r} would overwrite the config")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            raise ConfigInvalid(f"output {out!r}: its directory does not exist")
+        for p in paths:
+            if os.path.isdir(p):
+                raise ConfigInvalid(f"output {out!r}: {p!r} is a directory")
+    return config, out
 
 
 def main(argv=None) -> int:
@@ -530,6 +536,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
+    failed = False
     try:
         config, out = _read_config(args)
         rows, sides = run_config(config)
@@ -540,11 +547,15 @@ def main(argv=None) -> int:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
     except AssertionFailed as e:
-        rows, sides = e.args[0]
+        (rows, sides), failed = e.args[0], True
+    try:
         write_outputs(rows, sides, out)
+    except OSError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        return 2
+    if failed:
         print("assertion failed; witnesses in output", file=sys.stderr)
         return 1
-    write_outputs(rows, sides, out)
     return 0
 
 

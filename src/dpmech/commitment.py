@@ -116,7 +116,7 @@ def truth_advantage(
     this is at least p_tilde * gamma when b_i differs from t_i.
     """
     kt = env.index(t)
-    kb = env.index(env.insert_type(i, b_i, t[:i] + t[i + 1:]))
+    kb = env.index(t[:i] + (b_i,) + t[i + 1:])
     total = 0
     for s, p in zip(P.alternatives, P.probs):
         if p != 0:

@@ -56,7 +56,9 @@ class Environment:
     ``utility`` is a total function (agent index, full type vector,
     alternative, reaction) -> value in [0, 1].  ``values_kind`` is declared by
     the constructor; use :func:`check_environment` to verify the declaration
-    by enumeration.
+    by enumeration.  A type vector is addressed by its index alone (``index``,
+    ``vector``): full walks iterate ``type_vectors()``, and no list of the
+    vectors is held.
     """
 
     def __init__(
@@ -125,19 +127,8 @@ class Environment:
     def strides(self) -> tuple:
         return tuple(math.prod(self.sizes[i + 1:]) for i in self.agents)
 
-    @cached_property
-    def vectors(self) -> list:
-        """Every type vector, in canonical order; listed on first use, so
-        after a check has compared its enumeration with its budget.  Full
-        walks read this list; point lookups read ``vector``."""
-        return list(self.type_vectors())
-
     def vector(self, k: int) -> tuple:
-        """Type vector k: read from ``vectors`` once a full walk has listed
-        them, otherwise decoded from its index alone."""
-        listed = self.__dict__.get("vectors")
-        if listed is not None:
-            return listed[k]
+        """Type vector k, decoded from its index; no vector is listed."""
         return tuple([ts[k // s % m]
                       for ts, s, m in zip(self.type_spaces, self.strides, self.sizes)])
 
@@ -188,16 +179,16 @@ class Environment:
         return index
 
     def scores(self, F) -> list:
-        """The exact F.eval(t, s) of every vector t, in ``vectors`` order, as
+        """The exact F.eval(t, s) of every vector t, in canonical order, as
         one row per vector in alternative order.  Built on first use, so
         after a check has compared its enumeration with its budget, and kept
-        per objective as long as the environment, like ``vectors``: every
-        check that reads it shares one evaluation per (vector, alternative)."""
+        per objective as long as the environment: every check that reads it
+        shares one evaluation per (vector, alternative)."""
         memo = self.__dict__.setdefault("_scores", {})
         rows = memo.get(F)
         if rows is None:
             rows = memo[F] = [[F.eval(t, s) for s in self.alternatives]
-                              for t in self.vectors]
+                              for t in self.type_vectors()]
         return rows
 
     def _held_scores(self, F, t: tuple) -> list | None:
@@ -457,7 +448,7 @@ def verify_sensitivity(
             delta = abs(fa - fb)
             if delta > worst:
                 worst = delta
-                witness = (i, env.vectors[ka], env.vectors[kb], s)
+                witness = (i, env.vector(ka), env.vector(kb), s)
     tightest = env.n * worst
     return SensitivityReport(
         tightest_d=float(tightest),
@@ -504,38 +495,43 @@ def compute_gap(env: Environment, budget: int = DEFAULT_BUDGET) -> Gap:
     return Gap(gamma=gamma, argmin_witness=witness)
 
 
-def _separates(env: Environment, i: int, t: tuple, t_hat: tuple, s) -> bool:
-    set_a = optimal_reaction_set(env, i, t, s)
-    set_b = optimal_reaction_set(env, i, t_hat, s)
-    return not (set(set_a) & set(set_b))
-
-
 def find_separating_set(
     env: Environment, budget: int = DEFAULT_BUDGET
 ) -> SeparationCertificate:
     """Greedy cover of all (agent, type pair, opponent profile) triples.
 
-    Iterates triples in canonical order; when no already-chosen alternative
-    separates a triple, the first separating alternative in canonical order
+    Walks ``env.pairs()``; an alternative separates a pair when the two
+    sides' near-optimal reactions there, read from the held rows
+    ``env.utilities``, are disjoint.  When no already-chosen alternative
+    separates a pair, the first separating alternative in canonical order
     is added.  Raises :class:`NotNonTrivial` if some triple has none.
     """
     check_budget(env.num_deviations() // 2 * len(env.alternatives), budget)
 
+    def optimal(i: int, k: int, a: int) -> set:
+        row = env.utilities(i, k, a)[0]
+        return set(_near_max(range(len(row)), [u for u, _ in row]))
+
+    def separates(i: int, ka: int, kb: int, a: int) -> bool:
+        return not optimal(i, ka, a) & optimal(i, kb, a)
+
     chosen: list = []
     witness: dict = {}
     for i, ka, kb in env.pairs():
-        t, t_hat = env.vectors[ka], env.vectors[kb]
-        triple = (i, (t[i], t_hat[i]), env.opponents(ka, i))
-        found = next((s for s in chosen if _separates(env, i, t, t_hat, s)), None)
+        types_i, stride, m = env.type_spaces[i], env.strides[i], env.sizes[i]
+        triple = (i, (types_i[ka // stride % m], types_i[kb // stride % m]),
+                  env.opponents(ka, i))
+        found = next((a for a in chosen if separates(i, ka, kb, a)), None)
         if found is None:
-            found = next(
-                (s for s in env.alternatives if _separates(env, i, t, t_hat, s)), None
-            )
+            found = next((a for a in range(len(env.alternatives))
+                          if separates(i, ka, kb, a)), None)
             if found is None:
                 raise NotNonTrivial(triple)
             chosen.append(found)
-        witness[triple] = found
-    return SeparationCertificate(separating_set=tuple(chosen), witness=witness)
+        witness[triple] = env.alternatives[found]
+    return SeparationCertificate(
+        separating_set=tuple(env.alternatives[a] for a in chosen), witness=witness
+    )
 
 
 def check_environment(env: Environment, budget: int = DEFAULT_BUDGET) -> None:
@@ -567,12 +563,12 @@ def check_environment(env: Environment, budget: int = DEFAULT_BUDGET) -> None:
             reactions = env.reaction_spaces[i]
             for b, t_i in enumerate(env.type_spaces[i]):
                 # opponents at their first types
-                first = env.vectors[b * stride]
+                first = env.vector(b * stride)
                 for s in env.alternatives:
                     ref_utils = [env.utility(i, first, s, r) for r in reactions]
                     ref = set(_near_max(reactions, ref_utils))
                     for k in env.bases[i]:
-                        t = env.vectors[k + b * stride]
+                        t = env.vector(k + b * stride)
                         utils = [env.utility(i, t, s, r) for r in reactions]
                         if set(_near_max(reactions, utils)) != ref:
                             raise ValueError(

@@ -93,7 +93,7 @@ def exponential_mechanism(
 
 def probability_table(F: ObjectiveFunction, env: Environment, rate: float):
     """Every vector's exponential-mechanism probabilities at ``rate``, as one
-    float (vectors x alternatives) array in ``vectors`` and alternative order.
+    float (vectors x alternatives) array, rows in canonical order.
 
     Bit for bit what ``_softmax`` gives on each row of ``env.scores(F)``:
     ``rate * f`` less the row's max, libm's ``math.exp`` of each entry, then
@@ -159,7 +159,7 @@ def audit_dp(
     prob = _probabilities(mech, env)
     if prob is None:
         marginals = []
-        for t in env.vectors:
+        for t in env.type_vectors():
             marg = mech(t).marginal_alternatives()
             marginals.append([float(marg.get(s, 0)) for s in env.alternatives])
         prob = np.array(marginals)
@@ -173,7 +173,7 @@ def audit_dp(
 
     def at(flat, shape: tuple) -> tuple:
         p, a = divmod(int(flat), shape[1])
-        return (int(agents[p]), env.vectors[ka[p]], env.vectors[kb[p]],
+        return (int(agents[p]), env.vector(int(ka[p])), env.vector(int(kb[p])),
                 env.alternatives[a])
 
     one_sided = zero[ka] != zero[kb]
@@ -299,5 +299,5 @@ def accuracy_bound_check(
         property="accuracy_bound",
         passed=not (slack < -BOUND_TOL).any(),
         margin=float(slack[k]),
-        witness=(env.vectors[k], float(expected[k]), float(best[k])),
+        witness=(env.vector(k), float(expected[k]), float(best[k])),
     )

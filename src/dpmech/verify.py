@@ -220,7 +220,7 @@ def implementation_gap(
     )
     worst = -math.inf
     worst_t = None
-    for k, (t, scores) in enumerate(zip(env.vectors, env.scores(F))):
+    for k, (t, scores) in enumerate(zip(env.type_vectors(), env.scores(F))):
         expected = left_sum(p * scores[a] for p, _, a, _ in table.dist(k))
         gap = max(scores) - expected
         if gap > worst:

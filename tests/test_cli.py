@@ -19,6 +19,7 @@ from dpmech.cli import (
     task_rng,
     validate_config,
 )
+from dpmech.environment import Environment
 from dpmech.errors import ConfigInvalid, EnumerationBudgetExceeded
 
 
@@ -422,7 +423,7 @@ def test_budget_error_prints_long_counts_compactly():
 
 
 def test_example3_reads_vectors_without_listing_them(monkeypatch):
-    # n = 19 is the largest population under the default budget: listing
+    # n = 19 is the largest population under the default budget: walking
     # its 2^19 type vectors would dominate the run
     tables = []
     build = cli.payoff_table
@@ -431,11 +432,16 @@ def test_example3_reads_vectors_without_listing_them(monkeypatch):
         tables.append(build(*args))
         return tables[-1]
 
+    def no_walk(self):
+        raise AssertionError("example3 walked every type vector")
+
     monkeypatch.setattr(cli, "payoff_table", recording)
+    monkeypatch.setattr(Environment, "type_vectors", no_walk)
     # run_config raises AssertionFailed if a property fails
     rows, _ = cli.run_config({"experiment": "example3", "seed": 0, "example": {"n": 19}})
     assert rows[0]["n"] == 19
-    assert len(tables) == 1 and "vectors" not in tables[0].env.__dict__
+    assert len(tables) == 1
+    assert not {"bases", "_scores"} & tables[0].env.__dict__.keys()
 
 
 def test_stdout_when_no_out(tmp_path, capsys):
@@ -515,6 +521,8 @@ def run_cli(*args):
     {"experiment": "example1", "seed": 0, "n_list": [4]},
     {"experiment": "example1", "seed": 0, "example": {"mu": 0.49999999}},
     {"experiment": "example3", "seed": 0, "example": {"mu": 1e-9}},
+    {"experiment": "verify", "seed": 0, "out": 5,
+     "facility": {"n": 3, "m": 2, "K": 2, "mechanism": "loc2"}},
     # raw config text: an integer over the int-string digit limit, and bytes
     # that are not UTF-8
     b'{"experiment": "verify", "seed": 0, "facility": {"n": 3, "m": '
@@ -526,7 +534,8 @@ def run_cli(*args):
         "probes-float", "n_list-float", "cohort_size-float", "example1-n-float",
         "example3-n-float", "seed-float", "pricing-mu", "sweep-budget",
         "verify-example", "example1-n_list", "example1-mu-rounds-to-half",
-        "example3-mu-rounds-to-0", "facility-m-5000-digits", "not-utf8"])
+        "example3-mu-rounds-to-0", "out-not-a-string", "facility-m-5000-digits",
+        "not-utf8"])
 def test_bad_config_exits_2_without_traceback(tmp_path, cfg):
     command = cfg["experiment"] if isinstance(cfg, dict) else "verify"
     if isinstance(cfg, bytes):
@@ -547,6 +556,39 @@ def test_refuses_output_that_would_overwrite_config(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
     assert open(path).read() == before
     assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("out,made", [
+    ("missing-dir/x.csv", None),
+    ("taken", "taken"),
+    ("x.csv", "x.json"),
+], ids=["missing-directory", "csv-is-directory", "sidecar-is-directory"])
+def test_refuses_unwritable_output_before_running(tmp_path, monkeypatch, capsys, out, made):
+    path = write_config(tmp_path, FACILITY_VERIFY, "run.json")
+    if made:
+        (tmp_path / made).mkdir()
+    before = sorted(tmp_path.rglob("*"))
+
+    def refuse(config):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_config", refuse)
+    assert main(["verify", "--config", path, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_output_write_error_exits_2(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, FACILITY_VERIFY, "run.json")
+
+    def full_disk(path, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "atomic_write", full_disk)
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "rows.csv")]) == 2
+    assert capsys.readouterr().err == "output error: [Errno 28] No space left on device\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_sweep_builds_no_environment(monkeypatch):

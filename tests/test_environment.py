@@ -313,7 +313,7 @@ def test_bases_match_opponent_vectors(pair_walk_instances):
     envs = [env for env, _ in pair_walk_instances]
     envs += [_sized_env(sizes) for sizes in ((1,), (4,), (2, 1, 3), (3, 4, 1, 2))]
     for env in envs:
-        index = {t: k for k, t in enumerate(env.vectors)}
+        index = {t: k for k, t in enumerate(env.type_vectors())}
         assert env.bases == [
             [index[env.insert_type(i, env.type_spaces[i][0], t_minus)]
              for t_minus in env.opponent_vectors(i)]

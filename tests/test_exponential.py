@@ -238,7 +238,7 @@ def test_audits_of_a_wrapped_mechanism_match_the_per_vector_path(random_instance
                 calls["plain"] += 1
                 return mech(t)
 
-            underflows += any(p == 0 for t in env.vectors for p in mech(t).probs)
+            underflows += any(p == 0 for t in env.type_vectors() for p in mech(t).probs)
             for check in (dm.audit_dp, dm.near_indifference_bound_check):
                 want = _audit(check, plain, env, eps)
                 calls["raised"] += want.startswith("raised")
@@ -346,7 +346,7 @@ def test_probability_table_rows_equal_the_distribution_path(eps):
         _, _, rate = mech.exp_mech
         table = dm.exponential.probability_table(F, env, rate)
         assert table.shape == (env.num_type_vectors(), s)
-        for row, t in zip(table.tolist(), env.vectors):
+        for row, t in zip(table.tolist(), env.type_vectors()):
             assert row == list(dm.exp_mech_distribution(F, env.alternatives, t, rate).probs)
         underflows += int((table == 0.0).sum())
     assert (underflows > 0) == (eps == 700.0)

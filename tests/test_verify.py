@@ -296,6 +296,22 @@ def test_compute_gap_reads_held_utility_rows(monkeypatch):
     assert gap == _naive_gap(env)
 
 
+def test_find_separating_set_reads_held_utility_rows(monkeypatch):
+    """find_separating_set reads the rows compute_gap holds: alone it
+    evaluates at most the 243 held utilities, after compute_gap none."""
+    from collections import Counter
+
+    calls = Counter()
+    _count_utility_calls(monkeypatch, calls)
+    alone = dm.find_separating_set(dm.build_grid_env(3, 2, 2).env)
+    assert 0 < calls["utility"] <= 243
+    env = dm.build_grid_env(3, 2, 2).env
+    dm.compute_gap(env)
+    calls.clear()
+    assert dm.find_separating_set(env) == alone
+    assert calls == {}
+
+
 def _naive_expost(mech, env):
     """Ex-post Nash margin and witness, and the near-indifference swing,
     from the public expected_utility."""
@@ -534,18 +550,24 @@ def test_budget_checks_report_needed_and_budget():
     assert (e.value.needed, e.value.budget) == (81, 1)
 
 
-def test_shared_table_checks_budget_before_listing_vectors():
-    # 3^40 type vectors: listing them would never finish
+def test_shared_table_checks_budget_before_listing_vectors(monkeypatch):
+    # 3^40 type vectors: walking them would never finish
     inst = dm.build_grid_env(40, 2, 1)
     mech = dm.commitment_mechanism(dm.uniform_histogram_commitment(inst), inst.env)
     table = dm.PayoffTable.of(mech, inst.env)
+
+    def no_walk(self):
+        raise AssertionError("type vectors walked before the budget check")
+
+    monkeypatch.setattr(dm.Environment, "type_vectors", no_walk)
     with pytest.raises(dm.EnumerationBudgetExceeded):
         dm.check_expost_nash_truthful(mech, inst.env)
     with pytest.raises(dm.EnumerationBudgetExceeded):
         dm.check_strictly_dominant_truthful(mech, inst.env)
-    # the held table is still the empty one, and no vector was listed
+    # the held table is still the empty one, and nothing was walked or held
     assert dm.PayoffTable.of(mech, inst.env) is table
-    assert table.stats()["enumerated"] == {} and "vectors" not in inst.env.__dict__
+    assert table.stats()["enumerated"] == {}
+    assert not {"bases", "_scores", "_utilities"} & inst.env.__dict__.keys()
 
 
 def _alternating_checks(inst) -> list:
