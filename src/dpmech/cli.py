@@ -12,14 +12,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import operator
 import os
+import random
 import sys
 import tempfile
 import time
-import zlib
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .combined import build_combined, compute_n0, schedule_params, saturating_params
 from .commitment import commitment_mechanism, uniform_histogram_commitment
@@ -51,9 +51,6 @@ from .verify import (
     implementation_gap,
     truthful_profile,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CSV_COLUMNS = [
     "experiment", "n", "eps", "q", "n0", "p_tilde", "gamma", "d", "s_count",
@@ -186,29 +183,61 @@ def validate_config(config: dict) -> dict:
     return config
 
 
-def task_rng(seed: int, experiment: str, index: int) -> np.random.Generator:
-    """Deterministic substream keyed by (experiment, task index)."""
-    import numpy as np
-
-    key = zlib.crc32(experiment.encode())
-    ss = np.random.SeedSequence([int(seed), key, int(index)])
-    return np.random.Generator(np.random.PCG64(ss))
+def task_rng(seed: int, experiment: str, index: int) -> random.Random:
+    """Deterministic substream keyed by (seed, experiment, task index); a
+    string seed is hashed with SHA-512, the same on every interpreter."""
+    return random.Random(f"{experiment}:{seed}:{index}")
 
 
-def sample_probes(objective, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Histograms of uniform i.i.d. type vectors, a (count x cells) matrix.
+def binomial(rng: random.Random, n: int, p: float) -> int:
+    """One Binomial(n, p) draw, 0 < p < 1, by inversion from the mode outward.
 
-    Row k decodes the k-th ``rng.random(n)`` draw into per-agent type
-    indices, the same draws ``rng.random((count, n))`` gives, one row at a
-    time so memory stays O(n).
+    Counts are visited in decreasing probability (the law is unimodal), each
+    pmf from its neighbour's by the ratio of consecutive terms, so a draw
+    takes O(sqrt(n p (1 - p))) steps in expectation after one
+    ``math.lgamma`` pmf at the mode.
     """
-    import numpy as np
+    k = lo = hi = min(int((n + 1) * p), n)
+    odds = p / (1 - p)
+    p_lo = p_hi = math.exp(
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+    )
+    u = rng.random() - p_lo
+    while u >= 0:
+        # the pmf one step below lo and one step above hi, 0 off the support
+        down = p_lo * lo / ((n - lo + 1) * odds) if lo > 0 else 0.0
+        up = p_hi * (n - hi) * odds / (hi + 1) if hi < n else 0.0
+        if up >= down:
+            if up == 0.0:
+                break  # u fell in the rounding left over past the whole mass
+            k = hi = hi + 1
+            p_hi = up
+            u -= up
+        else:
+            k = lo = lo - 1
+            p_lo = down
+            u -= down
+    return k
 
-    lens = np.tile([len(s) for s in objective.member_types], objective.units)
-    return np.array([
-        objective.histogram((rng.random(lens.size) * lens).astype(int))
-        for _ in range(count)
-    ])
+
+def sample_probes(objective, count: int, rng: random.Random) -> list[list[int]]:
+    """Cell counts of ``count`` uniform i.i.d. type vectors, one row each.
+
+    Each of the objective's ``units`` groups lands uniformly in one of its C
+    cells, so a row is Multinomial(units; 1/C, ..., 1/C): cell j takes
+    Binomial(left, 1/(C - j)) of the ``left`` groups no earlier cell took,
+    and the last cell the rest.  Memory is O(count x C).
+    """
+    C = len(objective.cells)
+    rows = []
+    for _ in range(count):
+        left, row = objective.units, []
+        for j in range(C - 1):
+            row.append(binomial(rng, left, 1 / (C - j)))
+            left -= row[-1]
+        rows.append(row + [left])
+    return rows
 
 
 def _fmt(x) -> str:
@@ -342,7 +371,8 @@ def _sweep_point(config: dict, n: int, index: int) -> tuple[dict, dict]:
     F, objective, gamma = inst.F, inst.objective, inst.gamma_declared
     s_count = len(objective.alternatives)
     params = schedule_params(P, gamma, F.sensitivity_d, s_count, inst.n)
-    # one uniform draw per probe and agent
+    # agents across all probes, bounded as when each probe drew one type
+    # per agent (the histogram draws need far less)
     check_budget(probes * inst.n, DEFAULT_BUDGET)
     counts = sample_probes(objective, probes, task_rng(config["seed"], "sweep", index))
     rate = exp_mech_rate(inst.n, params.eps, F.sensitivity_d)
@@ -361,7 +391,7 @@ def _sweep_point(config: dict, n: int, index: int) -> tuple[dict, dict]:
         beta_measured_kind="lower-bound estimate of beta_measured",
         # agents (facility) or cohorts (pricing) per type cell
         worst_probe={
-            ",".join(map(_fmt, cell)): int(c)
+            ",".join(map(_fmt, cell)): c
             for cell, c in zip(objective.cells, counts[worst])
         },
     )

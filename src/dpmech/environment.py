@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -285,8 +286,8 @@ class HistogramObjective:
         self.cells = tuple(itertools.product(*self.member_types))
         self.index = {s: k for k, s in enumerate(self.alternatives)}
         self._cell = {X: c for c, X in enumerate(self.cells)}
-        self._sizes = tuple(len(s) for s in self.member_types)
         self._offset_f = float(offset)
+        self._weights_f = tuple(float(w) for w in self.weights)
 
     def eval(self, t: tuple, s):
         """Exact F(t, s): an int or Fraction whenever offset and weights are."""
@@ -296,28 +297,14 @@ class HistogramObjective:
         total = sum(self._columns[k][c] * count for c, count in hist.items())
         return self.offset + self.weights[k] * Fraction(total, self.denom)
 
-    def histogram(self, idx: np.ndarray) -> np.ndarray:
-        """Cell counts of one type vector given as per-agent type indices."""
-        import numpy as np
-
-        # row-major, like itertools.product
-        cells = np.ravel_multi_index(idx.reshape(self.units, -1).T, self._sizes)
-        return np.bincount(cells, minlength=len(self.cells))
-
-    def scores(self, counts: np.ndarray) -> np.ndarray:
+    def scores(self, counts) -> list[list[float]]:
         """Float F for every row of a (vectors x cells) count matrix and
-        every alternative, as a (vectors x alternatives) array."""
-        matrix, weights = self._arrays
-        return self._offset_f + weights * (counts @ matrix) / self.denom
-
-    @cached_property
-    def _arrays(self) -> tuple:
-        """The (cells x alternatives) score table as int64 and the weights as
-        float64, for ``scores``."""
-        import numpy as np
-
-        return (np.array(self._columns, np.int64).T,
-                np.array([float(w) for w in self.weights]))
+        every alternative, as (vectors x alternatives) rows: the exact
+        integer product of the row with the alternative's column, then
+        weight, ``denom`` and offset in float."""
+        terms = tuple(zip(self._weights_f, self._columns))
+        return [[self._offset_f + w * sum(map(operator.mul, column, c)) / self.denom
+                 for w, column in terms] for c in counts]
 
 
 class HistogramInstance:

@@ -18,7 +18,7 @@ from .environment import (
     check_budget,
 )
 from .errors import PopulationTooSmall, ZeroProbabilityAsymmetry
-from .outcomes import Outcome, OutcomeDistribution, left_sum
+from .outcomes import Outcome, OutcomeDistribution, softmax
 from .payoffs import Mechanism, payoff_table
 from .verify import VerificationReport
 
@@ -39,16 +39,6 @@ def exp_mech_rate(n: int, eps: float, d: float) -> float:
     return n * eps / (2 * d)
 
 
-def _softmax(values: list, rate: float) -> list:
-    """Selection probabilities proportional to exp(rate * v) over float
-    objective values, by a max-shifted softmax."""
-    scores = [rate * v for v in values]
-    m = max(scores)
-    weights = [math.exp(x - m) for x in scores]
-    z = left_sum(weights)
-    return [w / z for w in weights]
-
-
 def exp_mech_distribution(
     F: ObjectiveFunction, alternatives, t: tuple, rate: float
 ) -> OutcomeDistribution:
@@ -63,7 +53,7 @@ def exp_mech_distribution(
 
 def _distribution(alternatives: tuple, values: list, rate: float) -> OutcomeDistribution:
     """The exponential mechanism over ``alternatives`` given F's value at each."""
-    probs = _softmax([float(v) for v in values], rate)
+    probs = softmax([float(v) for v in values], rate)
     return OutcomeDistribution([Outcome(s) for s in alternatives], probs)
 
 
@@ -95,7 +85,7 @@ def probability_table(F: ObjectiveFunction, env: Environment, rate: float):
     """Every vector's exponential-mechanism probabilities at ``rate``, as one
     float (vectors x alternatives) array, rows in canonical order.
 
-    Bit for bit what ``_softmax`` gives on each row of ``env.scores(F)``:
+    Bit for bit what ``softmax`` gives on each row of ``env.scores(F)``:
     ``rate * f`` less the row's max, libm's ``math.exp`` of each entry, then
     each weight divided by its row's sum, added left to right.  Built on
     first use and held on the environment, one table per objective, replaced

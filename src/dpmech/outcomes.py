@@ -7,6 +7,7 @@ reacts freely (a non-imposing outcome).
 
 from __future__ import annotations
 
+import math
 from typing import Any, NamedTuple, Sequence
 
 SUM_TOL = 1e-12
@@ -24,6 +25,16 @@ def left_sum(terms):
     for x in terms:
         total += x
     return total
+
+
+def softmax(values: list, rate: float) -> list:
+    """Selection probabilities proportional to exp(rate * v) over float
+    objective values, by a max-shifted softmax."""
+    scores = [rate * v for v in values]
+    m = max(scores)
+    weights = [math.exp(x - m) for x in scores]
+    z = left_sum(weights)
+    return [w / z for w in weights]
 
 
 class Outcome(NamedTuple):

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Any, NamedTuple, Optional
+import operator
+from typing import Any, NamedTuple, Optional
 
 from .environment import (
     ABS_TOL,
@@ -27,11 +28,8 @@ from .environment import (
     optimal_reaction,
 )
 from .errors import WrongValuesKind
-from .outcomes import left_sum
+from .outcomes import left_sum, softmax
 from .payoffs import Mechanism, payoff_table
-
-if TYPE_CHECKING:
-    import numpy as np
 
 EXPOST_NASH = "expost_nash"
 STRICTLY_DOMINANT = "strictly_dominant"
@@ -230,24 +228,23 @@ def implementation_gap(
 
 
 def histogram_gap(
-    objective: HistogramObjective, counts: np.ndarray, rate: float, P, q: float
+    objective: HistogramObjective, counts, rate: float, P, q: float
 ) -> tuple[float, int]:
     """Worst shortfall of the lottery's E[F] from max F over type histograms.
 
-    Vectorized ``implementation_gap`` on probe histograms (rows of
-    ``counts``): the lottery puts 1 - q on the exponential mechanism at
-    ``rate`` and q on the commitment distribution ``P``'s alternative
-    marginal.  Returns (beta_measured, worst row).
+    ``implementation_gap`` on probe histograms (rows of ``counts``): the
+    lottery puts 1 - q on the exponential mechanism at ``rate`` and q on the
+    commitment distribution ``P``'s alternative marginal.  Returns
+    (beta_measured, worst row), the first row on a tie.
     """
-    import numpy as np
-
-    F = objective.scores(counts)
-    x = rate * F
-    w = np.exp(x - x.max(axis=1, keepdims=True))
-    expmech = (w / w.sum(axis=1, keepdims=True) * F).sum(axis=1)
-    marginal = np.zeros(len(objective.alternatives))
+    marginal = [0.0] * len(objective.alternatives)
     for s, p in zip(P.alternatives, P.probs):
         marginal[objective.index[s]] += float(p)
-    gaps = F.max(axis=1) - ((1 - q) * expmech + q * (F @ marginal))
-    worst = int(np.argmax(gaps))
-    return float(gaps[worst]), worst
+    beta, worst = -math.inf, 0
+    for k, row in enumerate(objective.scores(counts)):
+        expmech = left_sum(map(operator.mul, softmax(row, rate), row))
+        committed = left_sum(map(operator.mul, row, marginal))
+        gap = max(row) - ((1 - q) * expmech + q * committed)
+        if gap > beta:
+            beta, worst = gap, k
+    return beta, worst

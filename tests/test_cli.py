@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,20 +8,21 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
+import mpmath
 import pytest
 
 import dpmech.cli as cli
 from dpmech.cli import (
     CSV_COLUMNS,
     _fmt,
+    binomial,
     main,
     render_csv,
     sample_probes,
     task_rng,
     validate_config,
 )
-from dpmech.environment import Environment
+from dpmech.environment import Environment, HistogramObjective
 from dpmech.errors import ConfigInvalid, EnumerationBudgetExceeded
 
 
@@ -64,12 +67,18 @@ def test_schema_rejects_empty_sweep():
 
 
 def test_task_rng_streams_are_distinct_and_stable():
-    a = task_rng(5, "sweep", 0).random(4)
-    b = task_rng(5, "sweep", 1).random(4)
-    c = task_rng(5, "verify", 0).random(4)
-    again = task_rng(5, "sweep", 0).random(4)
-    assert list(a) == list(again)
-    assert list(a) != list(b) != list(c)
+    def head(*key):
+        rng = task_rng(*key)
+        return [rng.random(), rng.random()]
+
+    a = head(5, "sweep", 0)
+    # a string seed is hashed with SHA-512: the same stream on every interpreter
+    assert a == [0.4741087102855147, 0.9910134257916858]
+    assert head(5, "sweep", 0) == a
+    others = [head(5, "sweep", 1), head(5, "verify", 0), head(6, "sweep", 0)]
+    assert others == [[0.8959271095911713, 0.40709301948410026],
+                      [0.004855524466985339, 0.04082046332205291],
+                      [0.715645028346318, 0.7876568533283207]]
 
 
 def test_sample_probes_draws_valid_types():
@@ -78,32 +87,78 @@ def test_sample_probes_draws_valid_types():
     inst = dm.build_grid_env(3, 2, 1)
     counts = sample_probes(inst.objective, 50, task_rng(0, "sweep", 0))
     # one histogram over the 3 grid points per probe, each of 3 agents
-    assert counts.shape == (50, 3)
-    assert (counts >= 0).all() and (counts.sum(axis=1) == 3).all()
+    assert len(counts) == 50 and all(len(row) == 3 for row in counts)
+    assert all(min(row) >= 0 and sum(row) == 3 for row in counts)
+    assert all(type(c) is int for row in counts for c in row)
 
 
-def _decoded_tuples(env, count, rng):
-    """Probe type vectors decoded from one (count x n) draw, as the sweep
-    once materialized them."""
-    lens = np.asarray([len(s) for s in env.type_spaces])
-    idx = (rng.random((count, len(lens))) * lens).astype(int)
-    return [tuple(env.type_spaces[j][k] for j, k in enumerate(row)) for row in idx]
+def _objective(cells: int, units: int) -> HistogramObjective:
+    """A one-member-group objective with ``cells`` types, for the sampler."""
+    return HistogramObjective((tuple(range(cells)),), ("s",), [[0]] * cells,
+                              offset=0, weights=(1,), denom=1, units=units)
 
 
-@pytest.mark.parametrize("kind", ["facility", "pricing"])
-def test_sample_probes_counts_match_decoded_tuples(kind):
-    import dpmech as dm
-    from tests.conftest import two_signal_pricing_instance
+def _multinomial_pmf(units: int, cells: int) -> dict:
+    """Exact Multinomial(units; 1/cells each) law, by count row."""
+    law = {}
+    for row in itertools.product(range(units + 1), repeat=cells):
+        if sum(row) == units:
+            ways = math.factorial(units)
+            for c in row:
+                ways //= math.factorial(c)
+            law[row] = Fraction(ways, cells**units)
+    return law
 
-    if kind == "facility":
-        inst, D = dm.build_grid_env(150, 3, 2), 1
-    else:
-        inst, D = two_signal_pricing_instance(N=40), 2
-    counts = sample_probes(inst.objective, 30, task_rng(4, "sweep", 1))
-    tuples = _decoded_tuples(inst.env, 30, task_rng(4, "sweep", 1))
-    for row, t in zip(counts, tuples):
-        hist = Counter(t[j:j + D] for j in range(0, len(t), D))
-        assert list(row) == [hist[cell] for cell in inst.objective.cells]
+
+@pytest.mark.parametrize("units,cells", [(2, 2), (5, 2), (12, 2), (3, 3), (7, 3), (10, 3)])
+def test_sample_probes_follow_the_multinomial_law(units, cells):
+    # Pearson's chi-square of 20 000 seeded rows against the exact pmf,
+    # count rows expected fewer than 5 times pooled into one class
+    draws = 20_000
+    rows = Counter(map(tuple, sample_probes(_objective(cells, units), draws,
+                                            task_rng(units, f"law{cells}", 0))))
+    observed, expected, pooled = [], [], [0, 0.0]
+    for row, p in _multinomial_pmf(units, cells).items():
+        if p * draws < 5:
+            pooled[0] += rows[row]
+            pooled[1] += float(p) * draws
+        else:
+            observed.append(rows[row])
+            expected.append(float(p) * draws)
+    if pooled[1]:
+        observed.append(pooled[0])
+        expected.append(pooled[1])
+    assert sum(observed) == draws
+    stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    p_value = mpmath.gammainc((len(expected) - 1) / 2, stat / 2, mpmath.inf,
+                              regularized=True)
+    assert p_value > 1e-3, (stat, len(expected))
+
+
+def test_sample_probes_mean_and_variance_at_6000_units():
+    draws, units, cells = 3000, 6000, 3
+    rows = sample_probes(_objective(cells, units), draws, task_rng(11, "moments", 0))
+    assert all(sum(row) == units for row in rows)
+    mean, var = units / cells, units * (1 / cells) * (1 - 1 / cells)
+    for j in range(cells):
+        column = [row[j] for row in rows]
+        m = sum(column) / draws
+        s2 = sum((c - m) ** 2 for c in column) / (draws - 1)
+        # within 4 standard errors of the sample mean and variance
+        assert abs(m - mean) < 4 * math.sqrt(var / draws)
+        assert abs(s2 - var) < 4 * var * math.sqrt(2 / (draws - 1))
+
+
+def test_sample_probes_edge_cases():
+    rng = task_rng(0, "edges", 0)
+    assert sample_probes(_objective(3, 0), 4, rng) == [[0, 0, 0]] * 4
+    ones = sample_probes(_objective(3, 1), 300, rng)
+    assert sorted(set(map(tuple, ones))) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    # one cell takes every group and draws nothing
+    state = rng.getstate()
+    assert sample_probes(_objective(1, 9), 5, rng) == [[9]] * 5
+    assert rng.getstate() == state
+    assert binomial(rng, 0, 0.5) == 0
 
 
 def test_fmt_and_render_csv_golden_row():
@@ -452,19 +507,19 @@ def test_stdout_when_no_out(tmp_path, capsys):
     assert "example3,4," in captured
 
 
-# beta_measured of the sweep before it evaluated probes from histograms
-# (per-probe type tuples, float objectives above n = 64); the histogram path
-# changes it only by float rounding
+# beta_measured of the sweep since it draws each probe's cell counts from
+# their multinomial law (``random.Random`` substreams, conditional binomials)
+# and scores them in pure Python
 PINNED_SWEEP_BETAS = [
     ({"seed": 7, "facility": {"n": 200, "m": 2, "K": 2, "mechanism": "loc2"},
       "n_list": [200, 2000, 6000], "probes": 10},
-     [0.047902132464910263, 0.01156901075054817, 0.0030063461843129469]),
+     [0.034044116851220219, 0.0088777977371407024, 0.0039141007485503643]),
     ({"seed": 91, "facility": {"n": 3, "m": 2, "K": 2, "mechanism": "loc2"},
       "n_list": [300, 500], "probes": 40},
-     [0.035414403866710686, 0.027144175412293525]),
+     [0.033664043739720095, 0.025316517255570492]),
     ({"seed": 7, "pricing": {"cohorts": 2, "cohort_size": 2, "grid_m": 4},
       "n_list": [6000, 12000], "probes": 200},
-     [0.14605395459094977, 0.1033525751499364]),
+     [0.14598790368983772, 0.10382154537121541]),
 ]
 
 

@@ -1,5 +1,7 @@
 """The histogram-based facility and pricing objectives against brute force."""
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -75,10 +77,10 @@ def test_pricing_eval_is_exact(inst, valuation):
 
 
 def _counts(objective, t):
-    """Cell counts of a type vector, through per-agent type indices."""
+    """Cell counts of a type vector, from its groups' decoded type tuples."""
     D = len(objective.member_types)
-    idx = np.asarray([objective.member_types[j % D].index(x) for j, x in enumerate(t)])
-    return objective.histogram(idx)
+    hist = Counter(t[j:j + D] for j in range(0, len(t), D))
+    return [hist[cell] for cell in objective.cells]
 
 
 # ids name each model's instances, as the suite always has
@@ -87,13 +89,65 @@ def _counts(objective, t):
                          + [f"PricingInstance-n{i.n}" for i, _ in pricing_cases()])
 def test_batched_scores_match_eval(inst):
     vectors = random_vectors(inst.env, 8, MASTER_SEED)
-    counts = np.array([_counts(inst.objective, t) for t in vectors])
+    counts = [_counts(inst.objective, t) for t in vectors]
     scores = inst.objective.scores(counts)
-    assert scores.shape == (len(vectors), len(inst.env.alternatives))
+    assert len(scores) == len(vectors)
+    assert all(len(row) == len(inst.env.alternatives) for row in scores)
     # two float roundings (product, then offset) against one
     for row, t in zip(scores, vectors):
         want = [float(inst.F.eval(t, s)) for s in inst.env.alternatives]
         np.testing.assert_allclose(row, want, rtol=0, atol=2 * np.finfo(float).eps)
+
+
+def numpy_histogram_gap(objective, counts, rate, P, q):
+    """The sweep's former numpy scoring, kept as the reference: F as an
+    int64 matrix product, then the lottery's shortfall of every row.
+    Returns (beta, worst row, F)."""
+    matrix = np.array(objective._columns, np.int64).T
+    weights = np.array([float(w) for w in objective.weights])
+    F = float(objective.offset) + weights * (np.asarray(counts) @ matrix) / objective.denom
+    x = rate * F
+    w = np.exp(x - x.max(axis=1, keepdims=True))
+    expmech = (w / w.sum(axis=1, keepdims=True) * F).sum(axis=1)
+    marginal = np.zeros(len(objective.alternatives))
+    for s, p in zip(P.alternatives, P.probs):
+        marginal[objective.index[s]] += float(p)
+    gaps = F.max(axis=1) - ((1 - q) * expmech + q * (F @ marginal))
+    worst = int(np.argmax(gaps))
+    return float(gaps[worst]), worst, F
+
+
+SWEEP_POINTS = [
+    ({"facility": {"m": 2, "K": 2, "mechanism": "loc2"}}, n) for n in (200, 2000, 6000)
+] + [
+    ({"facility": {"m": 3, "K": 2, "mechanism": "loc1"}}, 4000),
+    ({"pricing": {"cohort_size": 2, "grid_m": 4}}, 6000),
+    ({"pricing": {"cohort_size": 2, "grid_m": 4}}, 12000),
+    ({"pricing": {"cohort_size": 1, "grid_m": 8}}, 11000),
+]
+
+
+@pytest.mark.parametrize("config,n", SWEEP_POINTS,
+                         ids=[f"{next(iter(c))}-n{n}" for c, n in SWEEP_POINTS])
+def test_histogram_gap_matches_numpy_reference(config, n):
+    from dpmech.cli import _instance, sample_probes, task_rng
+    from dpmech.combined import schedule_params
+    from dpmech.exponential import exp_mech_rate
+    from dpmech.verify import histogram_gap
+
+    _, inst, P = _instance(config, n)
+    objective, d = inst.objective, inst.F.sensitivity_d
+    params = schedule_params(P, inst.gamma_declared, d, len(objective.alternatives), inst.n)
+    rate = exp_mech_rate(inst.n, params.eps, d)
+    counts = sample_probes(objective, 200, task_rng(MASTER_SEED, "oracle", n))
+    beta, worst = histogram_gap(objective, counts, rate, P, params.q)
+    want, want_worst, F = numpy_histogram_gap(objective, counts, rate, P, params.q)
+    # the same float operations per score, so the scores agree bit for bit
+    assert objective.scores(counts) == F.tolist()
+    # the gap is max F less the lottery's E[F], each summed in another order
+    # and with libm's exp: within 4 ulp of the worst row's max F
+    assert worst == want_worst
+    assert abs(beta - want) <= 4 * math.ulp(max(F[worst]))
 
 
 def test_example_revenue_stays_exact():
