@@ -269,7 +269,7 @@ def _props(reports: dict) -> str:
 
 def _check_population(n: int, budget: int) -> None:
     """Refuse over ``budget`` or ``DEFAULT_BUDGET`` agents before anything is
-    built: a check visits, a probe draws and an environment lists each."""
+    built: a check visits each agent and an environment lists each."""
     check_budget(n, min(budget, DEFAULT_BUDGET))
 
 

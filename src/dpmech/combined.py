@@ -9,7 +9,6 @@ the exponential branch's manipulation gain of at most 2 * eps.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -86,7 +85,6 @@ def schedule_params(
     )
 
 
-@functools.lru_cache(maxsize=None)
 def compute_n0(p_tilde, gamma, d: float, s_count: int) -> int:
     """Smallest population size from which the schedule is admissible.
 

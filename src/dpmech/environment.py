@@ -15,12 +15,9 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import EnumerationBudgetExceeded, NotNonTrivial
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ABS_TOL = 1e-12
 DEFAULT_BUDGET = 10**7
@@ -160,24 +157,6 @@ class Environment:
             for k in self.bases[i]:
                 for a, b in steps:
                     yield i, k + a, k + b
-
-    @cached_property
-    def pair_index(self) -> tuple:
-        """``pairs()`` as three read-only int64 arrays (agents, ka, kb)."""
-        import numpy as np
-
-        agents, ka, kb = [], [], []
-        for i, (m, stride) in enumerate(zip(self.sizes, self.strides)):
-            a, b = np.array(list(itertools.combinations(range(m), 2)),
-                            np.int64).reshape(-1, 2).T * stride
-            base = np.array(self.bases[i], np.int64)[:, None]
-            ka.append((base + a).ravel())
-            kb.append((base + b).ravel())
-            agents.append(np.full(ka[-1].size, i, np.int64))
-        index = np.concatenate(agents), np.concatenate(ka), np.concatenate(kb)
-        for column in index:
-            column.flags.writeable = False  # shared by every audit
-        return index
 
     def scores(self, F) -> list:
         """The exact F.eval(t, s) of every vector t, in canonical order, as

@@ -8,7 +8,9 @@ n*eps/(2d) buys on a d-sensitive objective.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from typing import NamedTuple
 
 from .environment import (
@@ -136,11 +138,13 @@ def audit_dp(
 ) -> DpAuditReport:
     """Exact worst-case privacy loss over all unilateral neighbor pairs.
 
-    Compares every pair of type vectors differing in one coordinate, in
-    ``Environment.pairs()`` order, at every alternative of the marginal on
-    S; raises :class:`ZeroProbabilityAsymmetry` at the first ratio with
-    exactly one side 0.  The witness is the first pair and alternative of
-    largest loss, None when no loss is positive.
+    A pair differs in one agent's type, so agent i's largest loss at an
+    opponent profile and alternative is the max less the min of that column
+    of the log-marginal table along agent i's axis (float subtraction is
+    monotone).  Raises :class:`ZeroProbabilityAsymmetry` at the first ratio,
+    in ``Environment.pairs()`` order, with exactly one side 0.  The witness
+    is the first pair and alternative of largest loss, None when no loss is
+    positive.
     """
     import numpy as np
 
@@ -159,31 +163,47 @@ def audit_dp(
     zero = prob == 0.0
     logs = np.fromiter(map(math.log, np.where(zero, 1.0, prob).ravel().tolist()),
                        float, prob.size).reshape(prob.shape)
-    agents, ka, kb = env.pair_index
-
-    def at(flat, shape: tuple) -> tuple:
-        p, a = divmod(int(flat), shape[1])
-        return (int(agents[p]), env.vector(int(ka[p])), env.vector(int(kb[p])),
-                env.alternatives[a])
-
-    one_sided = zero[ka] != zero[kb]
-    if one_sided.any():
-        raise ZeroProbabilityAsymmetry(at(np.argmax(one_sided), one_sided.shape))
-    loss = logs[ka]
-    loss -= logs[kb]
-    np.abs(loss, out=loss)
+    for i in env.agents if zero.any() else ():
+        z = _axis(env, zero, i)
+        one_sided = (z.any(axis=1) != z.all(axis=1)).any(axis=2).ravel()
+        if one_sided.any():
+            raise ZeroProbabilityAsymmetry(
+                _first_pair(env, zero, i, np.argmax(one_sided), operator.ne))
     worst = 0.0
     witness = None
-    if loss.size and loss.max() > 0:
-        first = np.argmax(loss)
-        worst = float(loss.flat[first])
-        witness = at(first, loss.shape)
+    for i in env.agents:
+        x = _axis(env, logs, i)
+        spans = (x.max(axis=1) - x.min(axis=1)).max(axis=2).ravel()  # per profile
+        peak = float(spans.max())
+        if peak > worst:
+            worst, first = peak, (i, np.argmax(spans))
+    if worst > 0:
+        witness = _first_pair(env, logs, *first, lambda x, y: abs(x - y) == worst)
     return DpAuditReport(
         epsilon_measured=worst,
         witness=witness,
         target_epsilon=target_eps,
         passed=worst <= target_eps + DP_RATIO_TOL,
     )
+
+
+def _axis(env: Environment, table, i: int):
+    """A (vectors x alternatives) table with agent i's type index on axis 1:
+    vector (h * m + t_i) * stride + lo at [h, t_i, lo], profile h * stride + lo."""
+    return table.reshape(-1, env.sizes[i], env.strides[i], table.shape[1])
+
+
+def _first_pair(env: Environment, table, i: int, p, hit) -> tuple:
+    """(i, t, t_hat, alternative): agent i's first pair at opponent profile
+    p (``bases[i]`` order), in ``Environment.pairs()`` order, and alternative
+    at which ``hit`` holds between the two sides' entries of ``table``."""
+    stride, k = env.strides[i], env.bases[i][p]
+    block = _axis(env, table, i)[p // stride, :, p % stride].tolist()
+    for a, b in itertools.combinations(range(env.sizes[i]), 2):
+        for s, (x, y) in enumerate(zip(block[a], block[b])):
+            if hit(x, y):
+                return (i, env.vector(k + a * stride), env.vector(k + b * stride),
+                        env.alternatives[s])
 
 
 def near_indifference_bound_check(

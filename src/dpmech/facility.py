@@ -64,10 +64,11 @@ def build_grid_env(n: int, m: int, K: int) -> HistogramInstance:
         denom=m * n, units=n,
     )
     F = ObjectiveFunction(eval=objective.eval, sensitivity_d=1)
-    # gamma_declared 1/m; the computed gap is 0 when K = 1
+    # gamma_declared 1/m, but 0 when K = 1: one imposed facility fixes every
+    # reaction whatever was announced, and no schedule exists for a zero gap
     return HistogramInstance(
         F=F, objective=objective, reactions=locs, utility=_utility,
-        gamma_declared=Fraction(1, m),
+        gamma_declared=Fraction(1, m) if K > 1 else Fraction(0),
     )
 
 

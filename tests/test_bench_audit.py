@@ -31,11 +31,10 @@ def test_benchmark_audit_check_passes_at_toy_scale(seed):
     assert audit.check(tables, records) == []
 
 
-def test_audit_dp_shaped_payoffs_and_pairs_built_once_per_environment(monkeypatch):
+def test_audit_dp_shaped_payoffs_built_once_per_environment():
     """Across eps 0.1, 0.5 and 1.0, ``audit_dp`` and the near-indifference
-    check evaluate each (agent, own type, alternative) utility once and build
-    each environment's pair index once: they are held by the environment."""
-    import functools
+    check evaluate each (agent, own type, alternative) utility once: the
+    utilities are held by the environment."""
     from collections import Counter
 
     import dpmech as dm
@@ -43,15 +42,6 @@ def test_audit_dp_shaped_payoffs_and_pairs_built_once_per_environment(monkeypatc
 
     audit = _audit()
     calls = Counter()
-    build = dm.Environment.pair_index.func
-
-    def counted_pairs(env):
-        calls["pair_index", id(env)] += 1
-        return build(env)
-
-    pair_index = functools.cached_property(counted_pairs)
-    pair_index.__set_name__(dm.Environment, "pair_index")
-    monkeypatch.setattr(dm.Environment, "pair_index", pair_index)
 
     def counted(utility):
         def wrapped(*args):
@@ -69,7 +59,6 @@ def test_audit_dp_shaped_payoffs_and_pairs_built_once_per_environment(monkeypatc
             dm.audit_dp(mech, env, eps)
             dm.near_indifference_bound_check(mech, env, eps)
     assert len(instances) == 16
-    assert calls.pop("utility") == sum(
+    assert calls["utility"] == sum(
         env.n * len(env.type_spaces[0]) * len(env.alternatives) for env, _ in instances
     ) == 920
-    assert sorted(calls.values()) == [1] * 16

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpmech.cli as cli
 from dpmech.cli import (
@@ -721,9 +726,26 @@ def test_sweep_far_below_n0_exits_2_quickly(tmp_path, capsys, pricing, n0):
         f"config error: population {n} does not exceed required size {n0}\n")
 
 
+def test_one_facility_sweep_exits_2_without_output(tmp_path, capsys):
+    # one imposed facility separates no type pair, so the gap is 0 and the
+    # schedule's contract cannot hold at any n
+    import dpmech as dm
+
+    cfg = {"experiment": "sweep", "seed": 0, "n_list": [300, 3000],
+           "facility": {"n": 300, "m": 2, "K": 1, "mechanism": "loc1"}}
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: p_tilde * gamma must be positive\n"
+    assert not out.exists() and not (tmp_path / "rows.json").exists()
+    assert dm.build_grid_env(300, 2, 1).gamma_declared == 0
+    with pytest.raises(dm.ParamContractViolated):
+        dm.loc1(300, 2, 1)
+
+
 def _contract_grid():
     """Schema-valid configs of every subcommand, each with whether one of
-    its sweep points has a population at or below the schedule's n0."""
+    its sweep points has a population at or below the schedule's n0, or no
+    schedule at all."""
     import dpmech as dm
     from dpmech.facility import COMMITMENTS
 
@@ -742,7 +764,11 @@ def _contract_grid():
             for grid_m in (1, 4):
                 yield {"experiment": "verify", "pricing": {
                     "cohorts": cohorts, "cohort_size": size, "grid_m": grid_m}}, False
-    for m, K, mech in ((1, 1, "loc1"), (2, 2, "loc1"), (2, 2, "loc2"), (3, 2, "loc2")):
+    for n_list in ([1], [68], [300, 3000]):
+        # one facility declares gap 0: no sweep point has a schedule
+        yield {"experiment": "sweep", "n_list": n_list, "probes": 2, "facility":
+               {"n": 1, "m": 1, "K": 1, "mechanism": "loc1"}}, True
+    for m, K, mech in ((2, 2, "loc1"), (2, 2, "loc2"), (3, 2, "loc2")):
         inst = dm.build_grid_env(1, m, K)
         P = COMMITMENTS[mech](inst)
         s_count = len(inst.objective.alternatives)
@@ -782,3 +808,83 @@ def test_exit_contract_over_small_configs(tmp_path, capsys):
             assert rc == 2, cfg
     capsys.readouterr()
     assert codes[0] and codes[2] and codes[3]
+
+
+# Drawn size fields run from 1 to 3, or to these: every small config runs
+# in well under a second.  Or they are over 10^7, which a guard refuses
+# before any work (10^7 agents, the 2^17 support cap, 10^7 probe draws).
+_SMALL = {"facility.K": 2, "pricing.cohort_size": 2, "pricing.grid_m": 6, "example.n": 6}
+
+
+def _drawn(schema: dict, key: str = "", needed: tuple = ()):
+    """A strategy for values that meet ``schema``, a part of CONFIG_SCHEMA
+    at ``key``, always drawing the optional keys in ``needed``; an ``out``
+    is a file name, put under a scratch directory."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema["type"]
+    if kind == "object":
+        props = {k: _drawn(v, f"{key}.{k}".lstrip("."), needed)
+                 for k, v in schema["properties"].items()}
+        required = [k for k in props if k in schema.get("required", ())
+                    or f"{key}.{k}".lstrip(".") in needed]
+        return st.fixed_dictionaries(
+            {k: props[k] for k in required},
+            optional={k: v for k, v in props.items() if k not in required})
+    if kind == "array":
+        return st.lists(_drawn(schema["items"], key), min_size=1, max_size=3)
+    if kind == "number":
+        return st.floats(schema["exclusiveMinimum"], schema["exclusiveMaximum"],
+                         exclude_min=True, exclude_max=True)
+    if kind == "string":
+        return st.sampled_from(["rows.csv", os.path.join("missing", "rows.csv")])
+    if key in ("seed", "budget"):
+        # a budget above the default would let a run go on where it exits 3
+        return st.integers(schema["minimum"], schema.get("maximum", cli.DEFAULT_BUDGET))
+    sizes = st.integers(1, _SMALL.get(key, 3))
+    if key == "n_list":
+        sizes |= st.sampled_from([200, 2000, 6000])  # above some n0
+    extreme = st.integers(10**7 + 1, 2**64)
+    return st.integers(0, 5).flatmap(lambda k: extreme if k == 0 else sizes)
+
+
+def _config_of(exp: str):
+    """Configs of one subcommand, with only the top-level keys it reads and,
+    for verify and sweep, exactly one application block and the keys
+    ``validate_config`` requires of it."""
+    blocks = ("facility", "pricing")
+    needed = {"verify": ("facility.n", "pricing.cohorts"), "sweep": ("n_list",)}.get(exp, ())
+    keep = ("experiment", "seed", "out", *cli._READS[exp])
+    props = {k: v for k, v in cli.CONFIG_SCHEMA["properties"].items()
+             if k in keep and k not in blocks}
+    drawn = _drawn({**cli.CONFIG_SCHEMA, "properties": {**props, "experiment": {"enum": [exp]}}},
+                   needed=needed)
+    if exp not in ("verify", "sweep"):
+        return drawn
+    block = st.sampled_from(blocks).flatmap(lambda b: st.fixed_dictionaries(
+        {b: _drawn(cli.CONFIG_SCHEMA["properties"][b], b, needed)}))
+    return st.tuples(drawn, block).map(lambda parts: {**parts[0], **parts[1]})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(cli._READS)).flatmap(_config_of))
+def test_fuzzed_configs_keep_the_exit_contract(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        if "out" in config:
+            config["out"] = os.path.join(tmp, config["out"])
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as f:
+            json.dump(config, f)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([config["experiment"], "--config", path])
+        assert rc in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        out = config.get("out")
+        if out and os.path.isdir(os.path.dirname(out)):
+            # exits 2 and 3 write nothing
+            assert os.path.exists(out) == (rc in (0, 1))
+            if rc == 1:
+                with open(cli.sidecar_path(out)) as f:
+                    side = json.load(f)
+                assert all("witnesses" in s or "worst_probe" in s for s in side)

@@ -321,10 +321,9 @@ def test_bases_match_opponent_vectors(pair_walk_instances):
         ]
 
 
-def test_pairs_walk_equals_pair_index():
-    """The pure-Python walk and its int64 arrays list the same pairs, in
-    the naive tuple order, on seeded shapes (single-type agents and n=1
-    included)."""
+def test_pairs_walk_in_naive_order():
+    """The walk lists every unordered pair once, in the naive tuple order,
+    on seeded shapes (single-type agents and n=1 included)."""
     rng = random.Random(20261018)
     shapes = [(1,), (3,), (1, 3), (2, 1, 3)] + [
         tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 5))) for _ in range(30)
@@ -332,7 +331,6 @@ def test_pairs_walk_equals_pair_index():
     for sizes in shapes:
         env = _sized_env(sizes)
         walk = list(env.pairs())
-        assert walk == list(zip(*(column.tolist() for column in env.pair_index)))
         assert len(walk) == env.num_deviations() // 2
         assert [(i, env.vector(ka), env.vector(kb)) for i, ka, kb in walk] == [
             (i, t, t_hat) for i, t, t_hat, _, _ in _naive_pairs(env)

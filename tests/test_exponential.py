@@ -272,6 +272,24 @@ def test_audit_constant_exact_mechanism_has_no_witness():
     assert dm.audit_dp(lambda t: dist, env, 0.0) == dm.DpAuditReport(0.0, None, 0.0, True)
 
 
+def test_audit_dp_memory_is_bounded_by_the_table():
+    # 2 187 vectors x 9 alternatives, 15 309 unilateral pairs: the audit holds
+    # a few (vectors x alternatives) arrays, none with a row per pair
+    import tracemalloc
+
+    inst = dm.build_grid_env(7, 2, 2)
+    mech = dm.exponential_mechanism(inst.F, inst.env, 0.5)
+    dm.exponential.probability_table(inst.F, inst.env, mech.exp_mech[2])
+    tracemalloc.start()
+    try:
+        report = dm.audit_dp(mech, inst.env, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 1.5e6
+
+
 def test_budget_checks_run_before_any_mechanism_call():
     inst = dm.build_grid_env(2, 2, 2)
 

@@ -1,7 +1,7 @@
 """The CLI needs no numpy, and gives the same bytes on every interpreter.
 
-Only the exponential-mechanism audits, ``Environment.pair_index`` and
-``loc3``'s continuous distribution load numpy.  Everything else sums left to
+Only the exponential-mechanism audits and ``loc3``'s continuous
+distribution load numpy.  Everything else sums left to
 right (``outcomes.left_sum``), so its floats do not depend on the
 interpreter's built-in ``sum``, and a sweep draws its probes from a
 ``random.Random`` seeded by a string, the same stream on every interpreter.
