@@ -368,6 +368,8 @@ def _sweep_point(config: dict, n: int, index: int) -> tuple[dict, dict]:
     probes = config.get("probes", DEFAULT_PROBES)
     t0 = time.monotonic()
     kind, inst, P = _instance(config, n)
+    if kind == "facility" and config["facility"]["K"] == 1:  # past the size caps
+        raise ParamContractViolated("facility.K = 1: the gap is 0, so no schedule exists")
     F, objective, gamma = inst.F, inst.objective, inst.gamma_declared
     s_count = len(objective.alternatives)
     params = schedule_params(P, gamma, F.sensitivity_d, s_count, inst.n)

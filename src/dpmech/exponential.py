@@ -216,14 +216,14 @@ def near_indifference_bound_check(
 
     The deviation family is truthful opponents with all unilateral
     announcements (every richer unilateral map factors through these).  The
-    bound asserted is e^eps - 1, which is at most 2*eps for eps <= 1.
+    bound asserted is e^eps - 1 (+inf once that overflows a float), which is
+    at most 2*eps for eps <= 1.
 
     Expected utilities are the ``PayoffTable.eu`` sums of the deviations
     ``PayoffTable.unilateral()`` walks.  For an ``exponential_mechanism`` on
-    ``env`` the same sums are added up at once, over dense (vectors x
-    alternatives) float arrays: one probability column per alternative,
-    from ``probability_table``, against ``env.payoff``.  The witness is
-    the first largest swing in ``PayoffTable.unilateral()`` order.
+    ``env`` the same sums are added up agent by agent, on agent i's axis of
+    ``probability_table`` as in ``audit_dp``, against ``env.payoff``.  The
+    witness is the first largest swing in ``PayoffTable.unilateral()`` order.
     """
     needed = max(env.num_deviations(), 1)
     check_budget(needed, budget)
@@ -242,31 +242,29 @@ def near_indifference_bound_check(
         # each sum adds the alternatives' terms left to right, as
         # PayoffTable.eu does; a probability that underflowed adds an exact 0
         N, width = prob.shape
-        kt = np.arange(N)
-        # per agent: expected utilities by (true vector, announced type
-        # index), and the true vectors' own type indices
-        columns = []
-        for i, (m, stride) in enumerate(zip(env.sizes, env.strides)):
+        kt, at = np.arange(N), N
+        for i, m in enumerate(env.sizes):
             # payoffs at the vectors that are their own key, read by key
             own = env.own(i, kt)
             keys = kt[own == kt]
             payoff = np.array([[env.payoff(i, k, a)[1] for a in range(width)]
                                for k in keys.tolist()])[np.searchsorted(keys, own)]
-            t_i = kt // stride % m
-            kb = kt[:, None] + (np.arange(m) - t_i[:, None]) * stride
-            eu = _left_sums(prob[kb] * payoff[:, None, :])
-            columns.append((eu, t_i))
-        swing = np.abs(np.concatenate(
-            [eu[kt, t_i][:, None] - eu for eu, t_i in columns], axis=1
-        ))
-        if swing.max() > 0:
-            k, col = divmod(int(np.argmax(swing)), swing.shape[1])
-            i, b_i = [(j, b) for j, m in enumerate(env.sizes) for b in range(m)][col]
-            eu, t_i = columns[i]
-            worst = float(swing.item(k, col))
-            witness = (i, env.vector(k), env.type_spaces[i][b_i],
-                       eu.item(k, t_i[k]), eu.item(k, b_i))
-    bound = math.exp(eps) - 1
+            # eu[h, t, b, lo]: true type t announcing b at profile h * stride + lo
+            eu = _left_sums(_axis(env, prob, i)[:, None] * _axis(env, payoff, i)[:, :, None])
+            eu = eu.transpose(0, 1, 3, 2).reshape(N, m)  # by true vector, announced type
+            t_i = kt // env.strides[i] % m
+            swing = np.abs(eu[kt, t_i][:, None] - eu)
+            k, b = divmod(int(np.argmax(swing)), m)
+            peak = swing.item(k, b)
+            # first largest in PayoffTable.unilateral() order: by vector, then agent
+            if peak > worst or (peak == worst > 0 and k < at):
+                worst, at = peak, k
+                witness = (i, env.vector(k), env.type_spaces[i][b],
+                           eu.item(k, t_i[k]), eu.item(k, b))
+    try:
+        bound = math.exp(eps) - 1
+    except OverflowError:  # e^eps past the largest float: no swing can exceed it
+        bound = math.inf
     return VerificationReport(
         property="near_indifference",
         passed=worst <= bound + BOUND_TOL,

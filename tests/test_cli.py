@@ -735,7 +735,8 @@ def test_one_facility_sweep_exits_2_without_output(tmp_path, capsys):
            "facility": {"n": 300, "m": 2, "K": 1, "mechanism": "loc1"}}
     out = tmp_path / "rows.csv"
     assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "config error: p_tilde * gamma must be positive\n"
+    assert capsys.readouterr().err == (
+        "config error: facility.K = 1: the gap is 0, so no schedule exists\n")
     assert not out.exists() and not (tmp_path / "rows.json").exists()
     assert dm.build_grid_env(300, 2, 1).gamma_declared == 0
     with pytest.raises(dm.ParamContractViolated):

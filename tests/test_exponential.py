@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpmech as dm
-from tests.conftest import random_private_instance
+from tests.conftest import cohort_pricing_instance, random_private_instance
 
 # softmax of scores (0, 1) at rate 1, from mpmath at 50 digits
 P_LOW_ORACLE = 0.26894142136999512074934946989610952015792900994316
@@ -222,10 +222,14 @@ def _audit(check, mech, env, eps) -> str:
 
 
 def test_audits_of_a_wrapped_mechanism_match_the_per_vector_path(random_instances):
-    # at eps 700 some probabilities underflow to exactly 0
+    # at eps 700 some probabilities underflow to exactly 0; the histogram
+    # instances bring cross-agent ties (symmetric facility agents), agents
+    # with a single type and payoffs keyed by the full vector
+    histograms = (dm.build_grid_env(3, 2, 2), dm.build_grid_env(4, 3, 2),
+                  cohort_pricing_instance(N=2, D=2), cohort_pricing_instance(N=3, D=2, m=6))
     calls = Counter()
     underflows = 0
-    for env, F in random_instances:
+    for env, F in [*random_instances, *((inst.env, inst.F) for inst in histograms)]:
         for eps in (0.5, 700.0):
             mech = dm.exponential_mechanism(F, env, eps)
 
@@ -288,6 +292,35 @@ def test_audit_dp_memory_is_bounded_by_the_table():
         tracemalloc.stop()
     assert report.passed
     assert peak < 1.5e6
+
+
+def test_near_indifference_memory_is_bounded_per_agent():
+    # one agent's deviations at a time: 2 187 vectors x 3 announced types x
+    # 9 alternatives, no array over every agent's deviations
+    import tracemalloc
+
+    inst = dm.build_grid_env(7, 2, 2)
+    mech = dm.exponential_mechanism(inst.F, inst.env, 0.5)
+    first = dm.near_indifference_bound_check(mech, inst.env, 0.5)  # builds the rows
+    tracemalloc.start()
+    try:
+        report = dm.near_indifference_bound_check(mech, inst.env, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == first and report.passed
+    assert peak < 1.2e6
+
+
+def test_near_indifference_bound_is_infinite_past_the_largest_float():
+    # e^800 overflows a float: the bound is +inf, on both paths
+    inst = dm.build_grid_env(2, 2, 2)
+    mech = dm.exponential_mechanism(inst.F, inst.env, 800.0)
+    reports = [dm.near_indifference_bound_check(m, inst.env, 800.0)
+               for m in (mech, lambda t: mech(t))]
+    assert repr(reports[0]) == repr(reports[1])
+    assert reports[0].passed and reports[0].margin == math.inf
+    assert reports[0].witness is not None
 
 
 def test_budget_checks_run_before_any_mechanism_call():
