@@ -370,15 +370,15 @@ def _sweep_point(config: dict, n: int, index: int) -> tuple[dict, dict]:
     kind, inst, P = _instance(config, n)
     if kind == "facility" and config["facility"]["K"] == 1:  # past the size caps
         raise ParamContractViolated("facility.K = 1: the gap is 0, so no schedule exists")
-    F, objective, gamma = inst.F, inst.objective, inst.gamma_declared
-    s_count = len(objective.alternatives)
+    F, gamma = inst.F, inst.gamma_declared
+    s_count = len(F.alternatives)
     params = schedule_params(P, gamma, F.sensitivity_d, s_count, inst.n)
     # agents across all probes, bounded as when each probe drew one type
     # per agent (the histogram draws need far less)
     check_budget(probes * inst.n, DEFAULT_BUDGET)
-    counts = sample_probes(objective, probes, task_rng(config["seed"], "sweep", index))
+    counts = sample_probes(F, probes, task_rng(config["seed"], "sweep", index))
     rate = exp_mech_rate(inst.n, params.eps, F.sensitivity_d)
-    beta_measured, worst = histogram_gap(objective, counts, rate, P, params.q)
+    beta_measured, worst = histogram_gap(F, counts, rate, P, params.q)
     ok = beta_measured <= params.beta_bound + 1e-9
     fields = {
         "experiment": f"sweep-{kind}", "n": inst.n,
@@ -394,7 +394,7 @@ def _sweep_point(config: dict, n: int, index: int) -> tuple[dict, dict]:
         # agents (facility) or cohorts (pricing) per type cell
         worst_probe={
             ",".join(map(_fmt, cell)): c
-            for cell, c in zip(objective.cells, counts[worst])
+            for cell, c in zip(F.cells, counts[worst])
         },
     )
 

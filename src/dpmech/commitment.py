@@ -75,7 +75,7 @@ def uniform_histogram_commitment(inst: HistogramInstance) -> CommitmentDistribut
     grid by the fineness premise) without the greedy certificate, which is
     infeasible at sweep-scale populations.
     """
-    alternatives = inst.objective.alternatives
+    alternatives = inst.F.alternatives
     k = len(alternatives)
     return CommitmentDistribution(
         alternatives=alternatives,

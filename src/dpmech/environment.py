@@ -252,9 +252,12 @@ class HistogramObjective:
         F(t, alternatives[k]) = offset + weights[k] * (c @ matrix[:, k]) / denom
 
     where ``matrix`` is an integer (cells x alternatives) score table.
+    ``sensitivity_d`` is F's declared bound, as for ``ObjectiveFunction``.
     """
 
-    def __init__(self, member_types, alternatives, matrix, offset, weights, denom, units):
+    def __init__(self, member_types, alternatives, matrix, offset, weights, denom, units,
+                 sensitivity_d):
+        self.sensitivity_d = sensitivity_d
         self.member_types = tuple(tuple(s) for s in member_types)
         self.alternatives = tuple(alternatives)
         self._columns = [[int(x) for x in column] for column in zip(*matrix)]
@@ -287,36 +290,33 @@ class HistogramObjective:
 
 
 class HistogramInstance:
-    """A symmetric family of ``objective.units`` groups (a facility-location
-    agent, a pricing cohort) sharing one reaction space.  ``utility(X, j, s,
-    r)`` is member j's utility when its group's types are X, so a one-member
-    group has private values and a larger one is declared interdependent.
-    ``objective`` is F.eval's exact definition, batchable.
+    """A symmetric family of ``F.units`` groups (a facility-location agent, a
+    pricing cohort) sharing one reaction space.  ``utility(X, j, s, r)`` is
+    member j's utility when its group's types are X, so a one-member group
+    has private values and a larger one is declared interdependent.
     """
 
     def __init__(
         self,
-        F: ObjectiveFunction,
-        objective: HistogramObjective,
+        F: HistogramObjective,
         reactions: tuple,
         utility: Callable[[tuple, int, Any, Any], Any],
         gamma_declared: Any,
     ):
         self.F = F
-        self.objective = objective
         self.reactions = reactions
         self.utility = utility
         self.gamma_declared = gamma_declared
 
     @property
     def n(self) -> int:
-        return self.objective.units * len(self.objective.member_types)
+        return self.F.units * len(self.F.member_types)
 
     @cached_property
     def env(self) -> Environment:
         """The per-agent environment, built on first read (sweeps never read
         it): agent i is member j of group c, (c, j) = divmod(i, D)."""
-        member_types, utility = self.objective.member_types, self.utility
+        member_types, utility = self.F.member_types, self.utility
         D = len(member_types)
 
         def agent_utility(i: int, t: tuple, s, r):
@@ -324,8 +324,8 @@ class HistogramInstance:
             return utility(t[c * D:(c + 1) * D], j, s, r)
 
         return Environment(
-            type_spaces=member_types * self.objective.units,
-            alternatives=self.objective.alternatives,
+            type_spaces=member_types * self.F.units,
+            alternatives=self.F.alternatives,
             reaction_spaces=(self.reactions,) * self.n,
             utility=agent_utility,
             values_kind=PRIVATE_VALUES if D == 1 else INTERDEPENDENT,

@@ -109,14 +109,16 @@ def probability_table(F: ObjectiveFunction, env: Environment, rate: float):
     return weights
 
 
-def _left_sums(a):
-    """Sums over the last axis of ``a``, its entries added left to right from
-    0 as ``left_sum`` adds them, one column at a time."""
+def _left_sums(a, b=None):
+    """Sums over the last axis of ``a``, or of ``a * b`` broadcast, its
+    entries added left to right from 0 as ``left_sum`` adds them, one column
+    at a time, so that no product array is held whole."""
     import numpy as np
 
-    total = np.zeros(a.shape[:-1])
+    shape = a.shape if b is None else np.broadcast_shapes(a.shape, b.shape)
+    total = np.zeros(shape[:-1])
     for k in range(a.shape[-1]):
-        total += a[..., k]
+        total += a[..., k] if b is None else a[..., k] * b[..., k]
     return total
 
 
@@ -250,7 +252,7 @@ def near_indifference_bound_check(
             payoff = np.array([[env.payoff(i, k, a)[1] for a in range(width)]
                                for k in keys.tolist()])[np.searchsorted(keys, own)]
             # eu[h, t, b, lo]: true type t announcing b at profile h * stride + lo
-            eu = _left_sums(_axis(env, prob, i)[:, None] * _axis(env, payoff, i)[:, :, None])
+            eu = _left_sums(_axis(env, prob, i)[:, None], _axis(env, payoff, i)[:, :, None])
             eu = eu.transpose(0, 1, 3, 2).reshape(N, m)  # by true vector, announced type
             t_i = kt // env.strides[i] % m
             swing = np.abs(eu[kt, t_i][:, None] - eu)
@@ -299,7 +301,7 @@ def accuracy_bound_check(
 
     bound = (4 * d / (n * eps)) * math.log(n * eps * s_count / (2 * d))
     scores = np.array(env.scores(F), float)
-    expected = _left_sums(probability_table(F, env, exp_mech_rate(n, eps, d)) * scores)
+    expected = _left_sums(probability_table(F, env, exp_mech_rate(n, eps, d)), scores)
     best = scores.max(axis=1)
     slack = expected - (best - bound)
     k = int(np.argmin(slack))

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 from .combined import MechanismParams, build_combined, schedule_params
 from .commitment import CommitmentDistribution, uniform_histogram_commitment
-from .environment import HistogramInstance, HistogramObjective, ObjectiveFunction
+from .environment import HistogramInstance, HistogramObjective
 from .errors import PopulationTooSmall, ResolutionBudgetExceeded
 from .outcomes import Outcome, OutcomeDistribution, left_sum
 from .payoffs import Mechanism
@@ -59,15 +59,14 @@ def build_grid_env(n: int, m: int, K: int) -> HistogramInstance:
     # J[g, s]: grid steps from point g/m to the nearest facility of s
     J = [[min(abs(g - int(f * m)) for f in s) for s in alternatives]
          for g in range(m + 1)]
-    objective = HistogramObjective(
+    F = HistogramObjective(
         (locs,), alternatives, J, offset=1, weights=(-1,) * len(alternatives),
-        denom=m * n, units=n,
+        denom=m * n, units=n, sensitivity_d=1,
     )
-    F = ObjectiveFunction(eval=objective.eval, sensitivity_d=1)
     # gamma_declared 1/m, but 0 when K = 1: one imposed facility fixes every
     # reaction whatever was announced, and no schedule exists for a zero gap
     return HistogramInstance(
-        F=F, objective=objective, reactions=locs, utility=_utility,
+        F=F, reactions=locs, utility=_utility,
         gamma_declared=Fraction(1, m) if K > 1 else Fraction(0),
     )
 
@@ -79,8 +78,8 @@ def dyad_facility_commitment(inst: HistogramInstance) -> CommitmentDistribution:
     facilities differ), so the m dyads jointly separate all type pairs.
     Needs K >= 2 to host both dyad endpoints.
     """
-    locs = inst.objective.member_types[0]
-    K = len(inst.objective.alternatives[0])
+    locs = inst.F.member_types[0]
+    K = len(inst.F.alternatives[0])
     if K < 2:
         raise ValueError("dyad commitment needs K >= 2")
     m = len(locs) - 1
@@ -107,7 +106,7 @@ def _scheduled(n: int, m: int, K: int, mechanism: str) -> ScheduledMechanism:
     inst = build_grid_env(n, m, K)
     P = COMMITMENTS[mechanism](inst)
     params = schedule_params(
-        P, inst.gamma_declared, inst.F.sensitivity_d, len(inst.objective.alternatives), n
+        P, inst.gamma_declared, inst.F.sensitivity_d, len(inst.F.alternatives), n
     )
     mech = build_combined(inst.env, inst.F, P, inst.gamma_declared, params.eps, params.q)
     return ScheduledMechanism(mech=mech, params=params, P=P, inst=inst)
@@ -219,12 +218,6 @@ class DyadicCommitment:
         for x in range(1, self.m_bar + 1):
             two_x = Fraction(2**x)
             hi = two_x - 1
-
-            def committed(v, y):
-                a = y / two_x
-                # switch rule: the lower facility wins iff y >= 2^x v - 1/2
-                return a if y >= two_x * v - Fraction(1, 2) else a + 1 / two_x
-
             cuts = {Fraction(0), hi}
             for c in (two_x * t - Fraction(1, 2), two_x * b - Fraction(1, 2),
                       two_x * t, two_x * t - 1):
@@ -234,7 +227,8 @@ class DyadicCommitment:
             integral = Fraction(0)
             for lo_y, hi_y in zip(pts, pts[1:]):
                 mid = (lo_y + hi_y) / 2
-                g = abs(t - committed(b, mid)) - abs(t - committed(t, mid))
+                g = (abs(t - self.committed_facility(b, x, mid))
+                     - abs(t - self.committed_facility(t, x, mid)))
                 integral += g * (hi_y - lo_y)
             total += integral / hi
         return total / self.m_bar

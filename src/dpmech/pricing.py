@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
-from .environment import HistogramInstance, HistogramObjective, ObjectiveFunction
+from .environment import HistogramInstance, HistogramObjective
 from .errors import GridTooCoarse, ResolutionBudgetExceeded
 from .facility import DEFAULT_SUPPORT_CAP, SCORE_TABLE_CAP
 from .outcomes import Outcome, OutcomeDistribution
@@ -79,17 +79,16 @@ def build_pricing_env(
     _check_monotone(signal_spaces, table, D)
     _check_fineness(signal_spaces, table, D, m)
 
-    objective = _revenue_objective(signal_spaces, table, prices, N)
-    F = ObjectiveFunction(eval=objective.eval, sensitivity_d=D)
     # gamma_declared: the grid bound 1/m in utility units; the gap may exceed it
     return HistogramInstance(
-        F=F, objective=objective, reactions=REACTIONS,
+        F=_revenue_objective(signal_spaces, table, prices, N, D), reactions=REACTIONS,
         utility=partial(_utility, table, vmax), gamma_declared=Fraction(1, m) / (1 + vmax),
     )
 
 
-def _revenue_objective(signal_spaces, table, prices, N, scale=1) -> HistogramObjective:
-    """Average revenue per agent times ``scale``, from the cohort histogram.
+def _revenue_objective(signal_spaces, table, prices, N, d, scale=1) -> HistogramObjective:
+    """Average revenue per agent times ``scale``, from the cohort histogram,
+    declared d-sensitive.
 
     B[X, p] counts the members of a cohort with signal vector X who value
     the good strictly above p; F(t, p) = scale * p * (c @ B[:, p]) / n.
@@ -102,7 +101,7 @@ def _revenue_objective(signal_spaces, table, prices, N, scale=1) -> HistogramObj
         B.append([len(vals) - bisect.bisect_right(vals, p) for p in prices])
     return HistogramObjective(
         signal_spaces, prices, B, offset=0, weights=[scale * p for p in prices],
-        denom=N * len(signal_spaces), units=N,
+        denom=N * len(signal_spaces), units=N, sensitivity_d=d,
     )
 
 
@@ -152,10 +151,9 @@ def _two_level_instance(n: int, v_low, v_high, prices, mu) -> HistogramInstance:
     """
     types = (v_low, v_high)
     table = {(v,): (v,) for v in types}
-    objective = _revenue_objective((types,), table, prices, n, scale=1 / (1 + mu))
-    F = ObjectiveFunction(eval=objective.eval, sensitivity_d=1)
     return HistogramInstance(
-        F=F, objective=objective, reactions=REACTIONS,
+        F=_revenue_objective((types,), table, prices, n, 1, scale=1 / (1 + mu)),
+        reactions=REACTIONS,
         utility=partial(_utility, table, v_high), gamma_declared=None,
     )
 
@@ -195,7 +193,7 @@ def optimal_announced_price(inst: HistogramInstance, b: tuple):
     """
     best_p = None
     best_rev = None
-    for p in inst.objective.alternatives:
+    for p in inst.F.alternatives:
         rev = p * sum(1 for v in b if v >= p)
         if best_rev is None or rev >= best_rev:
             best_p, best_rev = p, rev
@@ -228,6 +226,6 @@ def revenue_per_agent(inst: HistogramInstance, t: tuple, p):
 
     Only for D=1 instances, where announced types are the valuations.
     """
-    if len(inst.objective.member_types) != 1:
+    if len(inst.F.member_types) != 1:
         raise ValueError("revenue_per_agent expects a D=1 instance")
     return p * Fraction(_buyer_count(t, p), inst.n)

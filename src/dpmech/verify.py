@@ -167,7 +167,9 @@ def find_dominating_strategy(
 
     A candidate dominates when it is weakly better against every opponent
     announcement vector and every true type vector, and strictly better
-    somewhere (slack above ``ABS_TOL``).  Reads the table ``env`` holds.
+    somewhere (slack above ``ABS_TOL``).  Under private values only the own
+    vectors (``env.own``) are read; the budget counts every true vector.
+    Reads the table ``env`` holds.
     """
     types_i = env.type_spaces[i]
     map_count = len(types_i) ** len(types_i)
@@ -187,6 +189,8 @@ def find_dominating_strategy(
         for kt, digits in enumerate(env.digits()):
             if not dominates:
                 break
+            if env.own(i, kt) != kt:  # its differences are those at own(i, kt)
+                continue
             b_old, b_new = old[digits[i]] * stride, images[digits[i]] * stride
             for k in env.bases[i]:
                 diff = table.eu(k + b_new, i, kt) - table.eu(k + b_old, i, kt)

@@ -90,7 +90,7 @@ def test_sample_probes_draws_valid_types():
     import dpmech as dm
 
     inst = dm.build_grid_env(3, 2, 1)
-    counts = sample_probes(inst.objective, 50, task_rng(0, "sweep", 0))
+    counts = sample_probes(inst.F, 50, task_rng(0, "sweep", 0))
     # one histogram over the 3 grid points per probe, each of 3 agents
     assert len(counts) == 50 and all(len(row) == 3 for row in counts)
     assert all(min(row) >= 0 and sum(row) == 3 for row in counts)
@@ -100,7 +100,8 @@ def test_sample_probes_draws_valid_types():
 def _objective(cells: int, units: int) -> HistogramObjective:
     """A one-member-group objective with ``cells`` types, for the sampler."""
     return HistogramObjective((tuple(range(cells)),), ("s",), [[0]] * cells,
-                              offset=0, weights=(1,), denom=1, units=units)
+                              offset=0, weights=(1,), denom=1, units=units,
+                              sensitivity_d=1)
 
 
 def _multinomial_pmf(units: int, cells: int) -> dict:
@@ -772,7 +773,7 @@ def _contract_grid():
     for m, K, mech in ((2, 2, "loc1"), (2, 2, "loc2"), (3, 2, "loc2")):
         inst = dm.build_grid_env(1, m, K)
         P = COMMITMENTS[mech](inst)
-        s_count = len(inst.objective.alternatives)
+        s_count = len(inst.F.alternatives)
         n0 = dm.compute_n0(P.p_tilde, inst.gamma_declared, 1, s_count)
         for n_list in ([1], [n0], [n0 + 1], [2 * n0], [2 * n0, n0]):
             yield {"experiment": "sweep", "n_list": n_list, "probes": 2, "facility":
@@ -780,7 +781,7 @@ def _contract_grid():
     for size in (1, 2):
         app = {"cohorts": 1, "cohort_size": size, "grid_m": 4}
         _, inst, P = cli._instance({"pricing": app})
-        s_count = len(inst.objective.alternatives)
+        s_count = len(inst.F.alternatives)
         n0 = dm.compute_n0(P.p_tilde, inst.gamma_declared, size, s_count)
         for n in (1, n0, n0 + 1, n0 + 2):
             # n counts agents, rounded down to whole cohorts

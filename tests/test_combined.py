@@ -138,7 +138,7 @@ def test_schedule_contract_holds_at_every_n_above_n0(family):
         inst = dm.build_grid_env(1, int(family[-1]), 2)
         P = dm.dyad_facility_commitment(inst)
     gamma, d = inst.gamma_declared, inst.F.sensitivity_d
-    s_count = len(inst.objective.alternatives)
+    s_count = len(inst.F.alternatives)
     n0 = dm.compute_n0(P.p_tilde, gamma, d, s_count)
     for n in range(n0 + 1, n0 + 2001):
         params = dm.schedule_params(P, gamma, d, s_count, n)

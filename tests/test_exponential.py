@@ -295,8 +295,9 @@ def test_audit_dp_memory_is_bounded_by_the_table():
 
 
 def test_near_indifference_memory_is_bounded_per_agent():
-    # one agent's deviations at a time: 2 187 vectors x 3 announced types x
-    # 9 alternatives, no array over every agent's deviations
+    # one agent's deviations at a time, their products one alternative at a
+    # time: no 2 187 vectors x 3 announced types x 9 alternatives array, and
+    # none over every agent's deviations
     import tracemalloc
 
     inst = dm.build_grid_env(7, 2, 2)
@@ -309,7 +310,24 @@ def test_near_indifference_memory_is_bounded_per_agent():
     finally:
         tracemalloc.stop()
     assert report == first and report.passed
-    assert peak < 1.2e6
+    assert peak < 0.75e6
+
+
+def test_accuracy_memory_is_bounded_by_the_table():
+    # E[F] adds probability times score one alternative at a time: a few
+    # arrays of 2 187 vectors, no (vectors x alternatives) product
+    import tracemalloc
+
+    inst = dm.build_grid_env(7, 2, 2)
+    first = dm.accuracy_bound_check(inst.F, inst.env, 0.5)  # builds the tables
+    tracemalloc.start()
+    try:
+        report = dm.accuracy_bound_check(inst.F, inst.env, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == first and report.passed
+    assert peak < 0.28e6
 
 
 def test_near_indifference_bound_is_infinite_past_the_largest_float():

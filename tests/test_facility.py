@@ -80,6 +80,21 @@ def test_scheduled_loc2_runs_and_is_truthful_at_small_scale():
     assert dm.check_strictly_dominant_truthful(mech, inst.env).passed
 
 
+@pytest.mark.parametrize("build, m", [(dm.loc2, 2), (dm.loc1, 1)])
+def test_scheduled_mechanisms_past_n0(build, m):
+    # n0 = 164 for both at K = 2: the schedule is the closed form, and the
+    # lottery imposes with probability q
+    n, K = 165, 2
+    sched = build(n, m, K)
+    inst = sched.inst
+    assert sched.params == dm.schedule_params(
+        sched.P, inst.gamma_declared, inst.F.sensitivity_d, len(inst.F.alternatives), n
+    )
+    locs = inst.F.member_types[0]
+    b = tuple(locs[i % len(locs)] for i in range(n))
+    assert sched.mech(b).imposing_mass() == sched.params.q
+
+
 def test_continuous_rate_zero_uniform():
     dist = continuous_expmech_distribution((0.5,), eps=0.0, K=1, rho=Fraction(1, 8))
     probs = list(dist.probs)
@@ -225,6 +240,24 @@ def test_loc3_exponential_branch_fits_the_support_cap():
     # a 1025^2 grid exceeds the cap: refused when built, not when drawn
     with pytest.raises(dm.ResolutionBudgetExceeded):
         dm.loc3(dm.loc3_n0(2), 2)
+
+
+class _DyadicBranchRng:
+    """A generator whose ``random()`` is 0.0 and ``integers(lo, hi)`` is lo,
+    so loc3 takes the dyadic branch with X = 1 and Y = 0."""
+
+    def random(self):
+        return 0.0
+
+    def integers(self, lo, hi):
+        return lo
+
+
+def test_loc3_dyadic_branch_draws_the_dyad():
+    n0 = dm.loc3_n0(1)
+    t = tuple(np.random.default_rng(3).random(n0))
+    # facilities at Y/2^X = 0 and (Y+1)/2^X = 1/2; K = 1 carries both
+    assert dm.loc3(n0, 1).sample(t, _DyadicBranchRng()) == (0.0, 0.5)
 
 
 def test_loc3_sampler_deterministic():

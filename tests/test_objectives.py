@@ -89,8 +89,8 @@ def _counts(objective, t):
                          + [f"PricingInstance-n{i.n}" for i, _ in pricing_cases()])
 def test_batched_scores_match_eval(inst):
     vectors = random_vectors(inst.env, 8, MASTER_SEED)
-    counts = [_counts(inst.objective, t) for t in vectors]
-    scores = inst.objective.scores(counts)
+    counts = [_counts(inst.F, t) for t in vectors]
+    scores = inst.F.scores(counts)
     assert len(scores) == len(vectors)
     assert all(len(row) == len(inst.env.alternatives) for row in scores)
     # two float roundings (product, then offset) against one
@@ -136,7 +136,7 @@ def test_histogram_gap_matches_numpy_reference(config, n):
     from dpmech.verify import histogram_gap
 
     _, inst, P = _instance(config, n)
-    objective, d = inst.objective, inst.F.sensitivity_d
+    objective, d = inst.F, inst.F.sensitivity_d
     params = schedule_params(P, inst.gamma_declared, d, len(objective.alternatives), inst.n)
     rate = exp_mech_rate(inst.n, params.eps, d)
     counts = sample_probes(objective, 200, task_rng(MASTER_SEED, "oracle", n))

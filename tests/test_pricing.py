@@ -207,8 +207,8 @@ def _naive_buyers(inst):
     """B by its definition: per cell, the members valuing the good strictly
     above each price, from the valuation table the instance's utility reads."""
     table = inst.utility.args[0]
-    return [[sum(1 for v in table[X] if v > p) for p in inst.objective.alternatives]
-            for X in inst.objective.cells]
+    return [[sum(1 for v in table[X] if v > p) for p in inst.F.alternatives]
+            for X in inst.F.cells]
 
 
 @pytest.mark.parametrize("build", [
@@ -225,7 +225,7 @@ def _naive_buyers(inst):
 ])
 def test_buyer_table_matches_naive_count(build):
     inst = build()
-    B = [list(row) for row in zip(*inst.objective._columns)]
+    B = [list(row) for row in zip(*inst.F._columns)]
     assert B == _naive_buyers(inst)
 
 
@@ -235,4 +235,4 @@ def test_large_cohort_builds_in_time():
     start = time.perf_counter()
     inst = cohort_pricing_instance(N=1, D=20_000, m=400)
     assert time.perf_counter() - start < 2
-    assert [row[200] for row in zip(*inst.objective._columns)] == [0, 20_000]
+    assert [row[200] for row in zip(*inst.F._columns)] == [0, 20_000]

@@ -72,6 +72,22 @@ def test_dominated_constant_map_is_beaten_by_truth():
     assert found is not None
 
 
+def test_dominating_strategy_visits_each_own_vector_once():
+    # private values: agent 0's expected utilities depend on the true vector
+    # only through its own type, so the first candidate (constant low, which
+    # dominates) is read at 2 own vectors x 128 opponent profiles x 2 maps,
+    # not at all 256 true vectors; the budget still counts every one
+    inst = dm.example1_env(8)
+    mech = dm.exponential_mechanism(inst.F, inst.env, 0.1)
+    found = dm.find_dominating_strategy(
+        mech, inst.env, 0, dict(dm.truthful_profile(inst.env)[0])
+    )
+    assert found == dm.constant_map(inst.env, 0, inst.env.type_spaces[0][0])
+    stats = dm.PayoffTable.of(mech, inst.env).stats()
+    assert stats["eu_lookups"] == 512
+    assert stats["enumerated"] == {"dominating_strategy": 4 * 256 * 128}
+
+
 def test_implementation_gap_zero_for_argmax_mechanism():
     inst = dm.build_grid_env(2, 2, 1)
     env, F = inst.env, inst.F
