@@ -43,7 +43,6 @@ from .environment import (
     verify_sensitivity,
 )
 from .errors import (
-    AssertionFailed,
     ConfigInvalid,
     EnumerationBudgetExceeded,
     GridTooCoarse,

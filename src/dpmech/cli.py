@@ -25,7 +25,6 @@ from .combined import build_combined, compute_n0, schedule_params, saturating_pa
 from .commitment import commitment_mechanism, uniform_histogram_commitment
 from .environment import DEFAULT_BUDGET, check_budget, compute_gap, verify_sensitivity
 from .errors import (
-    AssertionFailed,
     ConfigInvalid,
     EnumerationBudgetExceeded,
     GridTooCoarse,
@@ -505,22 +504,15 @@ def write_outputs(rows, sides, out_path: str | None):
 
 
 def run_config(config: dict) -> tuple[list[dict], list[dict]]:
-    """The rows and sidecar entries of a validated config.
-
-    Raises AssertionFailed, carrying both, when a row's properties hold a
-    failure.
-    """
+    """The rows and sidecar entries of a validated config; a failed property
+    reads ``fail`` in its row's ``properties``."""
     exp = config["experiment"]
     if exp == "sweep":
         results = [_sweep_point(config, n, i) for i, n in enumerate(config["n_list"])]
     else:
         run = {"verify": run_verify, "example1": run_example1, "example3": run_example3}
         results = [run[exp](config)]
-    rows = [row for row, _ in results]
-    sides = [side for _, side in results]
-    if any("fail" in row["properties"] for row in rows):
-        raise AssertionFailed((rows, sides))
-    return rows, sides
+    return [row for row, _ in results], [side for _, side in results]
 
 
 def _read_config(args) -> tuple[dict, str | None]:
@@ -568,7 +560,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
-    failed = False
     try:
         config, out = _read_config(args)
         rows, sides = run_config(config)
@@ -578,14 +569,12 @@ def main(argv=None) -> int:
     except (EnumerationBudgetExceeded, ResolutionBudgetExceeded) as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
-    except AssertionFailed as e:
-        (rows, sides), failed = e.args[0], True
     try:
         write_outputs(rows, sides, out)
     except OSError as e:
         print(f"output error: {e}", file=sys.stderr)
         return 2
-    if failed:
+    if any("fail" in row["properties"] for row in rows):
         print("assertion failed; witnesses in output", file=sys.stderr)
         return 1
     return 0

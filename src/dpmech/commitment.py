@@ -50,6 +50,12 @@ class CommitmentDistribution:
             raise ValueError("separating set must have positive mass everywhere")
         self.p_tilde: Fraction | float = p_tilde
 
+    @classmethod
+    def uniform(cls, alternatives, separating_set) -> CommitmentDistribution:
+        """Mass 1/|alternatives| on each of a sequence of alternatives."""
+        k = len(alternatives)
+        return cls(alternatives, tuple(Fraction(1, k) for _ in alternatives), separating_set)
+
 
 def uniform_commitment(
     env: Environment, budget: int = DEFAULT_BUDGET
@@ -60,11 +66,8 @@ def uniform_commitment(
     alternative when the certificate is empty (no agent has two types).
     """
     certificate = find_separating_set(env, budget=budget)
-    k = len(env.alternatives)
-    return CommitmentDistribution(
-        alternatives=env.alternatives,
-        probs=tuple(Fraction(1, k) for _ in env.alternatives),
-        separating_set=certificate.separating_set or env.alternatives,
+    return CommitmentDistribution.uniform(
+        env.alternatives, certificate.separating_set or env.alternatives
     )
 
 
@@ -75,13 +78,7 @@ def uniform_histogram_commitment(inst: HistogramInstance) -> CommitmentDistribut
     grid by the fineness premise) without the greedy certificate, which is
     infeasible at sweep-scale populations.
     """
-    alternatives = inst.F.alternatives
-    k = len(alternatives)
-    return CommitmentDistribution(
-        alternatives=alternatives,
-        probs=tuple(Fraction(1, k) for _ in alternatives),
-        separating_set=alternatives,
-    )
+    return CommitmentDistribution.uniform(inst.F.alternatives, inst.F.alternatives)
 
 
 def commitment_mechanism(P: CommitmentDistribution, env: Environment) -> Mechanism:

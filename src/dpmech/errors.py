@@ -84,7 +84,3 @@ class ResolutionBudgetExceeded(MechDesignError):
 
 class ConfigInvalid(MechDesignError):
     """Experiment configuration failed schema validation."""
-
-
-class AssertionFailed(MechDesignError):
-    """A declared experiment assertion did not hold; witnesses in the report."""

@@ -82,13 +82,8 @@ def dyad_facility_commitment(inst: HistogramInstance) -> CommitmentDistribution:
     K = len(inst.F.alternatives[0])
     if K < 2:
         raise ValueError("dyad commitment needs K >= 2")
-    m = len(locs) - 1
-    dyads = tuple((locs[j],) + (locs[j + 1],) * (K - 1) for j in range(m))
-    return CommitmentDistribution(
-        alternatives=dyads,
-        probs=tuple(Fraction(1, m) for _ in range(m)),
-        separating_set=dyads,
-    )
+    dyads = tuple((locs[j],) + (locs[j + 1],) * (K - 1) for j in range(len(locs) - 1))
+    return CommitmentDistribution.uniform(dyads, dyads)
 
 
 # the commitment of each scheduled mechanism, by name
@@ -132,13 +127,17 @@ def continuous_objective(t: Sequence, s: Sequence):
     return 1 - (Fraction(total, 1) / n if isinstance(total, (int, Fraction)) else total / n)
 
 
-def _rho_grid(rho) -> tuple:
+def _rho_grid(rho, K: int) -> tuple:
+    """The rho-grid of [0, 1]; its K-fold product must fit the support cap."""
     rho = Fraction(rho)
     if rho <= 0 or rho > 1:
         raise ValueError("rho must lie in (0, 1]")
     steps = 1 / rho
     if steps.denominator != 1 or steps.numerator & (steps.numerator - 1):
         raise ValueError("rho must be a reciprocal power of two")
+    support = (int(steps) + 1) ** K
+    if support > DEFAULT_SUPPORT_CAP:
+        raise ResolutionBudgetExceeded(support, DEFAULT_SUPPORT_CAP)
     return tuple(Fraction(j) * rho for j in range(int(steps) + 1))
 
 
@@ -156,16 +155,13 @@ def continuous_expmech_distribution(
     """
     import numpy as np
 
-    pts = _rho_grid(rho)
-    support = len(pts) ** K
-    if support > DEFAULT_SUPPORT_CAP:
-        raise ResolutionBudgetExceeded(support, DEFAULT_SUPPORT_CAP)
+    pts = _rho_grid(rho, K)
     t_arr = np.asarray([float(x) for x in t])
     pts_arr = np.asarray([float(p) for p in pts])
     # distance of each agent to each grid point, then min over the K slots
     d1 = np.abs(t_arr[:, None] - pts_arr[None, :])
     alternatives = []
-    scores = np.empty(support)
+    scores = np.empty(len(pts) ** K)
     for idx, combo in enumerate(itertools.product(range(len(pts)), repeat=K)):
         alternatives.append(tuple(pts[j] for j in combo))
         scores[idx] = 1.0 - d1[:, list(combo)].min(axis=1).mean()
@@ -307,9 +303,7 @@ def loc3(n: int, K: int, rho=DEFAULT_RHO) -> Loc3Mechanism:
     params = loc3_params(n, K, rho)
     if not _loc3_admissible(params):
         raise PopulationTooSmall(n, loc3_n0(K))
-    support = len(_rho_grid(rho)) ** K
-    if support > DEFAULT_SUPPORT_CAP:
-        raise ResolutionBudgetExceeded(support, DEFAULT_SUPPORT_CAP)
+    _rho_grid(rho, K)
     return Loc3Mechanism(params=params, dyadic=DyadicCommitment(m_bar=params.m_bar, K=K))
 
 

@@ -76,8 +76,8 @@ def build_pricing_env(
     vmax = max(v for vals in table.values() for v in vals)
     prices = tuple(Fraction(k, m) for k in range(m + 1))
 
-    _check_monotone(signal_spaces, table, D)
-    _check_fineness(signal_spaces, table, D, m)
+    _check_monotone(signal_spaces, table)
+    _check_fineness(signal_spaces, table, m)
 
     # gamma_declared: the grid bound 1/m in utility units; the gap may exceed it
     return HistogramInstance(
@@ -105,43 +105,40 @@ def _revenue_objective(signal_spaces, table, prices, N, d, scale=1) -> Histogram
     )
 
 
-def _check_monotone(signal_spaces, table, D):
-    for j in range(D):
-        if len(signal_spaces[j]) < 2:
+def _signal_steps(signal_spaces, table):
+    """(j, rest, V_lo, V_hi) per step of member j's signal to its next one, at
+    each signal vector ``rest`` of the others: the valuations either side."""
+    for j, own in enumerate(signal_spaces):
+        if len(own) < 2:  # no step; skipped before the others' product is listed
             continue
-        others = [signal_spaces[k] for k in range(D) if k != j]
-        for rest in itertools.product(*others):
-            for lo, hi in zip(signal_spaces[j], signal_spaces[j][1:]):
-                v_lo = table[rest[:j] + (lo,) + rest[j:]]
-                v_hi = table[rest[:j] + (hi,) + rest[j:]]
-                diffs = [h - l for l, h in zip(v_lo, v_hi)]
-                if any(d < 0 for d in diffs):
-                    raise ValueError(
-                        f"valuation not monotone in member {j}'s signal at {rest}"
-                    )
-                if not any(d > 0 for d in diffs):
-                    raise ValueError(
-                        f"raising member {j}'s signal at {rest} moves no valuation"
-                    )
+        for rest in itertools.product(*signal_spaces[:j], *signal_spaces[j + 1:]):
+            for lo, hi in zip(own, own[1:]):
+                yield (j, rest, table[rest[:j] + (lo,) + rest[j:]],
+                       table[rest[:j] + (hi,) + rest[j:]])
 
 
-def _check_fineness(signal_spaces, table, D, m):
-    """Some grid price p has V_hi > p + 2/m > p > V_lo for each own-signal pair."""
+def _check_monotone(signal_spaces, table):
+    for j, rest, v_lo, v_hi in _signal_steps(signal_spaces, table):
+        diffs = [h - l for l, h in zip(v_lo, v_hi)]
+        if any(d < 0 for d in diffs):
+            raise ValueError(f"valuation not monotone in member {j}'s signal at {rest}")
+        if not any(d > 0 for d in diffs):
+            raise ValueError(f"raising member {j}'s signal at {rest} moves no valuation")
+
+
+def _check_fineness(signal_spaces, table, m):
+    """Some grid price p has V_hi > p + 2/m > p > V_lo for each own-signal pair.
+
+    Steps suffice: after ``_check_monotone`` V_j does not fall along j's
+    signals, so a pair's window (V_lo, V_hi - 2/m) holds each of its steps'
+    windows, and the first failing pair in ``combinations`` order is the
+    first failing step.
+    """
     two_over_m = Fraction(2, m)
-    for j in range(D):
-        if len(signal_spaces[j]) < 2:
-            continue
-        others = [signal_spaces[k] for k in range(D) if k != j]
-        for rest in itertools.product(*others):
-            for lo, hi in itertools.combinations(signal_spaces[j], 2):
-                v_lo = table[rest[:j] + (lo,) + rest[j:]][j]
-                v_hi = table[rest[:j] + (hi,) + rest[j:]][j]
-                ok = any(
-                    v_hi > Fraction(k, m) + two_over_m and Fraction(k, m) > v_lo
-                    for k in range(m + 1)
-                )
-                if not ok:
-                    raise GridTooCoarse(v_lo, v_hi)
+    for j, _, v_lo, v_hi in _signal_steps(signal_spaces, table):
+        if not any(v_hi[j] > Fraction(k, m) + two_over_m and Fraction(k, m) > v_lo[j]
+                   for k in range(m + 1)):
+            raise GridTooCoarse(v_lo[j], v_hi[j])
 
 
 def _two_level_instance(n: int, v_low, v_high, prices, mu) -> HistogramInstance:

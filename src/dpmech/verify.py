@@ -167,17 +167,15 @@ def find_dominating_strategy(
 
     A candidate dominates when it is weakly better against every opponent
     announcement vector and every true type vector, and strictly better
-    somewhere (slack above ``ABS_TOL``).  Under private values only the own
-    vectors (``env.own``) are read; the budget counts every true vector.
-    Reads the table ``env`` holds.
+    somewhere (slack above ``ABS_TOL``).  Under private values only the |T_i|
+    own vectors (``env.own``) are read and budgeted; under the other kinds,
+    every true vector.  Reads the table ``env`` holds.
     """
     types_i = env.type_spaces[i]
     map_count = len(types_i) ** len(types_i)
     opp = math.prod(len(env.type_spaces[j]) for j in env.agents if j != i)
-    table = payoff_table(
-        mech, env, "dominating_strategy", map_count * env.num_type_vectors() * opp,
-        budget,
-    )
+    true = len(types_i) if env.values_kind == PRIVATE_VALUES else env.num_type_vectors()
+    table = payoff_table(mech, env, "dominating_strategy", map_count * true * opp, budget)
     index = {t: j for j, t in enumerate(types_i)}
     old = tuple(index[W_i[t]] for t in types_i)
     stride = env.strides[i]

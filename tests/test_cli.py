@@ -10,6 +10,7 @@ import tempfile
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -183,13 +184,13 @@ def test_main_verify_facility_exit_zero(tmp_path, capsys):
     path = write_config(tmp_path, FACILITY_VERIFY)
     out = str(tmp_path / "rows.csv")
     assert main(["verify", "--config", path, "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0].startswith("experiment,")
     fields = dict(zip(CSV_COLUMNS, lines[1].split(",")))
     assert fields["experiment"] == "verify-facility"
     assert fields["gamma"] == "1/2"
     assert "expost_nash=pass" in fields["properties"]
-    side = json.loads(open(str(tmp_path / "rows.json")).read())
+    side = json.loads((tmp_path / "rows.json").read_text())
     assert "wall_clock" in side[0]
     assert "wall_clock" not in lines[0]  # timing only in the sidecar
 
@@ -202,7 +203,7 @@ def test_main_verify_trivial_single_facility(tmp_path):
     }
     out = str(tmp_path / "rows.csv")
     assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
-    fields = dict(zip(CSV_COLUMNS, open(out).read().splitlines()[1].split(",")))
+    fields = dict(zip(CSV_COLUMNS, Path(out).read_text().splitlines()[1].split(",")))
     assert fields["gamma"] == "0"
     assert "trivial=gap-zero" in fields["properties"]
 
@@ -269,9 +270,9 @@ def test_main_exit_code_assertion_with_outputs(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, FACILITY_VERIFY)
     assert main(["verify", "--config", path, "--out", out]) == 1
     # witnesses still land in the sidecar on failure
-    fields = dict(zip(CSV_COLUMNS, open(out).read().splitlines()[1].split(",")))
+    fields = dict(zip(CSV_COLUMNS, Path(out).read_text().splitlines()[1].split(",")))
     assert "expost_nash=fail" in fields["properties"]
-    side = json.loads(open(str(tmp_path / "rows.json")).read())
+    side = json.loads((tmp_path / "rows.json").read_text())
     assert "forced" in side[0]["witnesses"]["expost_nash"]
     capsys.readouterr()
 
@@ -285,10 +286,10 @@ def test_sweep_failure_exits_1_with_outputs(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "rows.csv")
     assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", out]) == 1
     assert capsys.readouterr().err == "assertion failed; witnesses in output\n"
-    fields = dict(zip(CSV_COLUMNS, open(out).read().splitlines()[1].split(",")))
+    fields = dict(zip(CSV_COLUMNS, Path(out).read_text().splitlines()[1].split(",")))
     assert fields["properties"] == "measured_le_bound=fail"
     assert fields["beta_measured"] == "10"
-    side = json.loads(open(str(tmp_path / "rows.json")).read())
+    side = json.loads((tmp_path / "rows.json").read_text())
     assert sum(side[0]["worst_probe"].values()) == 300
 
 
@@ -304,8 +305,8 @@ def test_sweep_determinism_byte_identical(tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["sweep", "--config", path, "--out", out1]) == 0
     assert main(["sweep", "--config", path, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    fields = dict(zip(CSV_COLUMNS, open(out1).read().splitlines()[1].split(",")))
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    fields = dict(zip(CSV_COLUMNS, Path(out1).read_text().splitlines()[1].split(",")))
     assert fields["experiment"] == "sweep-facility"
     assert fields["properties"] == "measured_le_bound=pass"
     assert float(fields["beta_measured"]) <= float(fields["beta_bound"]) + 1e-9
@@ -323,8 +324,8 @@ def test_seed_override_changes_output(tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["sweep", "--config", path, "--out", out1]) == 0
     assert main(["sweep", "--config", path, "--out", out2, "--seed", "99"]) == 0
-    r1 = open(out1).read().splitlines()[1]
-    r2 = open(out2).read().splitlines()[1]
+    r1 = Path(out1).read_text().splitlines()[1]
+    r2 = Path(out2).read_text().splitlines()[1]
     assert r1.split(",")[-1] == "1" and r2.split(",")[-1] == "99"
 
 
@@ -338,7 +339,7 @@ def test_sweep_pricing_counts_agents(tmp_path):
     }
     out = str(tmp_path / "p.csv")
     assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
-    fields = dict(zip(CSV_COLUMNS, open(out).read().splitlines()[1].split(",")))
+    fields = dict(zip(CSV_COLUMNS, Path(out).read_text().splitlines()[1].split(",")))
     assert fields["n"] == "6000"  # 3000 cohorts of 2 agents
 
 
@@ -356,7 +357,7 @@ def test_only_verify_needs_the_config_size(tmp_path, capsys, block, key, app, n)
         out = str(tmp_path / f"{k}.csv")
         path = write_config(tmp_path, cfg, f"cfg{k}.json")
         assert main(["sweep", "--config", path, "--out", out]) == 0
-        outs.append(open(out, "rb").read())
+        outs.append(Path(out).read_bytes())
     assert outs[0] == outs[1]
     cfg = {"experiment": "verify", "seed": 5, block: app}
     assert main(["verify", "--config", write_config(tmp_path, cfg, "v.json")]) == 2
@@ -370,7 +371,7 @@ def test_example_subcommands(tmp_path):
         rc = main([name, "--config", write_config(tmp_path, cfg, f"{name}-config.json"),
                    "--out", out])
         assert rc == 0
-        fields = dict(zip(CSV_COLUMNS, open(out).read().splitlines()[1].split(",")))
+        fields = dict(zip(CSV_COLUMNS, Path(out).read_text().splitlines()[1].split(",")))
         assert fields["experiment"] == name
         assert "fail" not in fields["properties"]
 
@@ -420,6 +421,18 @@ def test_example3_budget_exits_3(tmp_path, capsys):
         "budget exceeded: enumeration needs 2048 evaluations, budget is 10\n"
     )
 
+
+def test_example1_budgets_only_own_vectors(tmp_path):
+    # the dominating-strategy search reads 4 maps x 2 own vectors x 2^11
+    # opponent profiles; counting all 2^12 true vectors refused n = 12
+    cfg = {"experiment": "example1", "seed": 0, "example": {"n": 12}}
+    out = tmp_path / "rows.csv"
+    assert main(["example1", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "rows.json").read_text())[0]
+    assert side["properties"] == "truth_not_expost_nash=pass|const_low_dominates=pass"
+    assert side["witnesses"]["dominating_map"] == (
+        "{Fraction(3, 4): Fraction(3, 4), Fraction(5, 4): Fraction(3, 4)}"
+    )
 
 @pytest.mark.parametrize("cfg,err", [
     # verify: refused at the gap's enumeration count, printed compactly
@@ -498,9 +511,9 @@ def test_example3_reads_vectors_without_listing_them(monkeypatch):
 
     monkeypatch.setattr(cli, "payoff_table", recording)
     monkeypatch.setattr(Environment, "type_vectors", no_walk)
-    # run_config raises AssertionFailed if a property fails
     rows, _ = cli.run_config({"experiment": "example3", "seed": 0, "example": {"n": 19}})
     assert rows[0]["n"] == 19
+    assert "fail" not in rows[0]["properties"]
     assert len(tables) == 1
     assert not {"bases", "_scores"} & tables[0].env.__dict__.keys()
 
@@ -541,7 +554,7 @@ def test_sweep_sidecar_names_worst_probe_histogram(tmp_path):
            "pricing": {"cohorts": 2, "cohort_size": 2, "grid_m": 4}}
     out = str(tmp_path / "s.csv")
     assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
-    worst = json.loads(open(str(tmp_path / "s.json")).read())[0]["worst_probe"]
+    worst = json.loads((tmp_path / "s.json").read_text())[0]["worst_probe"]
     # cohorts per signal vector (informative member first)
     assert set(worst) == {"0,0", "1,0"} and sum(worst.values()) == 3000
 
@@ -612,10 +625,10 @@ def test_bad_config_exits_2_without_traceback(tmp_path, cfg):
 
 def test_refuses_output_that_would_overwrite_config(tmp_path, capsys):
     path = write_config(tmp_path, FACILITY_VERIFY, "run.json")
-    before = open(path).read()
+    before = Path(path).read_text()
     assert main(["verify", "--config", path, "--out", str(tmp_path / "run.csv")]) == 2
     assert "config error:" in capsys.readouterr().err
-    assert open(path).read() == before
+    assert Path(path).read_text() == before
     assert not (tmp_path / "run.csv").exists()
 
 
@@ -804,7 +817,7 @@ def test_exit_contract_over_small_configs(tmp_path, capsys):
         codes[rc] += 1
         assert rc in (0, 1, 2, 3), cfg
         if rc == 1:
-            side = json.loads(open(cli.sidecar_path(out)).read())
+            side = json.loads(Path(cli.sidecar_path(out)).read_text())
             assert all("witnesses" in s or "worst_probe" in s for s in side), cfg
         if below_n0:
             assert rc == 2, cfg

@@ -1,10 +1,15 @@
+import itertools
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 import dpmech as dm
+import dpmech.pricing as pricing
+from dpmech.errors import GridTooCoarse
 from dpmech.pricing import BUY, NOT_BUY
 from tests.conftest import cohort_pricing_instance, two_signal_pricing_instance
 
@@ -23,6 +28,88 @@ def test_build_checks_monotone_and_fineness():
             lambda X: (Fraction(2, 5),) if X[0] == 0 else (Fraction(3, 5),),
         )
 
+
+
+def _pairwise_monotone(signal_spaces, table):
+    for j in range(len(signal_spaces)):
+        if len(signal_spaces[j]) < 2:
+            continue
+        others = [signal_spaces[k] for k in range(len(signal_spaces)) if k != j]
+        for rest in itertools.product(*others):
+            for lo, hi in zip(signal_spaces[j], signal_spaces[j][1:]):
+                v_lo = table[rest[:j] + (lo,) + rest[j:]]
+                v_hi = table[rest[:j] + (hi,) + rest[j:]]
+                diffs = [h - l for l, h in zip(v_lo, v_hi)]
+                if any(d < 0 for d in diffs):
+                    raise ValueError(
+                        f"valuation not monotone in member {j}'s signal at {rest}"
+                    )
+                if not any(d > 0 for d in diffs):
+                    raise ValueError(
+                        f"raising member {j}'s signal at {rest} moves no valuation"
+                    )
+
+
+def _pairwise_fineness(signal_spaces, table, m):
+    two_over_m = Fraction(2, m)
+    for j in range(len(signal_spaces)):
+        if len(signal_spaces[j]) < 2:
+            continue
+        others = [signal_spaces[k] for k in range(len(signal_spaces)) if k != j]
+        for rest in itertools.product(*others):
+            for lo, hi in itertools.combinations(signal_spaces[j], 2):
+                v_lo = table[rest[:j] + (lo,) + rest[j:]][j]
+                v_hi = table[rest[:j] + (hi,) + rest[j:]][j]
+                ok = any(
+                    v_hi > Fraction(k, m) + two_over_m and Fraction(k, m) > v_lo
+                    for k in range(m + 1)
+                )
+                if not ok:
+                    raise GridTooCoarse(v_lo, v_hi)
+
+
+INCREMENTS = (-1, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6, 8, 10, 12)
+
+
+def _random_economy(rng):
+    """(N, D, m, signal spaces, valuation): each member's valuation adds one
+    increment per step of each signal, mostly positive, sometimes 0 or
+    negative; now and then a valuation has the wrong length or m is 0."""
+    D = rng.randint(1, 3)
+    spaces = [tuple(range(rng.randint(1, 4))) for _ in range(D)]
+    m = rng.choice([0] + list(range(1, 13)) * 4)
+    steps = [[[Fraction(rng.choice(INCREMENTS), 20) for _ in space]
+              for space in spaces] for _ in range(D)]
+    base = [Fraction(rng.randint(0, 4), 20) for _ in range(D)]
+    short = rng.random() < 0.03
+
+    def valuation(X):
+        vals = tuple(base[j] + sum(sum(steps[j][k][:x]) for k, x in enumerate(X))
+                     for j in range(D))
+        return vals[1:] if short and X == (0,) * D else vals
+
+    return rng.randint(1, 3), D, m, spaces, valuation
+
+
+def test_step_walk_matches_pairwise_premises_on_random_economies(monkeypatch):
+    """The premises walked over signal steps give the same instance, or the
+    same error, as the pairwise reference on a seeded random sweep."""
+
+    def build(args):
+        try:
+            inst = dm.build_pricing_env(*args)
+        except (ValueError, dm.GridTooCoarse) as e:
+            return type(e), str(e)
+        return inst.n, inst.gamma_declared, inst.F.alternatives, inst.F._columns
+
+    rng = random.Random(20261020)
+    economies = [_random_economy(rng) for _ in range(1000)]
+    got = [build(args) for args in economies]
+    monkeypatch.setattr(pricing, "_check_monotone", _pairwise_monotone)
+    monkeypatch.setattr(pricing, "_check_fineness", _pairwise_fineness)
+    assert got == [build(args) for args in economies]
+    kinds = Counter(r[0] if r[0] in (ValueError, dm.GridTooCoarse) else "built" for r in got)
+    assert min(kinds[ValueError], kinds[dm.GridTooCoarse], kinds["built"]) >= 100, kinds
 
 def test_instance_shape_and_normalization():
     inst = cohort_pricing_instance()

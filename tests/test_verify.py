@@ -76,7 +76,7 @@ def test_dominating_strategy_visits_each_own_vector_once():
     # private values: agent 0's expected utilities depend on the true vector
     # only through its own type, so the first candidate (constant low, which
     # dominates) is read at 2 own vectors x 128 opponent profiles x 2 maps,
-    # not at all 256 true vectors; the budget still counts every one
+    # not at all 256 true vectors, and the budget counts those 2
     inst = dm.example1_env(8)
     mech = dm.exponential_mechanism(inst.F, inst.env, 0.1)
     found = dm.find_dominating_strategy(
@@ -85,7 +85,7 @@ def test_dominating_strategy_visits_each_own_vector_once():
     assert found == dm.constant_map(inst.env, 0, inst.env.type_spaces[0][0])
     stats = dm.PayoffTable.of(mech, inst.env).stats()
     assert stats["eu_lookups"] == 512
-    assert stats["enumerated"] == {"dominating_strategy": 4 * 256 * 128}
+    assert stats["enumerated"] == {"dominating_strategy": 4 * 2 * 128}
 
 
 def test_implementation_gap_zero_for_argmax_mechanism():
@@ -546,7 +546,7 @@ def test_budget_checks_report_needed_and_budget():
         # opponent announcement); private reactions: that per true vector
         (36, lambda: dm.check_strictly_dominant_truthful(mech, env, budget=1)),
         (108, lambda: dm.check_strictly_dominant_truthful(mech, reacting, budget=1)),
-        (729, lambda: dm.find_dominating_strategy(mech, env, 0, dict(W[0]), budget=1)),
+        (243, lambda: dm.find_dominating_strategy(mech, env, 0, dict(W[0]), budget=1)),
         (324, lambda: dm.compute_gap(env, budget=1)),
         (162, lambda: dm.verify_sensitivity(F, env, budget=1)),
         (162, lambda: dm.find_separating_set(env, budget=1)),
@@ -564,6 +564,18 @@ def test_budget_checks_report_needed_and_budget():
     with pytest.raises(dm.EnumerationBudgetExceeded) as e:
         dm.accuracy_bound_check(F, env, 1.0, budget=1)
     assert (e.value.needed, e.value.budget) == (81, 1)
+
+
+def test_dominating_strategy_budgets_every_true_vector_beyond_private_values():
+    # 27 maps x 9 true vectors x 3 opponent profiles; 27 x 3 x 3 under
+    # private values, where only the 3 own vectors are read
+    inst = dm.build_grid_env(2, 2, 2)
+    mech = dm.exponential_mechanism(inst.F, inst.env, 1.0)
+    W_0 = dict(dm.truthful_profile(inst.env)[0])
+    reacting = replaced_env(inst.env, values_kind=dm.PRIVATE_REACTIONS)
+    with pytest.raises(dm.EnumerationBudgetExceeded) as e:
+        dm.find_dominating_strategy(mech, reacting, 0, W_0, budget=1)
+    assert e.value.needed == 729
 
 
 def test_shared_table_checks_budget_before_listing_vectors(monkeypatch):
