@@ -344,7 +344,7 @@ def run_verify(config: dict) -> tuple[dict, dict]:
         mech, env, budget=budget
     )
     if gap.gamma > 0:
-        if env.values_kind != "interdependent":
+        if env.private_reactions:
             reports["strictly_dominant"] = check_strictly_dominant_truthful(
                 mech, env, budget=budget
             )
@@ -444,13 +444,11 @@ def run_example3(config: dict) -> tuple[dict, dict]:
     env = inst.env
     mech = example3_mechanism(inst)
     table = payoff_table(mech, env, "bad_profile_nash", env.num_deviations(), budget)
-    # every agent announces low (vector 0), agent i deviates to high (vector
-    # strides[i]); under private values the slack depends on the true vector
-    # only through t_i, so one true vector per (agent, own type) covers all
+    # every agent announces low (vector 0), agent i deviates to high (vector strides[i])
     worst = min(
         table.eu(0, i, kt) - table.eu(stride, i, kt)
         for i, stride in enumerate(env.strides)
-        for kt in (0, stride)
+        for kt in env.keys(i)
     )
     high = env.type_spaces[0][1]
     revenue = revenue_per_agent(inst, (high,) * n, env.alternatives[0])

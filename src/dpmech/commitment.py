@@ -12,8 +12,6 @@ from fractions import Fraction
 
 from .environment import (
     DEFAULT_BUDGET,
-    PRIVATE_REACTIONS,
-    PRIVATE_VALUES,
     Environment,
     HistogramInstance,
     compute_gap,
@@ -141,7 +139,7 @@ def verify_corollary1(
     reports = {
         "expost_nash": check_expost_nash_truthful(mech, env, budget=budget)
     }
-    if env.values_kind in (PRIVATE_REACTIONS, PRIVATE_VALUES):
+    if env.private_reactions:
         reports["strictly_dominant"] = check_strictly_dominant_truthful(
             mech, env, budget=budget
         )

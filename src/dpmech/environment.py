@@ -193,6 +193,12 @@ class Environment:
         """Per agent, each type's index in its type space."""
         return [{t_i: j for j, t_i in enumerate(ts)} for ts in self.type_spaces]
 
+    @property
+    def private_reactions(self) -> bool:
+        """Whether each agent's optimal reactions depend on the true vector
+        only through its own type: under private reactions or private values."""
+        return self.values_kind != INTERDEPENDENT
+
     def own(self, i: int, k):
         """The key of true vector k for agent i's payoffs: under private
         values the vector of k's agent-i type with every opponent at type
@@ -200,6 +206,20 @@ class Environment:
         if self.values_kind == PRIVATE_VALUES:
             return k // self.strides[i] % self.sizes[i] * self.strides[i]
         return k
+
+    def keys(self, i: int) -> range:
+        """The true vectors that key agent i's payoffs (``own(i, k) == k``),
+        in ascending order: one per own type under private values, every
+        vector otherwise.  Count them with ``num_keys``, not ``len``, which
+        overflows past ``sys.maxsize``."""
+        if self.values_kind == PRIVATE_VALUES:
+            return range(0, self.sizes[i] * self.strides[i], self.strides[i])
+        return range(self.num_type_vectors())
+
+    def num_keys(self, i: int) -> int:
+        """The number of ``keys(i)``."""
+        keys = self.keys(i)
+        return (keys.stop - keys.start) // keys.step
 
     def utilities(self, i: int, k: int, a: int) -> tuple:
         """Agent i's (exact, float) utility under each reaction at true vector
@@ -431,8 +451,8 @@ def compute_gap(env: Environment, budget: int = DEFAULT_BUDGET) -> Gap:
     runs over alternatives of the utility advantage of the truth-consistent
     optimal reaction over the misreport-consistent one, both read from the
     held rows ``env.utilities``; the gap is the outer minimum, with the
-    argmin witness.  Under private values the advantages do not depend on
-    the opponent profile, so only the first is walked.
+    argmin witness.  Only the opponent profiles that are their own key
+    (``env.keys``) are walked: under private values the first alone.
     """
     check_budget(env.num_deviations() * len(env.alternatives), budget)
 
@@ -440,11 +460,9 @@ def compute_gap(env: Environment, budget: int = DEFAULT_BUDGET) -> Gap:
     witness = None
     for i in env.agents:
         types_i, stride = env.type_spaces[i], env.strides[i]
-        profiles = env.bases[i]
-        if env.values_kind == PRIVATE_VALUES:
-            # every other opponent profile repeats the first one's advantages
-            profiles = profiles[:1]
-        for k in profiles:
+        for k in env.bases[i]:
+            if env.own(i, k) != k:
+                continue  # its advantages repeat those at its key
             for t_i, b_i in itertools.permutations(range(len(types_i)), 2):
                 adv = None
                 for a in range(len(env.alternatives)):
@@ -524,7 +542,7 @@ def check_environment(env: Environment, budget: int = DEFAULT_BUDGET) -> None:
                             f"utility {u} outside [0,1] at {(i, t, s, r)}"
                         )
 
-    if env.values_kind in (PRIVATE_REACTIONS, PRIVATE_VALUES):
+    if env.private_reactions:
         for i, stride in enumerate(env.strides):
             reactions = env.reaction_spaces[i]
             for b, t_i in enumerate(env.type_spaces[i]):

@@ -246,11 +246,10 @@ def near_indifference_bound_check(
         N, width = prob.shape
         kt, at = np.arange(N), N
         for i, m in enumerate(env.sizes):
-            # payoffs at the vectors that are their own key, read by key
-            own = env.own(i, kt)
-            keys = kt[own == kt]
+            # agent i's payoffs at its keys, read at each vector's key
+            keys = env.keys(i)
             payoff = np.array([[env.payoff(i, k, a)[1] for a in range(width)]
-                               for k in keys.tolist()])[np.searchsorted(keys, own)]
+                               for k in keys])[(env.own(i, kt) - keys.start) // keys.step]
             # eu[h, t, b, lo]: true type t announcing b at profile h * stride + lo
             eu = _left_sums(_axis(env, prob, i)[:, None], _axis(env, payoff, i)[:, :, None])
             eu = eu.transpose(0, 1, 3, 2).reshape(N, m)  # by true vector, announced type

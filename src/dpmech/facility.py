@@ -17,7 +17,7 @@ from .combined import MechanismParams, build_combined, schedule_params
 from .commitment import CommitmentDistribution, uniform_histogram_commitment
 from .environment import HistogramInstance, HistogramObjective
 from .errors import PopulationTooSmall, ResolutionBudgetExceeded
-from .outcomes import Outcome, OutcomeDistribution, left_sum
+from .outcomes import Outcome, OutcomeDistribution, left_sum, softmax
 from .payoffs import Mechanism
 
 DEFAULT_RHO = Fraction(1, 1024)
@@ -165,12 +165,8 @@ def continuous_expmech_distribution(
     for idx, combo in enumerate(itertools.product(range(len(pts)), repeat=K)):
         alternatives.append(tuple(pts[j] for j in combo))
         scores[idx] = 1.0 - d1[:, list(combo)].min(axis=1).mean()
-    rate = len(t) * eps / 2
-    shifted = rate * scores
-    shifted -= shifted.max()
-    weights = np.exp(shifted)
-    probs = weights / weights.sum()
-    return OutcomeDistribution([Outcome(s) for s in alternatives], [float(p) for p in probs])
+    probs = softmax(scores.tolist(), len(t) * eps / 2)
+    return OutcomeDistribution([Outcome(s) for s in alternatives], probs)
 
 
 def continuous_expmech_sample(t, eps, K, rho, rng):

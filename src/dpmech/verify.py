@@ -20,8 +20,6 @@ from typing import Any, NamedTuple, Optional
 from .environment import (
     ABS_TOL,
     DEFAULT_BUDGET,
-    PRIVATE_REACTIONS,
-    PRIVATE_VALUES,
     Environment,
     HistogramObjective,
     ObjectiveFunction,
@@ -117,42 +115,36 @@ def check_strictly_dominant_truthful(
 
     Requires private reactions (or private values); otherwise deviation
     payoffs against non-truthful opponents are not well defined here.
-    Under private values agent i's slacks depend on the true vector only
-    through t_i (the table keys them so), and only the first true vector
-    with each (i, t_i) is visited: the budget counts the
-    ``env.num_deviations()`` slacks evaluated, where the full loop of the
-    other kinds counts N * sum_i (|T_i| - 1) * |T_-i|.  Reads the table
-    ``env`` holds for ``mech``.
+    Agent i's slacks are walked at the true vectors that key its payoffs
+    (``env.keys(i)``), every other one repeating those at its key, by true
+    vector, then agent: the budget counts the slacks evaluated,
+    sum_i keys(i) * (|T_i| - 1) * |T_-i|.  Reads the table ``env`` holds for
+    ``mech``.
     """
-    if env.values_kind not in (PRIVATE_REACTIONS, PRIVATE_VALUES):
+    if not env.private_reactions:
         raise WrongValuesKind(env.values_kind)
     N = env.num_type_vectors()
-    if env.values_kind == PRIVATE_VALUES:
-        needed = env.num_deviations()
-    else:
-        needed = N * sum((len(ts) - 1) * (N // len(ts)) for ts in env.type_spaces)
+    needed = sum(env.num_keys(i) * (m - 1) * (N // m) for i, m in enumerate(env.sizes))
     table = payoff_table(mech, env, STRICTLY_DOMINANT, max(needed, 1), budget)
     margin = math.inf
     witness = None
     passed = True
-    for kt, digits in enumerate(env.digits()):
-        for i, (t_i, stride) in enumerate(zip(digits, env.strides)):
-            if env.own(i, kt) != kt:
-                # the slacks of (i, t_i) at its first vector, own(i, kt)
-                continue
-            for k in env.bases[i]:
-                base = table.eu(k + t_i * stride, i, kt)
-                for b_i in range(env.sizes[i]):
-                    if b_i == t_i:
-                        continue
-                    dev = table.eu(k + b_i * stride, i, kt)
-                    slack = base - dev
-                    if slack < margin:
-                        margin = slack
-                        witness = (i, env.vector(kt), env.type_spaces[i][b_i],
-                                   env.opponents(k, i), base, dev)
-                    if slack <= ABS_TOL:
-                        passed = False
+    for kt, i in sorted((kt, i) for i in env.agents for kt in env.keys(i)):
+        stride, m = env.strides[i], env.sizes[i]
+        t_i = kt // stride % m
+        for k in env.bases[i]:
+            base = table.eu(k + t_i * stride, i, kt)
+            for b_i in range(m):
+                if b_i == t_i:
+                    continue
+                dev = table.eu(k + b_i * stride, i, kt)
+                slack = base - dev
+                if slack < margin:
+                    margin = slack
+                    witness = (i, env.vector(kt), env.type_spaces[i][b_i],
+                               env.opponents(k, i), base, dev)
+                if slack <= ABS_TOL:
+                    passed = False
     return VerificationReport(STRICTLY_DOMINANT, passed, float(margin), witness)
 
 
@@ -167,29 +159,27 @@ def find_dominating_strategy(
 
     A candidate dominates when it is weakly better against every opponent
     announcement vector and every true type vector, and strictly better
-    somewhere (slack above ``ABS_TOL``).  Under private values only the |T_i|
-    own vectors (``env.own``) are read and budgeted; under the other kinds,
-    every true vector.  Reads the table ``env`` holds.
+    somewhere (slack above ``ABS_TOL``).  Only the true vectors that key
+    agent i's payoffs (``env.keys(i)``) are read and budgeted.  Reads the
+    table ``env`` holds.
     """
     types_i = env.type_spaces[i]
     map_count = len(types_i) ** len(types_i)
-    opp = math.prod(len(env.type_spaces[j]) for j in env.agents if j != i)
-    true = len(types_i) if env.values_kind == PRIVATE_VALUES else env.num_type_vectors()
-    table = payoff_table(mech, env, "dominating_strategy", map_count * true * opp, budget)
+    needed = map_count * env.num_keys(i) * (env.num_type_vectors() // len(types_i))
+    table = payoff_table(mech, env, "dominating_strategy", needed, budget)
     index = {t: j for j, t in enumerate(types_i)}
     old = tuple(index[W_i[t]] for t in types_i)
-    stride = env.strides[i]
+    stride, m = env.strides[i], env.sizes[i]
     for images in itertools.product(range(len(types_i)), repeat=len(types_i)):
         if images == old:
             continue
         dominates = True
         strict_somewhere = False
-        for kt, digits in enumerate(env.digits()):
+        for kt in env.keys(i):
             if not dominates:
                 break
-            if env.own(i, kt) != kt:  # its differences are those at own(i, kt)
-                continue
-            b_old, b_new = old[digits[i]] * stride, images[digits[i]] * stride
+            t_i = kt // stride % m
+            b_old, b_new = old[t_i] * stride, images[t_i] * stride
             for k in env.bases[i]:
                 diff = table.eu(k + b_new, i, kt) - table.eu(k + b_old, i, kt)
                 if diff < -ABS_TOL:

@@ -665,6 +665,30 @@ def test_output_write_error_exits_2(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
+@pytest.mark.parametrize("command,text,err", [
+    ("example1", '{"experiment": "example1", "seed": 0, "example": {"mu": 0.4999999999}}',
+     "example.mu: 0.4999999999 rounds to 1/2, outside (0, 1/2)"),
+    ("verify", "[1]", "the config must be a JSON object"),
+], ids=["mu-rounds-to-half", "not-an-object"])
+def test_config_refusals_name_the_fault(tmp_path, capsys, command, text, err):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {err}\n"
+
+
+def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, FACILITY_VERIFY, "run.json")
+
+    def cross_device(src, dst):
+        raise OSError(18, "Invalid cross-device link")
+
+    monkeypatch.setattr(cli.os, "replace", cross_device)
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "rows.csv")]) == 2
+    assert capsys.readouterr().err == "output error: [Errno 18] Invalid cross-device link\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
 def test_sweep_builds_no_environment(monkeypatch):
     import dpmech.environment
 

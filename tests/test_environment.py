@@ -321,6 +321,20 @@ def test_bases_match_opponent_vectors(pair_walk_instances):
         ]
 
 
+def test_keys_are_the_own_filter(random_instances):
+    """``keys(i)`` lists the vectors that are their own key for agent i, in
+    ascending order, and ``num_keys(i)`` counts them, under every kind."""
+    kinds = (dm.INTERDEPENDENT, dm.PRIVATE_REACTIONS, dm.PRIVATE_VALUES)
+    envs = [replaced_env(env, values_kind=kind) for env, _ in random_instances for kind in kinds]
+    envs += [dm.build_grid_env(3, 2, 2).env, cohort_pricing_instance().env]
+    for env in envs:
+        N = env.num_type_vectors()
+        for i in env.agents:
+            keys = [k for k in range(N) if env.own(i, k) == k]
+            assert list(env.keys(i)) == keys
+            assert env.num_keys(i) == len(keys)
+
+
 def test_pairs_walk_in_naive_order():
     """The walk lists every unordered pair once, in the naive tuple order,
     on seeded shapes (single-type agents and n=1 included)."""

@@ -566,6 +566,29 @@ def test_budget_checks_report_needed_and_budget():
     assert (e.value.needed, e.value.budget) == (81, 1)
 
 
+def test_budgets_stay_integers_past_sys_maxsize():
+    # 64 binary agents under private reactions: each agent has 2^64 keys,
+    # more than len() of a range can count
+    env = dm.Environment(
+        type_spaces=((0, 1),) * 64, alternatives=("a",), reaction_spaces=(("x",),) * 64,
+        utility=lambda i, t, s, r: 0, values_kind=dm.PRIVATE_REACTIONS,
+    )
+
+    def mech(t):
+        raise AssertionError("the mechanism ran")
+
+    checks = [
+        # 64 agents x 2^64 keys x 1 misreport x 2^63 opponent announcements
+        (2**133, lambda: dm.check_strictly_dominant_truthful(mech, env)),
+        # 4 maps x 2^64 keys x 2^63 opponent announcements
+        (2**129, lambda: dm.find_dominating_strategy(mech, env, 0, {0: 0, 1: 1})),
+    ]
+    for needed, check in checks:
+        with pytest.raises(dm.EnumerationBudgetExceeded) as e:
+            check()
+        assert e.value.needed == needed
+
+
 def test_dominating_strategy_budgets_every_true_vector_beyond_private_values():
     # 27 maps x 9 true vectors x 3 opponent profiles; 27 x 3 x 3 under
     # private values, where only the 3 own vectors are read
