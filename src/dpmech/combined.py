@@ -8,7 +8,6 @@ the exponential branch's manipulation gain of at most 2 * eps.
 
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -19,8 +18,6 @@ from .errors import ParamContractViolated, PopulationTooSmall
 from .exponential import exponential_mechanism
 from .outcomes import OutcomeDistribution, mix
 from .payoffs import Mechanism
-
-N0_SCAN_LIMIT = 10**9
 
 
 class MechanismParams(NamedTuple):
@@ -88,10 +85,11 @@ def schedule_params(
 def compute_n0(p_tilde, gamma, d: float, s_count: int) -> int:
     """Smallest population size from which the schedule is admissible.
 
-    The least n up to N0_SCAN_LIMIT with
+    The least n with
       n >= max(8d/(p_tilde*gamma) * ln(p_tilde*gamma*|S|/(2d)), 4e^2 d/(p_tilde*gamma*|S|))
-    and n / ln(n) > 8d / (p_tilde*gamma).  n / ln(n) increases from n = 3
-    on and 2 / ln 2 > 3 / ln 3, so past the first candidate it is bisected.
+    and n / ln(n) > 8d / (p_tilde*gamma), or ParamContractViolated past the
+    floats.  n / ln(n) increases from n = 3 on and 2 / ln 2 > 3 / ln 3, so
+    past the first candidate a bound is doubled until it holds, then bisected.
     """
     pg = float(p_tilde) * float(gamma)
     if pg <= 0:
@@ -99,16 +97,19 @@ def compute_n0(p_tilde, gamma, d: float, s_count: int) -> int:
     c = 8 * d / pg
     floor_a = c * math.log(max(pg * s_count / (2 * d), 1.0))
     floor_b = 4 * math.e**2 * d / (pg * s_count)
-    candidates = range(max(2, math.ceil(max(floor_a, floor_b))), N0_SCAN_LIMIT + 1)
 
     def admissible(n: int) -> bool:
         return n / math.log(n) > c
 
-    k = 0 if candidates and admissible(candidates[0]) else bisect.bisect_left(
-        candidates, True, lo=1, key=admissible)
-    if k >= len(candidates):
-        raise ParamContractViolated(f"no admissible population size below {N0_SCAN_LIMIT}")
-    return candidates[k]
+    try:
+        lo = hi = max(2, math.ceil(max(floor_a, floor_b)))
+        while not admissible(hi):
+            lo, hi = hi + 1, 2 * hi
+    except (OverflowError, ValueError):  # an infinite or NaN floor, or n past floats
+        raise ParamContractViolated(f"no float n has n / ln(n) > {c:g}") from None
+    while lo < hi:
+        lo, hi = (lo, mid) if admissible(mid := (lo + hi) // 2) else (mid + 1, hi)
+    return lo
 
 
 def combined_mechanism(

@@ -5,6 +5,8 @@ a single summary line (bypassing capture so the lines survive pytest's
 default capturing).
 """
 
+import csv
+import json
 import math
 import time
 from fractions import Fraction
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import dpmech as dm
-from dpmech.cli import _sweep_point, render_csv, run_config
+from dpmech.cli import _sweep_point, main, render_csv, run_config
 from dpmech.facility import DyadicCommitment, domination_margin
 from tests.conftest import ACCEPTANCE_LINES, MASTER_SEED, cohort_pricing_instance
 
@@ -317,4 +319,31 @@ def test_criterion_11_determinism():
     report(
         11, ok,
         "two identically configured sweep runs produce byte-identical CSV",
+    )
+
+
+def test_criterion_12_asymptotic_regime(tmp_path):
+    # the paper's additive O(1/sqrt(n)) is a large-population claim: the CLI
+    # sweep runs there, each point charged its sampler's steps, not its agents
+    cfg = {
+        "experiment": "sweep",
+        "seed": MASTER_SEED,
+        "facility": {"m": 2, "K": 2, "mechanism": "loc2"},
+        "n_list": [10**6, 10**7, 10**8, 10**9],
+        "probes": 10,
+    }
+    path, out = tmp_path / "cfg.json", tmp_path / "sweep.csv"
+    path.write_text(json.dumps(cfg))
+    code = main(["sweep", "--config", str(path), "--out", str(out)])
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [int(row["n"]) for row in rows] == cfg["n_list"]
+    passed = all(row["properties"] == "measured_le_bound=pass" for row in rows)
+    slope = float(np.polyfit([math.log(int(row["n"])) for row in rows],
+                             [math.log(float(row["beta_bound"])) for row in rows], 1)[0])
+    ok = code == 0 and passed and -0.50 < slope < -0.45
+    report(
+        12, ok,
+        f"CLI sweep over n in [1e6, 1e9] with 10 probes exits {code}, measured "
+        f"gap <= bound at every point: {passed}; log-log slope of beta bound "
+        f"{slope:.3f} (target in (-0.50, -0.45))",
     )

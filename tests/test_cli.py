@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -444,18 +445,24 @@ def test_example1_budgets_only_own_vectors(tmp_path):
      "enumeration needs more than 10^4519 evaluations"),
     ({"experiment": "example3", "example": {"n": 15000}},
      "enumeration needs more than 10^4519 evaluations"),
-    # populations over the budget, refused before any per-agent work
+    # a verify population over the budget, refused before any per-agent work
     ({"experiment": "verify", "facility": {"n": 2**63, "m": 2, "K": 2, "mechanism": "loc2"}},
      "enumeration needs 9223372036854775808 evaluations"),
+    # sweep points charged the sampler's probes x (C - 1) x (isqrt(units) + 1)
+    # steps: C = 3 grid cells of n agents, or 2 signal cells of n // 2 cohorts
     ({"experiment": "sweep", "facility": {"m": 2, "K": 2, "mechanism": "loc2"},
       "n_list": [10**13], "probes": 3},
-     "enumeration needs 10000000000000 evaluations"),
+     "enumeration needs 18973668 evaluations"),
     ({"experiment": "sweep", "facility": {"m": 2, "K": 2, "mechanism": "loc2"},
       "n_list": [2000, 2**70], "probes": 3},
-     "enumeration needs more than 10^21 evaluations"),
+     "enumeration needs 206158430214 evaluations"),
     ({"experiment": "sweep", "pricing": {"cohort_size": 2, "grid_m": 4},
       "n_list": [10**300], "probes": 3},
-     "enumeration needs more than 10^299 evaluations"),
+     "enumeration needs more than 10^150 evaluations"),
+    # checked before schedule_params takes n to a float
+    ({"experiment": "sweep", "facility": {"m": 2, "K": 2, "mechanism": "loc2"},
+      "n_list": [10**400], "probes": 3},
+     "enumeration needs more than 10^200 evaluations"),
     # populations over the default budget, refused whatever budget says
     ({"experiment": "verify", "budget": 10**30,
       "facility": {"n": 10**20, "m": 2, "K": 2, "mechanism": "loc2"}},
@@ -474,7 +481,7 @@ def test_example1_budgets_only_own_vectors(tmp_path):
      "enumeration needs 100000000 evaluations"),
 ], ids=["verify-facility-1e6", "verify-pricing-15000", "example1-15000",
         "example3-15000", "verify-facility-2^63", "sweep-1e13", "sweep-2^70",
-        "sweep-1e300", "verify-facility-1e20-budget-1e30",
+        "sweep-1e300", "sweep-1e400", "verify-facility-1e20-budget-1e30",
         "verify-facility-1e8-budget-1e30", "example3-1e20-budget-1e30",
         "verify-pricing-cohort-1e8", "sweep-pricing-cohort-1e8"])
 def test_huge_enumeration_exits_3_without_traceback(tmp_path, cfg, err):
@@ -723,7 +730,8 @@ def test_sweep_below_n0_exits_2(tmp_path, capsys):
 
 
 def test_sweep_probes_over_budget_exits_3_before_drawing(tmp_path, capsys, monkeypatch):
-    # 10^11 probes of 200 agents: refused from probes x n, before any draw
+    # 10^11 probes of 2 binomial walks over 200 agents: refused from the
+    # sampler's steps, before any draw
     def no_draws(*args):
         raise AssertionError("drew probes")
 
@@ -734,17 +742,54 @@ def test_sweep_probes_over_budget_exits_3_before_drawing(tmp_path, capsys, monke
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 3
     assert time.monotonic() - t0 < 1
     assert capsys.readouterr().err == ("budget exceeded: enumeration needs "
-                                       "20000000000000 evaluations, budget is 10000000\n")
+                                       "3000000000000 evaluations, budget is 10000000\n")
 
 
-@pytest.mark.parametrize("budget,code", [(599, 3), (600, 0)])
+@pytest.mark.parametrize("budget,code", [(89, 3), (90, 0)])
 def test_sweep_probes_budget_is_inclusive(tmp_path, capsys, monkeypatch, budget, code):
-    # 3 probes of 200 agents draw 600 types
+    # 3 probes x 2 binomial walks x (isqrt(200) + 1) steps = 90
     monkeypatch.setattr(cli, "DEFAULT_BUDGET", budget)
     cfg = {"experiment": "sweep", "seed": 0, "n_list": [200], "probes": 3,
            "facility": {"m": 2, "K": 2, "mechanism": "loc2"}}
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == code
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("app,n,needed", [
+    ({"facility": {"m": 3, "K": 2, "mechanism": "loc2"}}, 450, 198),
+    ({"pricing": {"cohort_size": 2, "grid_m": 4}}, 6000, 165),
+], ids=["facility-m3-450", "pricing-6000"])
+def test_sweep_charges_the_samplers_steps(tmp_path, capsys, monkeypatch, app, n, needed):
+    # 3 probes x (C - 1) walks x (isqrt(units) + 1) steps: facility m = 3
+    # has 4 grid cells of n agents, pricing 2 signal cells of n // 2 cohorts
+    # (isqrt(3000) = 54)
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", needed - 1)
+    cfg = {"experiment": "sweep", "seed": 0, "n_list": [n], "probes": 3, **app}
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", path]) == 3
+    assert capsys.readouterr().err == (
+        f"budget exceeded: enumeration needs {needed} evaluations, budget is {needed - 1}\n")
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", needed)
+    assert main(["sweep", "--config", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_refuses_a_huge_cohort_before_listing_its_members(tmp_path, capsys, monkeypatch):
+    # the charge counts the 10^6 members of one cohort, not the whole cohorts
+    # at n, before their signal spaces (8 MB of list alone) are listed
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", 1000)
+    cfg = {"experiment": "sweep", "seed": 0, "n_list": [5], "probes": 3,
+           "pricing": {"cohort_size": 10**6, "grid_m": 4}}
+    path = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--config", path]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert capsys.readouterr().err == ("budget exceeded: enumeration needs "
+                                       "1000000 evaluations, budget is 1000\n")
 
 
 @pytest.mark.parametrize("pricing,n0", [

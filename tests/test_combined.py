@@ -111,11 +111,32 @@ def test_compute_n0_bisection_matches_scan():
                      ((Fraction(1, 5), Fraction(11, 38), 1, 5), 948),
                      ((Fraction(1, 7), Fraction(17, 57), 2, 7), 3008)):
         assert dm.compute_n0(*args) == _scan_n0(*args) == n0
-    # no admissible n up to the scan limit: the least candidate is past it,
-    # or below it with n / ln(n) <= 8d / (p_tilde * gamma) at the limit
-    for args in ((1e-9, 1.0, 1.0, 2), (1.6e-7, 1.0, 1.0, 1000)):
-        with pytest.raises(dm.ParamContractViolated, match="below 1000000000"):
-            dm.compute_n0(*args)
+    # past 10^9, too far to scan: the least candidate is past it, or below
+    # it with n / ln(n) <= 8d / (p_tilde * gamma) there
+    for p_tilde, gamma, d, s_count in ((1e-9, 1.0, 1.0, 2), (1.6e-7, 1.0, 1.0, 1000)):
+        n0 = dm.compute_n0(p_tilde, gamma, d, s_count)
+        pg, c = p_tilde * gamma, 8 * d / (p_tilde * gamma)
+        assert n0 > 10**9
+        assert n0 / math.log(n0) > c >= (n0 - 1) / math.log(n0 - 1)
+        assert n0 >= c * math.log(max(pg * s_count / (2 * d), 1.0))
+        assert n0 >= 4 * math.e**2 * d / (pg * s_count)
+
+
+@pytest.mark.parametrize("p_tilde", [1e-305, 1e-310, 5e-324])
+def test_compute_n0_past_the_floats_violates_the_contract(p_tilde):
+    # n / ln(n) > 8 / p_tilde needs an n over the largest float (1e-305), or
+    # the bound itself is infinite (1e-310, 5e-324): the contract error, not
+    # an OverflowError or a NaN's ValueError
+    with pytest.raises(dm.ParamContractViolated, match="no float n has n / ln"):
+        dm.compute_n0(p_tilde, 1.0, 1.0, 1)
+
+
+def test_compute_n0_bisects_past_the_index_range():
+    # n0 near 5.6e303 is far past sys.maxsize, so no range of candidates
+    # could hold it
+    n0 = dm.compute_n0(1e-300, 1.0, 1.0, 1)
+    c = 8 / 1e-300
+    assert n0 / math.log(n0) > c >= (n0 - 1) / math.log(n0 - 1)
 
 
 def test_combined_truthful_at_saturating_params():
