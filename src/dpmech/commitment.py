@@ -8,6 +8,7 @@ loss of p_tilde * gamma in non-trivial environments.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .environment import (
@@ -38,7 +39,7 @@ class CommitmentDistribution:
         self.alternatives = tuple(alternatives)
         self.probs = tuple(probs)
         self.separating_set = tuple(separating_set)
-        if abs(sum(self.probs) - 1) > SUM_TOL:
+        if abs(math.fsum(self.probs) - 1) > SUM_TOL:
             raise ValueError("probabilities must sum to 1")
         if not self.separating_set:
             raise ValueError("separating set must be non-empty")
@@ -87,7 +88,7 @@ def commitment_mechanism(P: CommitmentDistribution, env: Environment) -> Mechani
     it is computed once per (agent, own announced type, alternative) under
     private values.  Raises ValueError when b is not a vector of ``env``.
     """
-    columns = [env.alternatives.index(s) for s in P.alternatives]
+    columns = [env.alternative_index[s] for s in P.alternatives]
 
     def mech(b: tuple) -> OutcomeDistribution:
         k = env.index(b)
@@ -115,7 +116,7 @@ def truth_advantage(
     total = 0
     for s, p in zip(P.alternatives, P.probs):
         if p != 0:
-            a = env.alternatives.index(s)
+            a = env.alternative_index[s]
             row, best = env.utilities(i, kt, a)
             total += p * (row[best][0] - row[env.utilities(i, kb, a)[1]][0])
     return total

@@ -184,14 +184,26 @@ class Environment:
         """Vector t's index; ValueError when t is not a vector of this environment."""
         try:
             return sum(index[t_i] * stride for index, t_i, stride
-                       in zip(self._type_index, t, self.strides, strict=True))
+                       in zip(self.type_index, t, self.strides, strict=True))
         except (KeyError, ValueError):
             raise ValueError(f"{t!r} is not a type vector of the environment") from None
 
+    # The one value-to-index map of each numbering; a value listed twice
+    # maps to its last position, whose utilities equal the first's.
     @cached_property
-    def _type_index(self) -> list:
+    def type_index(self) -> list:
         """Per agent, each type's index in its type space."""
         return [{t_i: j for j, t_i in enumerate(ts)} for ts in self.type_spaces]
+
+    @cached_property
+    def alternative_index(self) -> dict:
+        """Each alternative's index in ``alternatives``."""
+        return {s: a for a, s in enumerate(self.alternatives)}
+
+    @cached_property
+    def reaction_index(self) -> list:
+        """Per agent, each reaction's index in its reaction space."""
+        return [{r: j for j, r in enumerate(rs)} for rs in self.reaction_spaces]
 
     @property
     def private_reactions(self) -> bool:

@@ -23,7 +23,6 @@ from .payoffs import Mechanism
 DEFAULT_RHO = Fraction(1, 1024)
 DEFAULT_SUPPORT_CAP = 2**17
 SCORE_TABLE_CAP = 2**20
-LOC3_N0_SCAN_LIMIT = 10**7
 
 
 def grid(m: int) -> tuple:
@@ -261,13 +260,13 @@ def _loc3_admissible(p: Loc3Params) -> bool:
 
 
 def loc3_n0(K: int) -> int:
-    """Smallest population for which the loc3 schedule is admissible."""
-    n = 3
-    while n <= LOC3_N0_SCAN_LIMIT:
-        if _loc3_admissible(loc3_params(n, K)):
-            return n
+    """Smallest population for which the loc3 schedule is admissible: q >= 32 eps
+    (m_bar >= 1) makes n^4 > 2^30 (K+1)^3 necessary, and just past that bound
+    m_bar = 1 admits n; the walk up absorbs float rounding at the bound."""
+    n = math.isqrt(math.isqrt(2**30 * (K + 1) ** 3)) + 1
+    while not _loc3_admissible(loc3_params(n, K)):
         n += 1
-    raise PopulationTooSmall(LOC3_N0_SCAN_LIMIT, math.inf)
+    return n
 
 
 def domination_margin(p: Loc3Params) -> float:

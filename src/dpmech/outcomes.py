@@ -63,7 +63,7 @@ class OutcomeDistribution:
             raise ValueError("support and probability lengths differ")
         if any(p < 0 for p in probs):
             raise ValueError("negative probability")
-        total = sum(probs)
+        total = math.fsum(probs)
         if abs(total - 1) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         self.outcomes = outcomes
@@ -102,7 +102,8 @@ class OutcomeDistribution:
             acc += float(p)
             if u < acc:
                 return o
-        return self.outcomes[-1]
+        # u past the float CDF: the last outcome that has probability
+        return next(o for o, p in zip(reversed(self.outcomes), reversed(self.probs)) if p > 0)
 
 
 def mix(components: Sequence[OutcomeDistribution], weights: Sequence) -> OutcomeDistribution:

@@ -41,10 +41,6 @@ class PayoffTable:
     def __init__(self, mech: Mechanism, env: Environment):
         self.mech = mech
         self.env = env
-        self._alternative_index = {s: a for a, s in enumerate(env.alternatives)}
-        self._reaction_index = [
-            {r: j for j, r in enumerate(rs)} for rs in env.reaction_spaces
-        ]
         self._dists: dict = {}
         self._eus: dict = {}
         self.eu_lookups = 0
@@ -70,9 +66,9 @@ class PayoffTable:
                 (
                     p,
                     type(p) is float,
-                    self._alternative_index[o.alternative],
+                    self.env.alternative_index[o.alternative],
                     None if o.imposed is None else tuple(
-                        index[r] for index, r in zip(self._reaction_index, o.imposed)
+                        index[r] for index, r in zip(self.env.reaction_index, o.imposed)
                     ),
                 )
                 for o, p in self.mech(self.env.vector(k)).items() if p != 0

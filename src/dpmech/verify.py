@@ -167,8 +167,7 @@ def find_dominating_strategy(
     map_count = len(types_i) ** len(types_i)
     needed = map_count * env.num_keys(i) * (env.num_type_vectors() // len(types_i))
     table = payoff_table(mech, env, "dominating_strategy", needed, budget)
-    index = {t: j for j, t in enumerate(types_i)}
-    old = tuple(index[W_i[t]] for t in types_i)
+    old = tuple(env.type_index[i][W_i[t]] for t in types_i)
     stride, m = env.strides[i], env.sizes[i]
     for images in itertools.product(range(len(types_i)), repeat=len(types_i)):
         if images == old:

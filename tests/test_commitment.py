@@ -103,3 +103,27 @@ def test_commitment_announcement_outside_the_type_space_rejected(b):
     mech = dm.commitment_mechanism(dm.uniform_histogram_commitment(inst), inst.env)
     with pytest.raises(ValueError, match="not a type vector"):
         mech(b)
+
+
+def test_commitment_finds_alternatives_without_comparing_them(monkeypatch):
+    """The environment's alternative map finds each s of P: neither building
+    M^P nor a truth_advantage call on held utility rows compares
+    alternatives one by one (each a 3-tuple of Fractions, 4 096 of them)."""
+    inst = dm.build_grid_env(1, 15, 3)
+    env, P = inst.env, dm.uniform_histogram_commitment(inst)
+    t, b_i = env.vector(0), env.type_spaces[0][1]
+    dm.truth_advantage(env, P, 0, t, b_i)  # computes the utility rows
+    calls = 0
+    fraction_eq = Fraction.__eq__
+
+    def counting_eq(self, other):
+        nonlocal calls
+        calls += 1
+        return fraction_eq(self, other)
+
+    monkeypatch.setattr(Fraction, "__eq__", counting_eq)
+    dm.commitment_mechanism(P, env)
+    assert calls <= len(P.alternatives)
+    calls = 0
+    assert dm.truth_advantage(env, P, 0, t, b_i) > 0
+    assert calls <= len(P.alternatives)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import dpmech as dm
 from dpmech.facility import (
     DyadicCommitment,
+    _loc3_admissible,
     continuous_expmech_distribution,
     domination_margin,
     loc3_params,
@@ -288,3 +289,23 @@ def test_lipschitz_random_probes(seed):
     alts = [(Fraction(j, 16),) for j in range(17)]
     rep = dm.lipschitz_checks(t, b, alts)
     assert rep["pointwise_ok"] and rep["max_ok"]
+
+
+def _loc3_n0_scan(K):
+    """The first admissible population, by a walk up from n = 3."""
+    n = 3
+    while not _loc3_admissible(loc3_params(n, K)):
+        n += 1
+    return n
+
+
+def test_loc3_n0_closed_form_matches_the_scan():
+    for K in range(1, 61):
+        assert dm.loc3_n0(K) == _loc3_n0_scan(K), K
+
+
+def test_loc3_n0_at_a_huge_dimension():
+    K = 10**8
+    n0 = dm.loc3_n0(K)
+    assert _loc3_admissible(loc3_params(n0, K))
+    assert not _loc3_admissible(loc3_params(n0 - 1, K))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpmech as dm
-from dpmech.outcomes import SUM_TOL, left_sum
+from dpmech.outcomes import SUM_TOL, left_sum, softmax
 
 
 def test_validation():
@@ -104,3 +104,29 @@ def test_left_sum_keeps_exact_terms_exact():
     assert left_sum([]) == 0
     # a float term turns the running total into a float from there on
     assert left_sum([Fraction(1, 3), 0.5]) == float(Fraction(1, 3)) + 0.5
+
+
+def test_probability_checks_measure_the_true_sum():
+    """100 000 equal float probabilities add, left to right, to
+    0.9999999999980838: further from 1 than SUM_TOL, though their true sum
+    is within it.  Both probability-sum checks accept them."""
+    probs = softmax([0.0] * 100_000, 1.0)
+    assert abs(left_sum(probs) - 1) > SUM_TOL >= abs(math.fsum(probs) - 1)
+    dist = dm.OutcomeDistribution([dm.Outcome(k) for k in range(100_000)], probs)
+    assert len(dist) == 100_000
+    assert dm.CommitmentDistribution(range(100_000), probs, [0]).p_tilde == probs[0]
+
+
+class _LastDrawRng:
+    """A generator whose ``random()`` is the largest float below 1."""
+
+    def random(self):
+        return 1 - 2**-53
+
+
+def test_sample_past_the_float_cdf_skips_zero_probability():
+    # the CDF stops at the draw, 1 - 2^-53, and exp(-2e9) underflows to 0
+    probs = softmax([0.0, 1.0, -1e9], 2.0)
+    assert probs[2] == 0 and left_sum(probs) == 1 - 2**-53
+    dist = dm.OutcomeDistribution([dm.Outcome(s) for s in "abc"], probs)
+    assert dist.sample(_LastDrawRng()).alternative == "b"
