@@ -462,24 +462,30 @@ def compute_gap(env: Environment, budget: int = DEFAULT_BUDGET) -> Gap:
     For every (agent, true type, misreport, opponent profile) the inner max
     runs over alternatives of the utility advantage of the truth-consistent
     optimal reaction over the misreport-consistent one, both read from the
-    held rows ``env.utilities``; the gap is the outer minimum, with the
-    argmin witness.  Only the opponent profiles that are their own key
-    (``env.keys``) are walked: under private values the first alone.
+    held rows ``env.utilities`` once per opponent profile; the gap is the
+    outer minimum, with the argmin witness.  Only the opponent profiles that
+    are their own key (``env.keys``) are walked: under private values the
+    first alone.
     """
     check_budget(env.num_deviations() * len(env.alternatives), budget)
 
     gamma = None
     witness = None
+    alternatives = range(len(env.alternatives))
     for i in env.agents:
         types_i, stride = env.type_spaces[i], env.strides[i]
+        if len(types_i) < 2:
+            continue  # no misreport, and no row to read
         for k in env.bases[i]:
             if env.own(i, k) != k:
                 continue  # its advantages repeat those at its key
+            # (row, optimum) per own type, then alternative
+            held = [[env.utilities(i, k + t * stride, a) for a in alternatives]
+                    for t in range(len(types_i))]
             for t_i, b_i in itertools.permutations(range(len(types_i)), 2):
                 adv = None
-                for a in range(len(env.alternatives)):
-                    row, best = env.utilities(i, k + t_i * stride, a)
-                    d = row[best][0] - row[env.utilities(i, k + b_i * stride, a)[1]][0]
+                for (row, best), (_, other) in zip(held[t_i], held[b_i]):
+                    d = row[best][0] - row[other][0]
                     if adv is None or _gt(d, adv):
                         adv = d
                 if gamma is None or _gt(gamma, adv):
@@ -533,9 +539,11 @@ def find_separating_set(
 def check_environment(env: Environment, budget: int = DEFAULT_BUDGET) -> None:
     """Verify the declared invariants by enumeration.
 
-    Checks the [0, 1] utility range everywhere and, when a private kind is
-    declared, that optimal reactions (and for private values the utilities)
-    do not depend on opponents' types.  Raises ValueError on violation.
+    One walk, by agent, own type, alternative, then opponent profile
+    (``bases[i]`` order), evaluates each utility once: it checks the [0, 1]
+    range and, when a private kind is declared, that optimal reactions (and
+    for private values the utilities) equal those at the first opponent
+    profile.  Raises ValueError at the first violation.
     """
     needed = (
         env.num_type_vectors()
@@ -544,38 +552,27 @@ def check_environment(env: Environment, budget: int = DEFAULT_BUDGET) -> None:
     )
     check_budget(needed, budget)
 
-    for t in env.type_vectors():
-        for s in env.alternatives:
-            for i in env.agents:
-                for r in env.reaction_spaces[i]:
-                    u = env.utility(i, t, s, r)
-                    if u < -ABS_TOL or u > 1 + ABS_TOL:
-                        raise ValueError(
-                            f"utility {u} outside [0,1] at {(i, t, s, r)}"
-                        )
-
-    if env.private_reactions:
-        for i, stride in enumerate(env.strides):
-            reactions = env.reaction_spaces[i]
-            for b, t_i in enumerate(env.type_spaces[i]):
-                # opponents at their first types
-                first = env.vector(b * stride)
-                for s in env.alternatives:
-                    ref_utils = [env.utility(i, first, s, r) for r in reactions]
-                    ref = set(_near_max(reactions, ref_utils))
-                    for k in env.bases[i]:
-                        t = env.vector(k + b * stride)
-                        utils = [env.utility(i, t, s, r) for r in reactions]
-                        if set(_near_max(reactions, utils)) != ref:
-                            raise ValueError(
-                                f"declared {env.values_kind} but argmax of agent "
-                                f"{i} at {(t_i, s)} depends on opponents"
-                            )
-                        if env.values_kind == PRIVATE_VALUES:
-                            for r, u, base in zip(reactions, utils, ref_utils):
-                                if not _close(u, base):
-                                    raise ValueError(
-                                        f"declared private values but utility of "
-                                        f"agent {i} at {(t_i, s, r)} depends on "
-                                        "opponents"
-                                    )
+    private = env.private_reactions
+    for i, stride in enumerate(env.strides):
+        reactions = env.reaction_spaces[i]
+        for b, t_i in enumerate(env.type_spaces[i]):
+            vectors = [env.vector(k + b * stride) for k in env.bases[i]]
+            for s in env.alternatives:
+                ref = None
+                for t in vectors:
+                    utils = [env.utility(i, t, s, r) for r in reactions]
+                    for r, u in zip(reactions, utils):
+                        if u < -ABS_TOL or u > 1 + ABS_TOL:
+                            raise ValueError(f"utility {u} outside [0,1] at {(i, t, s, r)}")
+                    if not private:
+                        continue
+                    if ref is None:  # the first opponent profile
+                        ref, ref_utils = set(_near_max(reactions, utils)), utils
+                    elif set(_near_max(reactions, utils)) != ref:
+                        raise ValueError(f"declared {env.values_kind} but argmax of agent "
+                                         f"{i} at {(t_i, s)} depends on opponents")
+                    if env.values_kind == PRIVATE_VALUES:
+                        for r, u, base in zip(reactions, utils, ref_utils):
+                            if not _close(u, base):
+                                raise ValueError(f"declared private values but utility of agent "
+                                                 f"{i} at {(t_i, s, r)} depends on opponents")

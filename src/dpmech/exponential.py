@@ -146,19 +146,23 @@ def audit_dp(
     monotone).  Raises :class:`ZeroProbabilityAsymmetry` at the first ratio,
     in ``Environment.pairs()`` order, with exactly one side 0.  The witness
     is the first pair and alternative of largest loss, None when no loss is
-    positive.
+    positive.  A mechanism that is not an ``exponential_mechanism`` on
+    ``env`` is read through ``PayoffTable.dist``, each alternative's mass
+    summed exactly in support order, then made a float.
     """
     import numpy as np
 
-    check_budget(env.num_deviations() // 2 * len(env.alternatives), budget)
+    needed = env.num_deviations() // 2 * len(env.alternatives)
+    check_budget(needed, budget)
 
     prob = _probabilities(mech, env)
     if prob is None:
-        marginals = []
-        for t in env.type_vectors():
-            marg = mech(t).marginal_alternatives()
-            marginals.append([float(marg.get(s, 0)) for s in env.alternatives])
-        prob = np.array(marginals)
+        table = payoff_table(mech, env, "audit_dp", needed, budget)
+        marginals = [[0] * len(env.alternatives) for _ in range(env.num_type_vectors())]
+        for k, marg in enumerate(marginals):
+            for p, _, a, _ in table.dist(k):
+                marg[a] += p
+        prob = np.array(marginals, float)
     # math.log, not np.log, so that every loss is the libm value; a zero
     # reads as 1.0, log 0.0, so a pair zero on both sides loses 0 (one-sided
     # zeros raise)

@@ -17,6 +17,7 @@ from .combined import MechanismParams, build_combined, schedule_params
 from .commitment import CommitmentDistribution, uniform_histogram_commitment
 from .environment import HistogramInstance, HistogramObjective
 from .errors import PopulationTooSmall, ResolutionBudgetExceeded
+from .exponential import exp_mech_rate
 from .outcomes import Outcome, OutcomeDistribution, left_sum, softmax
 from .payoffs import Mechanism
 
@@ -164,7 +165,7 @@ def continuous_expmech_distribution(
     for idx, combo in enumerate(itertools.product(range(len(pts)), repeat=K)):
         alternatives.append(tuple(pts[j] for j in combo))
         scores[idx] = 1.0 - d1[:, list(combo)].min(axis=1).mean()
-    probs = softmax(scores.tolist(), len(t) * eps / 2)
+    probs = softmax(scores.tolist(), exp_mech_rate(len(t), eps, 1))
     return OutcomeDistribution([Outcome(s) for s in alternatives], probs)
 
 

@@ -59,21 +59,28 @@ class PayoffTable:
     def dist(self, k: int) -> list:
         """The mechanism's nonzero-probability outcomes at vector k, as
         (probability, whether it is a float, alternative index, per-agent
-        imposed reaction indices or None)."""
+        imposed reaction indices or None).  The one place a check calls
+        the mechanism."""
         d = self._dists.get(k)
         if d is None:
-            d = self._dists[k] = [
-                (
-                    p,
-                    type(p) is float,
-                    self.env.alternative_index[o.alternative],
-                    None if o.imposed is None else tuple(
-                        index[r] for index, r in zip(self.env.reaction_index, o.imposed)
-                    ),
-                )
-                for o, p in self.mech(self.env.vector(k)).items() if p != 0
-            ]
+            t = self.env.vector(k)
+            d = self._dists[k] = [(p, type(p) is float, *self._indices(o, t))
+                                  for o, p in self.mech(t).items() if p != 0]
         return d
+
+    def _indices(self, o, t: tuple) -> tuple:
+        """Outcome o's alternative index and imposed reaction indices (None
+        when it imposes nothing).  Raises ValueError, naming o and the
+        announcement t, when its alternative is not the environment's or it
+        does not impose one environment reaction per agent."""
+        env = self.env
+        try:
+            return env.alternative_index[o.alternative], None if o.imposed is None else tuple(
+                index[r] for index, r in zip(env.reaction_index, o.imposed, strict=True))
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"outcome {o!r} at announcement {t!r} is not of the environment: "
+                             "it needs one of its alternatives and, if it imposes, one "
+                             "reaction per agent") from None
 
     def eu(self, kb: int, i: int, kt: int):
         """Agent i's exact expected utility with true vector kt when vector

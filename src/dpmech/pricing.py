@@ -146,6 +146,8 @@ def _two_level_instance(n: int, v_low, v_high, prices, mu) -> HistogramInstance:
 
     A cohort economy of size D=1 whose signal is the valuation itself.
     """
+    if not 0 < mu < Fraction(1, 2):
+        raise ValueError("mu must lie in (0, 0.5)")
     types = (v_low, v_high)
     table = {(v,): (v,) for v in types}
     return HistogramInstance(
@@ -164,8 +166,6 @@ def example1_env(n: int, mu=Fraction(1, 4)) -> HistogramInstance:
     optimum sits at 1/(1+mu).
     """
     mu = Fraction(mu) if not isinstance(mu, float) else mu
-    if not 0 < mu < Fraction(1, 2):
-        raise ValueError("mu must lie in (0, 0.5)")
     return _two_level_instance(
         n, Fraction(1, 2) + mu, 1 + mu, (Fraction(1, 2), Fraction(1)), mu
     )
@@ -174,8 +174,6 @@ def example1_env(n: int, mu=Fraction(1, 4)) -> HistogramInstance:
 def example3_env(n: int, mu=Fraction(1, 4)) -> HistogramInstance:
     """Buyers valued 1/n or 1+mu, prices {1/n, 1}."""
     mu = Fraction(mu) if not isinstance(mu, float) else mu
-    if not 0 < mu < Fraction(1, 2):
-        raise ValueError("mu must lie in (0, 0.5)")
     if n < 2:
         raise ValueError("need n >= 2")
     return _two_level_instance(n, Fraction(1, n), 1 + mu, (Fraction(1, n), Fraction(1)), mu)

@@ -389,6 +389,20 @@ def _opponent_dependent(env):
     return replaced_env(env, utility=utility, values_kind=dm.PRIVATE_VALUES)
 
 
+def test_check_environment_evaluates_each_utility_once():
+    # the walk evaluates exactly the utilities its budget charges
+    grid = dm.build_grid_env(3, 2, 2).env
+    envs = (grid, replaced_env(grid, values_kind=dm.PRIVATE_REACTIONS),
+            cohort_pricing_instance(N=2, D=2, m=4).env)
+    for env in envs:
+        calls = []
+        counted = replaced_env(env, utility=lambda *args: calls.append(args) or env.utility(*args))
+        dm.check_environment(counted)
+        needed = (env.num_type_vectors() * len(env.alternatives)
+                  * sum(len(r) for r in env.reaction_spaces))
+        assert len(calls) == len(set(calls)) == needed
+
+
 def test_check_environment_private_kinds_match_naive_order(pair_walk_instances):
     messages = set()
     for env, _ in pair_walk_instances:

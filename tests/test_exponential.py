@@ -169,11 +169,28 @@ def test_checks_call_mechanism_and_objective_once_per_vector(random_instances):
         N = env.num_type_vectors()
         dm.audit_dp(counted_mech, env, eps)
         assert calls["mech"] == N
+        # near-indifference reads the distributions audit_dp left in the table
         dm.near_indifference_bound_check(counted_mech, env, eps)
-        assert calls["mech"] == 2 * N
+        assert calls["mech"] == N
         if _applies(env, eps):
             dm.accuracy_bound_check(dm.ObjectiveFunction(counted_eval, 1), env, eps)
             assert calls["F"] == N * len(env.alternatives)
+
+
+def test_mechanism_scores_a_vector_outside_the_type_space_itself():
+    # with env.scores(F) held, a vector the environment does not list (a
+    # foreign type, a wrong length) is scored by F, not by a held row
+    F = dm.ObjectiveFunction(eval=lambda t, s: sum(t) * s % 7 / 7, sensitivity_d=1)
+    env = dm.Environment(
+        type_spaces=((0, 1),) * 2, alternatives=(0, 1, 2),
+        reaction_spaces=(("noop",),) * 2, utility=lambda i, t, s, r: 0,
+    )
+    env.scores(F)
+    mech = dm.exponential_mechanism(F, env, 0.5)
+    _, _, rate = mech.exp_mech
+    for t in ((0, 5), (3, 1), (0, 1, 1), (1, 1)):
+        dist = dm.exp_mech_distribution(F, env.alternatives, t, rate)
+        assert (mech(t).outcomes, mech(t).probs) == (dist.outcomes, dist.probs)
 
 
 def test_audits_score_the_objective_once_per_vector_and_alternative():

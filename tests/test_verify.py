@@ -312,6 +312,34 @@ def test_compute_gap_reads_held_utility_rows(monkeypatch):
     assert gap == _naive_gap(env)
 
 
+def test_compute_gap_reads_each_held_row_once():
+    """At each opponent profile that is its own key, compute_gap looks up
+    one row per (own type, alternative) of an agent with a misreport: the
+    first profile alone under private values, every one otherwise."""
+    from collections import Counter
+
+    from tests.conftest import cohort_pricing_instance
+
+    for inst in (dm.build_grid_env(1, 3, 2), dm.build_grid_env(2, 2, 2),
+                 cohort_pricing_instance(N=2, D=2, m=4)):
+        env = inst.env
+        calls = Counter()
+        utilities = env.utilities
+
+        def counted(*args):
+            calls["utilities"] += 1
+            return utilities(*args)
+
+        env.utilities = counted
+        gap = dm.compute_gap(env)
+        assert (gap.gamma, gap.argmin_witness) == _naive_gap(env)
+        profiles = [1 if env.values_kind == dm.PRIVATE_VALUES else len(env.bases[i])
+                    for i in env.agents]
+        assert calls["utilities"] == sum(
+            keys * m * len(env.alternatives)
+            for keys, m in zip(profiles, env.sizes) if m > 1)
+
+
 def test_find_separating_set_reads_held_utility_rows(monkeypatch):
     """find_separating_set reads the rows compute_gap holds: alone it
     evaluates at most the 243 held utilities, after compute_gap none."""
@@ -444,6 +472,69 @@ def test_table_checkers_match_naive_on_lotteries():
     _assert_matches_naive(
         _lottery(pricing, dm.uniform_histogram_commitment(pricing)), pricing.env
     )
+
+
+def test_audit_dp_reads_the_lottery_from_the_held_table():
+    from collections import Counter
+
+    inst = dm.build_grid_env(2, 2, 2)
+    env = inst.env
+    lottery = _lottery(inst, dm.dyad_facility_commitment(inst))
+    calls = Counter()
+
+    def counted(t):
+        calls["mech"] += 1
+        return lottery(t)
+
+    dm.check_expost_nash_truthful(counted, env)
+    assert calls["mech"] == env.num_type_vectors()
+    rep = dm.audit_dp(counted, env, 1.0)
+    assert calls["mech"] == env.num_type_vectors()
+    # the marginals the distributions themselves give
+    prob = [[float(lottery(t).marginal_alternatives().get(s, 0)) for s in env.alternatives]
+            for t in env.type_vectors()]
+    worst = max(abs(math.log(prob[ka][a]) - math.log(prob[kb][a]))
+                for _, ka, kb in env.pairs() for a in range(len(env.alternatives)))
+    assert rep.epsilon_measured == worst
+
+
+def _leaking_environment():
+    """One agent with types 0 and 1, alternatives a and b, reactions x and y."""
+    return dm.Environment(
+        type_spaces=((0, 1),), alternatives=("a", "b"), reaction_spaces=(("x", "y"),),
+        utility=lambda i, t, s, r: Fraction(1, 2), values_kind=dm.PRIVATE_VALUES,
+    )
+
+
+# half on a, half on an outcome the environment does not have
+LEAKS = {
+    # the other half reveals the type on an alternative outside the
+    # environment, which the audit once dropped to pass it with eps 0
+    "foreign-alternative": lambda t: dm.Outcome("z" if t == (0,) else "y"),
+    "foreign-reaction": lambda t: dm.Outcome("b", ("w",)),
+    "imposed-too-short": lambda t: dm.Outcome("b", ()),
+    "imposed-too-long": lambda t: dm.Outcome("b", ("x", "y")),
+}
+
+CHECKS = {
+    "audit_dp": lambda mech, env: dm.audit_dp(mech, env, 0.1),
+    "expost_nash": dm.check_expost_nash_truthful,
+    "strict_dominance": dm.check_strictly_dominant_truthful,
+    "near_indifference": lambda mech, env: dm.near_indifference_bound_check(mech, env, 0.1),
+    "implementation_gap": lambda mech, env: dm.implementation_gap(
+        mech, env, dm.ObjectiveFunction(lambda t, s: 0, 1)),
+}
+
+
+@pytest.mark.parametrize("leak", LEAKS.values(), ids=list(LEAKS))
+@pytest.mark.parametrize("check", CHECKS.values(), ids=list(CHECKS))
+def test_checks_refuse_outcomes_outside_the_environment(check, leak):
+    def mech(t):
+        return dm.OutcomeDistribution([dm.Outcome("a"), leak(t)], [0.5, 0.5])
+
+    with pytest.raises(ValueError, match=r"^outcome Outcome\(.*\) at announcement "
+                                         r"\(0,\) is not of the environment"):
+        check(mech, _leaking_environment())
 
 
 def test_table_checkers_stay_exact_on_gap_zero_commitment():
