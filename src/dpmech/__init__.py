@@ -39,7 +39,6 @@ from .environment import (
     compute_gap,
     find_separating_set,
     optimal_reaction,
-    optimal_reaction_set,
     verify_sensitivity,
 )
 from .errors import (
@@ -94,11 +93,9 @@ from .verify import (
     check_expost_nash_truthful,
     check_strictly_dominant_truthful,
     constant_map,
-    expected_utility,
     find_dominating_strategy,
     implementation_gap,
     truthful_profile,
-    unilateral_deviation,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,6 @@ loss of p_tilde * gamma in non-trivial environments.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .environment import (
@@ -19,7 +18,7 @@ from .environment import (
     find_separating_set,
 )
 from .errors import NotNonTrivial
-from .outcomes import SUM_TOL, Outcome, OutcomeDistribution
+from .outcomes import Outcome, OutcomeDistribution, check_probabilities
 from .payoffs import Mechanism
 from .verify import (
     VerificationReport,
@@ -39,8 +38,7 @@ class CommitmentDistribution:
         self.alternatives = tuple(alternatives)
         self.probs = tuple(probs)
         self.separating_set = tuple(separating_set)
-        if abs(math.fsum(self.probs) - 1) > SUM_TOL:
-            raise ValueError("probabilities must sum to 1")
+        check_probabilities(self.probs)
         if not self.separating_set:
             raise ValueError("separating set must be non-empty")
         index = {s: p for s, p in zip(self.alternatives, self.probs)}

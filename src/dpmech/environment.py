@@ -104,15 +104,6 @@ class Environment:
         agent's type: N * sum_i (|T_i| - 1) over the N type vectors."""
         return self.num_type_vectors() * sum(len(t) - 1 for t in self.type_spaces)
 
-    def opponent_vectors(self, i: int):
-        """Iterate over T_{-i}: the other agents' types, as tuples of length
-        n-1 in the order of the remaining coordinates."""
-        spaces = [self.type_spaces[j] for j in self.agents if j != i]
-        return itertools.product(*spaces)
-
-    def insert_type(self, i: int, t_i, t_minus: tuple) -> tuple:
-        return tuple(t_minus[:i]) + (t_i,) + tuple(t_minus[i:])
-
     # Vector k is its mixed-radix index in canonical order, ``strides`` the
     # place values: agent i's deviation from type index t_i to b_i moves
     # vector k to k + (b_i - t_i) * strides[i].
@@ -137,8 +128,8 @@ class Environment:
     @cached_property
     def bases(self) -> list:
         """Per agent i, the vectors whose agent-i type index is 0, in the
-        order of ``opponent_vectors(i)``; add t_i * strides[i] for type
-        index t_i.  In increasing order, hi + lo: hi a multiple of sizes[i] *
+        canonical order of the other agents' types; add t_i * strides[i] for
+        type index t_i.  Increasing, each hi + lo: hi a multiple of sizes[i] *
         strides[i] (earlier agents' digits), lo below strides[i] (later)."""
         N = self.num_type_vectors()
         return [
@@ -405,12 +396,6 @@ def optimal_reaction(env: Environment, i: int, t: tuple, s):
     if len(reactions) == 1:
         return reactions[0]
     return reactions[_argmax([env.utility(i, t, s, r) for r in reactions])]
-
-
-def optimal_reaction_set(env: Environment, i: int, t: tuple, s) -> tuple:
-    """All reactions within tolerance of the maximum utility."""
-    reactions = env.reaction_spaces[i]
-    return _near_max(reactions, [env.utility(i, t, s, r) for r in reactions])
 
 
 def _near_max(reactions, utils: list) -> tuple:

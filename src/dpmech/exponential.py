@@ -20,7 +20,7 @@ from .environment import (
     check_budget,
 )
 from .errors import PopulationTooSmall, ZeroProbabilityAsymmetry
-from .outcomes import Outcome, OutcomeDistribution, softmax
+from .outcomes import Outcome, OutcomeDistribution, check_normaliser, softmax
 from .payoffs import Mechanism, payoff_table
 from .verify import VerificationReport
 
@@ -37,8 +37,12 @@ class DpAuditReport(NamedTuple):
 
 
 def exp_mech_rate(n: int, eps: float, d: float) -> float:
-    """The rate n*eps/(2d) that makes the mechanism eps-DP on a d-sensitive F."""
-    return n * eps / (2 * d)
+    """The rate n*eps/(2d) that makes the mechanism eps-DP on a d-sensitive F.
+    Raises ValueError when it is not a finite float."""
+    rate = n * eps / (2 * d)
+    if not math.isfinite(rate):
+        raise ValueError(f"exponential-mechanism rate {rate} is not finite")
+    return rate
 
 
 def exp_mech_distribution(
@@ -89,7 +93,8 @@ def probability_table(F: ObjectiveFunction, env: Environment, rate: float):
 
     Bit for bit what ``softmax`` gives on each row of ``env.scores(F)``:
     ``rate * f`` less the row's max, libm's ``math.exp`` of each entry, then
-    each weight divided by its row's sum, added left to right.  Built on
+    each weight divided by its row's sum, added left to right, and the same
+    ``check_normaliser`` refusal of a score that is not finite.  Built on
     first use and held on the environment, one table per objective, replaced
     when the rate changes; every audit at that rate reads the same array.
     """
@@ -99,11 +104,14 @@ def probability_table(F: ObjectiveFunction, env: Environment, rate: float):
         return held[1]
     import numpy as np
 
-    x = np.array(env.scores(F), float) * float(rate)
-    x -= x.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        x = np.array(env.scores(F), float) * float(rate)
+        x -= x.max(axis=1, keepdims=True)
     weights = np.fromiter(map(math.exp, x.ravel().tolist()), float,
                           x.size).reshape(x.shape)
-    weights /= _left_sums(weights)[:, None]
+    z = _left_sums(weights)
+    check_normaliser(z.min())
+    weights /= z[:, None]
     weights.flags.writeable = False  # shared by every audit at this rate
     memo[F] = (rate, weights)
     return weights

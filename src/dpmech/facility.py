@@ -308,10 +308,13 @@ def lipschitz_checks(t: Sequence, b: Sequence, alternatives: Sequence) -> dict:
 
     Pointwise: |F(t,s) - F(b,s)| <= mean |t_i - b_i| for every probed s.
     Max form: the best-alternative values differ by at most max |t_i - b_i|.
+    Raises ValueError on probes that are empty or of unequal length.
     """
     n = len(t)
+    if not n or len(b) != n:
+        raise ValueError("probes must be non-empty and of equal length")
     mean_shift = left_sum(abs(x - y) for x, y in zip(t, b)) / n
-    max_shift = max(abs(x - y) for x, y in zip(t, b)) if n else 0
+    max_shift = max(abs(x - y) for x, y in zip(t, b))
     worst = 0
     for s in alternatives:
         diff = abs(continuous_objective(t, s) - continuous_objective(b, s))

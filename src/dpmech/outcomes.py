@@ -29,12 +29,34 @@ def left_sum(terms):
 
 def softmax(values: list, rate: float) -> list:
     """Selection probabilities proportional to exp(rate * v) over float
-    objective values, by a max-shifted softmax."""
+    objective values, by a max-shifted softmax.  Raises ValueError when a
+    rate * v is not a finite float (see ``check_normaliser``)."""
     scores = [rate * v for v in values]
     m = max(scores)
     weights = [math.exp(x - m) for x in scores]
     z = left_sum(weights)
+    check_normaliser(z)
     return [w / z for w in weights]
+
+
+def check_normaliser(z) -> None:
+    """Refuse a max-shifted softmax normaliser ``z`` that is not >= 1.
+
+    With finite scores the largest one's weight is exactly 1; an infinite
+    or NaN score, wherever it stands, makes a weight and so ``z`` NaN.
+    """
+    if not z >= 1:
+        raise ValueError(f"softmax normaliser {z}: a rate * value is not finite")
+
+
+def check_probabilities(probs) -> None:
+    """Refuse a negative or NaN probability, and a total not within
+    ``SUM_TOL`` of 1 (a NaN or infinite total included)."""
+    if not all(p >= 0 for p in probs):
+        raise ValueError("negative or NaN probability")
+    total = math.fsum(probs)
+    if not abs(total - 1) <= SUM_TOL:
+        raise ValueError(f"probabilities must sum to 1, not {total}")
 
 
 class Outcome(NamedTuple):
@@ -61,11 +83,7 @@ class OutcomeDistribution:
         probs = tuple(probs)
         if len(outcomes) != len(probs):
             raise ValueError("support and probability lengths differ")
-        if any(p < 0 for p in probs):
-            raise ValueError("negative probability")
-        total = math.fsum(probs)
-        if abs(total - 1) > SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        check_probabilities(probs)
         self.outcomes = outcomes
         self.probs = probs
 

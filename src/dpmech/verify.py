@@ -1,9 +1,9 @@
 """Exact incentive and accuracy verification.
 
-Expected utilities are computed from exact outcome distributions; the checks
-(ex-post Nash truthfulness, strict dominance, dominated strategies and the
-implementation gap) enumerate exhaustively within an explicit budget and
-return replayable witnesses on failure.
+Expected utilities are read from a ``PayoffTable`` (exact sums over outcome
+distributions); the checks (ex-post Nash truthfulness, strict dominance,
+dominated strategies and the implementation gap) enumerate exhaustively
+within an explicit budget and return replayable witnesses on failure.
 
 Scope: deviation checks for interdependent values are restricted to
 unilateral deviations from the truthful profile, so the reacting agent can
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Any, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .environment import (
     ABS_TOL,
@@ -23,7 +23,6 @@ from .environment import (
     Environment,
     HistogramObjective,
     ObjectiveFunction,
-    optimal_reaction,
 )
 from .errors import WrongValuesKind
 from .outcomes import left_sum, softmax
@@ -48,35 +47,12 @@ def truthful_profile(env: Environment) -> tuple:
     return tuple({t: t for t in space} for space in env.type_spaces)
 
 
-def unilateral_deviation(env: Environment, i: int, t_i, b_i) -> tuple:
-    """Truthful profile except agent i maps t_i to b_i."""
-    W = [dict(m) for m in truthful_profile(env)]
-    W[i][t_i] = b_i
-    return tuple(W)
-
-
 def constant_map(env: Environment, i: int, b_i) -> dict:
     return {t: b_i for t in env.type_spaces[i]}
 
 
 def announce(W: tuple, t: tuple) -> tuple:
     return tuple(W[i][t_i] for i, t_i in enumerate(t))
-
-
-def _utility_at(env: Environment, i: int, t: tuple, outcome) -> Any:
-    s = outcome.alternative
-    r = outcome.imposed[i] if outcome.imposing else optimal_reaction(env, i, t, s)
-    return env.utility(i, t, s, r)
-
-
-def expected_utility(mech: Mechanism, env: Environment, W: tuple, i: int, t: tuple):
-    """Exact expected utility of agent i with true types t under profile W.
-
-    For free outcomes the agent best-responds with its true type
-    (opponents' types are read off their truthful announcements); an
-    imposing outcome fixes the agent's reaction to the one it imposes.
-    """
-    return mech(announce(W, t)).expectation(lambda o: _utility_at(env, i, t, o))
 
 
 def check_expost_nash_truthful(

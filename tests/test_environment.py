@@ -14,6 +14,7 @@ from tests.conftest import (
     replaced_env,
     two_signal_pricing_instance,
 )
+from tests.naive import insert_type, opponent_vectors, optimal_reaction_set
 
 
 def tiny_env():
@@ -54,7 +55,7 @@ def test_optimal_reaction_and_tie_break():
     )
     # exact tie goes to the first listed reaction
     assert dm.optimal_reaction(env_flat, 0, (0,), "a") == "x"
-    assert dm.optimal_reaction_set(env_flat, 0, (0,), "a") == ("x", "y")
+    assert optimal_reaction_set(env_flat, 0, (0,), "a") == ("x", "y")
 
 
 def test_optimal_reaction_of_one_reaction_space_reads_no_utility():
@@ -91,10 +92,10 @@ def test_separating_set_found():
     cert = dm.find_separating_set(env)
     assert set(cert.separating_set) <= {"a", "b"}
     for (i, pair, t_minus), s in cert.witness.items():
-        t = env.insert_type(i, pair[0], t_minus)
-        t_hat = env.insert_type(i, pair[1], t_minus)
-        a = set(dm.optimal_reaction_set(env, i, t, s))
-        b = set(dm.optimal_reaction_set(env, i, t_hat, s))
+        t = insert_type(env, i, pair[0], t_minus)
+        t_hat = insert_type(env, i, pair[1], t_minus)
+        a = set(optimal_reaction_set(env, i, t, s))
+        b = set(optimal_reaction_set(env, i, t_hat, s))
         assert not (a & b)
 
 
@@ -173,17 +174,17 @@ def test_environment_validation():
 
 # -------------------------------------------------- the unilateral pair walk
 # Naive references enumerate unilateral pairs by tuple: agent, then
-# env.opponent_vectors(i), then itertools.combinations of agent i's types.
+# opponent_vectors(env, i), then itertools.combinations of agent i's types.
 # Every witness of the index-walking checks depends on that order.
 
 
 def _naive_pairs(env):
     """(agent, t, t_hat, (t_i, t_hat_i), t_minus) in tuple order."""
     for i in env.agents:
-        for t_minus in env.opponent_vectors(i):
+        for t_minus in opponent_vectors(env, i):
             for a, b in itertools.combinations(env.type_spaces[i], 2):
-                yield (i, env.insert_type(i, a, t_minus),
-                       env.insert_type(i, b, t_minus), (a, b), t_minus)
+                yield (i, insert_type(env, i, a, t_minus),
+                       insert_type(env, i, b, t_minus), (a, b), t_minus)
 
 
 def _naive_sensitivity(F, env):
@@ -207,8 +208,8 @@ def _naive_separating_set(env):
     for i, t, t_hat, pair, t_minus in _naive_pairs(env):
         separating = [
             s for s in env.alternatives
-            if not set(dm.optimal_reaction_set(env, i, t, s))
-            & set(dm.optimal_reaction_set(env, i, t_hat, s))
+            if not set(optimal_reaction_set(env, i, t, s))
+            & set(optimal_reaction_set(env, i, t_hat, s))
         ]
         if not separating:
             return "NotNonTrivial", (i, pair, t_minus)
@@ -247,12 +248,12 @@ def _naive_private_kind_error(env):
     """The first private-kind violation message, or None."""
     for i in env.agents:
         for t_i in env.type_spaces[i]:
-            first = env.insert_type(i, t_i, next(iter(env.opponent_vectors(i))))
+            first = insert_type(env, i, t_i, next(iter(opponent_vectors(env, i))))
             for s in env.alternatives:
                 ref = None
-                for t_minus in env.opponent_vectors(i):
-                    t = env.insert_type(i, t_i, t_minus)
-                    cur = set(dm.optimal_reaction_set(env, i, t, s))
+                for t_minus in opponent_vectors(env, i):
+                    t = insert_type(env, i, t_i, t_minus)
+                    cur = set(optimal_reaction_set(env, i, t, s))
                     if ref is None:
                         ref = cur
                     elif cur != ref:
@@ -315,8 +316,8 @@ def test_bases_match_opponent_vectors(pair_walk_instances):
     for env in envs:
         index = {t: k for k, t in enumerate(env.type_vectors())}
         assert env.bases == [
-            [index[env.insert_type(i, env.type_spaces[i][0], t_minus)]
-             for t_minus in env.opponent_vectors(i)]
+            [index[insert_type(env, i, env.type_spaces[i][0], t_minus)]
+             for t_minus in opponent_vectors(env, i)]
             for i in env.agents
         ]
 

@@ -468,3 +468,42 @@ def test_one_probability_table_per_objective_and_one_exp_per_entry(monkeypatch):
     # one exp per (vector, alternative), plus the bound e^eps - 1 of each
     # near-indifference check
     assert calls["exp"] == env.num_type_vectors() * len(env.alternatives) + 2
+
+
+def test_a_rate_that_is_not_finite_is_refused():
+    # n * eps overflows to inf, and at the price-0 alternative inf * 0 is NaN:
+    # every probability was NaN, and ex-post Nash, the DP audit and the
+    # accuracy check all passed on it
+    inst = cohort_pricing_instance(N=2, D=1, m=4)
+    with pytest.raises(ValueError, match="rate inf is not finite"):
+        dm.exponential_mechanism(inst.F, inst.env, 1e308)
+    with pytest.raises(ValueError, match="rate inf is not finite"):
+        dm.accuracy_bound_check(inst.F, inst.env, 1e308)
+
+
+def test_scores_that_overflow_at_a_finite_rate_are_refused():
+    # rate 5e307 is finite, but rate * 4 is not: inf - inf would be a NaN
+    # weight, on the array path and on the distribution path alike
+    env, F = _audit_instance([[[4.0, 1.0], [1.0, 4.0]]])
+    mech = dm.exponential_mechanism(F, env, 1e308)
+    for m in (mech, lambda t: mech(t)):
+        with pytest.raises(ValueError, match="is not finite"):
+            dm.audit_dp(m, env, 1e308)
+
+
+def test_an_objective_that_is_nan_after_its_first_alternative_is_refused():
+    # a NaN score past the first is not the row's max, so only the
+    # normaliser shows it; a NaN table passed the DP audit with eps 0
+    env, F = _audit_instance([[[0.2, 0.5, 0.9], [0.9, 0.5, 0.2]]] * 2)
+    G = dm.ObjectiveFunction(
+        eval=lambda t, s: float("nan") if s == 1 else F.eval(t, s), sensitivity_d=1
+    )
+    mech = dm.exponential_mechanism(G, env, 0.5)
+    for check in (
+        lambda: dm.audit_dp(mech, env, 0.5),
+        lambda: dm.audit_dp(lambda t: mech(t), env, 0.5),
+        lambda: dm.near_indifference_bound_check(mech, env, 0.5),
+        lambda: dm.accuracy_bound_check(G, env, 5.0),  # n = 2 is enough at eps 5
+    ):
+        with pytest.raises(ValueError, match="normaliser nan: a rate"):
+            check()

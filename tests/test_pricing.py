@@ -12,6 +12,7 @@ import dpmech.pricing as pricing
 from dpmech.errors import GridTooCoarse
 from dpmech.pricing import BUY, NOT_BUY
 from tests.conftest import cohort_pricing_instance, two_signal_pricing_instance
+from tests.naive import expected_utility
 
 
 def test_build_checks_monotone_and_fineness():
@@ -223,10 +224,10 @@ def test_example3_bad_profile_nash_and_revenue():
         W_bad = tuple(dm.constant_map(env, i, low) for i in env.agents)
         for t in env.type_vectors():
             for i in env.agents:
-                base = dm.expected_utility(mech, env, W_bad, i, t)
+                base = expected_utility(mech, env, W_bad, i, t)
                 dev = list(W_bad)
                 dev[i] = dm.constant_map(env, i, high)
-                assert base >= dm.expected_utility(mech, env, tuple(dev), i, t)
+                assert base >= expected_utility(mech, env, tuple(dev), i, t)
     all_high = tuple(high for _ in env.agents)
     assert dm.revenue_per_agent(inst, all_high, env.alternatives[0]) == Fraction(1, n)
 
@@ -261,10 +262,10 @@ def test_example3_unilateral_truth_loses_mu_ish():
     W_bad = tuple(dm.constant_map(env, i, low) for i in env.agents)
     dev = list(W_bad)
     dev[0] = dm.constant_map(env, 0, high)
-    eu_dev = dm.expected_utility(mech, env, tuple(dev), 0, t)
+    eu_dev = expected_utility(mech, env, tuple(dev), 0, t)
     # raw utility mu, normalized by (raw+1)/(2+mu)
     assert eu_dev == (mu + 1) / (2 + mu)
-    eu_comply = dm.expected_utility(mech, env, W_bad, 0, t)
+    eu_comply = expected_utility(mech, env, W_bad, 0, t)
     assert eu_comply > eu_dev
 
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 import dpmech as dm
+from dpmech.exponential import exp_mech_rate
 from dpmech.facility import _rho_grid
+from dpmech.outcomes import softmax
 
 
 def _zero(i, t, s, r):
@@ -17,6 +19,8 @@ def _valued(table):
 
 
 HALF = Fraction(1, 2)
+NAN = float("nan")
+PROBES = [(Fraction(j, 8),) for j in range(9)]
 
 REFUSALS = [
     (lambda: dm.Environment([(0, 1)], [], [(0,)], _zero), ValueError,
@@ -26,9 +30,30 @@ REFUSALS = [
     (lambda: dm.ObjectiveFunction(lambda t, s: 0, 0), ValueError,
      "sensitivity bound must be positive"),
     (lambda: dm.CommitmentDistribution(["a", "b"], [HALF, Fraction(1, 4)], ["a"]),
-     ValueError, "probabilities must sum to 1"),
+     ValueError, "probabilities must sum to 1, not 0.75"),
     (lambda: dm.CommitmentDistribution(["a", "b"], [HALF, HALF], []), ValueError,
      "separating set must be non-empty"),
+    # the first four sum to 1 or to NaN, which no > test finds far from 1
+    (lambda: dm.CommitmentDistribution(["a", "b"], [1.5, -0.5], ["a"]), ValueError,
+     "negative or NaN probability"),
+    (lambda: dm.CommitmentDistribution(["a", "b"], [NAN, 1.0], ["b"]), ValueError,
+     "negative or NaN probability"),
+    (lambda: dm.OutcomeDistribution([dm.Outcome("a")] * 2, [1.0, NAN]), ValueError,
+     "negative or NaN probability"),
+    (lambda: dm.OutcomeDistribution([dm.Outcome("a")] * 2, [NAN, NAN]), ValueError,
+     "negative or NaN probability"),
+    (lambda: dm.OutcomeDistribution([dm.Outcome("a")] * 2, [float("inf"), 0.0]),
+     ValueError, "probabilities must sum to 1, not inf"),
+    (lambda: exp_mech_rate(2, 1e308, 1), ValueError,
+     "exponential-mechanism rate inf is not finite"),
+    (lambda: softmax([1.0, 2.0], 1e308), ValueError,  # inf - inf is NaN
+     "softmax normaliser nan: a rate * value is not finite"),
+    (lambda: softmax([0.0, 0.5], float("inf")), ValueError,  # inf * 0 is NaN
+     "softmax normaliser nan: a rate * value is not finite"),
+    (lambda: softmax([NAN, 1.0], 1.0), ValueError,
+     "softmax normaliser nan: a rate * value is not finite"),
+    (lambda: softmax([1.0, NAN], 1.0), ValueError,  # not the max, yet refused
+     "softmax normaliser nan: a rate * value is not finite"),
     (lambda: dm.combined_mechanism(None, None, 1, 0.1, HALF, HALF),
      dm.ParamContractViolated, "mixing weight q = 1 outside (0, 1)"),
     (lambda: dm.combined_mechanism(None, None, 0, 0.1, HALF, HALF),
@@ -43,6 +68,11 @@ REFUSALS = [
     (lambda: _rho_grid(Fraction(1, 3), 1), ValueError,
      "rho must be a reciprocal power of two"),
     (lambda: dm.DyadicCommitment(0), ValueError, "need m_bar >= 1 and K >= 1"),
+    # an empty probe divided by zero, unequal ones were zip-truncated
+    (lambda: dm.lipschitz_checks((), (), PROBES), ValueError,
+     "probes must be non-empty and of equal length"),
+    (lambda: dm.lipschitz_checks((0.1,), (0.2, 0.3), PROBES), ValueError,
+     "probes must be non-empty and of equal length"),
     (lambda: dm.loc3_params(2, 1), ValueError, "need n >= 3"),
     (lambda: dm.build_pricing_env(0, 1, 4, [(0, 1)], None), ValueError,
      "need N, D, m >= 1"),
@@ -74,9 +104,13 @@ REFUSALS = [
 
 IDS = [
     "environment-no-alternatives", "environment-empty-type-space", "objective-d-0",
-    "commitment-sum", "commitment-no-separating-set", "combined-q-1", "combined-q-0",
+    "commitment-sum", "commitment-no-separating-set", "commitment-negative",
+    "commitment-nan", "outcomes-nan", "outcomes-all-nan", "outcomes-inf", "rate-inf",
+    "softmax-overflow", "softmax-inf-times-0", "softmax-nan-first",
+    "softmax-nan-last", "combined-q-1", "combined-q-0",
     "grid-n-0", "grid-m-0", "grid-K-0", "rho-0", "rho-2", "rho-3/8", "rho-1/3",
-    "dyadic-m_bar-0", "loc3-n-2", "pricing-N-0", "pricing-D-0", "pricing-m-0",
+    "dyadic-m_bar-0", "lipschitz-empty", "lipschitz-unequal", "loc3-n-2",
+    "pricing-N-0", "pricing-D-0", "pricing-m-0",
     "pricing-spaces", "pricing-valuation-length", "pricing-moves-no-valuation",
     "pricing-second-step-too-coarse", "example1-mu-half", "example1-mu-0",
     "example3-mu-half", "example3-n-1", "revenue-cohort-of-2",

@@ -6,6 +6,12 @@ import pytest
 
 import dpmech as dm
 from tests.conftest import replaced_env
+from tests.naive import (
+    expected_utility,
+    insert_type,
+    opponent_vectors,
+    unilateral_deviation,
+)
 
 
 def test_truthful_profile_and_announce():
@@ -13,7 +19,7 @@ def test_truthful_profile_and_announce():
     W = dm.truthful_profile(inst.env)
     t = (Fraction(0), Fraction(1, 2))
     assert dm.verify.announce(W, t) == t
-    W_dev = dm.unilateral_deviation(inst.env, 0, Fraction(0), Fraction(1))
+    W_dev = unilateral_deviation(inst.env, 0, Fraction(0), Fraction(1))
     assert dm.verify.announce(W_dev, t) == (Fraction(1), Fraction(1, 2))
 
 
@@ -34,10 +40,10 @@ def test_expected_utility_respects_restrictions():
     t = (Fraction(0),)
     # free play picks the best reaction (the facility at 1, utility 0);
     # staying away also gives 0, so both mechanisms agree here
-    assert dm.expected_utility(free, env, W, 0, t) == 0
-    assert dm.expected_utility(forced, env, W, 0, t) == 0
+    assert expected_utility(free, env, W, 0, t) == 0
+    assert expected_utility(forced, env, W, 0, t) == 0
     t2 = (Fraction(1, 2),)
-    assert dm.expected_utility(free, env, W, 0, t2) == Fraction(1, 2)
+    assert expected_utility(free, env, W, 0, t2) == Fraction(1, 2)
 
 
 def test_strict_dominance_needs_private_kind():
@@ -358,17 +364,17 @@ def test_find_separating_set_reads_held_utility_rows(monkeypatch):
 
 def _naive_expost(mech, env):
     """Ex-post Nash margin and witness, and the near-indifference swing,
-    from the public expected_utility."""
+    from the naive expected_utility."""
     W = dm.truthful_profile(env)
     slack_min, witness, swing, swing_witness = None, None, 0.0, None
     for t in env.type_vectors():
         for i in env.agents:
-            base = dm.expected_utility(mech, env, W, i, t)
+            base = expected_utility(mech, env, W, i, t)
             for b_i in env.type_spaces[i]:
                 if b_i == t[i]:
                     continue
-                W_dev = dm.unilateral_deviation(env, i, t[i], b_i)
-                dev = dm.expected_utility(mech, env, W_dev, i, t)
+                W_dev = unilateral_deviation(env, i, t[i], b_i)
+                dev = expected_utility(mech, env, W_dev, i, t)
                 if slack_min is None or base - dev < slack_min:
                     slack_min = base - dev
                     if slack_min < -dm.ABS_TOL:
@@ -385,7 +391,7 @@ def _naive_strict(mech, env):
     slack_min, witness = None, None
     for t in env.type_vectors():
         for i in env.agents:
-            for b_minus in env.opponent_vectors(i):
+            for b_minus in opponent_vectors(env, i):
                 opp = [dm.constant_map(env, j, b_j)
                        for j, b_j in zip([j for j in env.agents if j != i], b_minus)]
 
@@ -394,11 +400,11 @@ def _naive_strict(mech, env):
                     maps.insert(i, dm.constant_map(env, i, b_i))
                     return tuple(maps)
 
-                base = dm.expected_utility(mech, env, profile(t[i]), i, t)
+                base = expected_utility(mech, env, profile(t[i]), i, t)
                 for b_i in env.type_spaces[i]:
                     if b_i == t[i]:
                         continue
-                    dev = dm.expected_utility(mech, env, profile(b_i), i, t)
+                    dev = expected_utility(mech, env, profile(b_i), i, t)
                     if slack_min is None or base - dev < slack_min:
                         slack_min = base - dev
                         witness = (i, t, b_i, b_minus, base, dev)
@@ -579,10 +585,10 @@ def _naive_gap(env):
     """compute_gap by direct optimal_reaction and utility calls."""
     gamma, witness = None, None
     for i in env.agents:
-        for t_minus in env.opponent_vectors(i):
+        for t_minus in opponent_vectors(env, i):
             for t_i, b_i in itertools.permutations(env.type_spaces[i], 2):
-                t = env.insert_type(i, t_i, t_minus)
-                b = env.insert_type(i, b_i, t_minus)
+                t = insert_type(env, i, t_i, t_minus)
+                b = insert_type(env, i, b_i, t_minus)
                 adv = max(
                     env.utility(i, t, s, dm.optimal_reaction(env, i, t, s))
                     - env.utility(i, t, s, dm.optimal_reaction(env, i, b, s))
@@ -618,8 +624,8 @@ def test_dominating_strategy_through_shared_table():
     # against truthful opponents, the constant low map beats truth weakly
     # everywhere and strictly somewhere
     diffs = [
-        dm.expected_utility(mech, env, (found,) + W[1:], 0, t)
-        - dm.expected_utility(mech, env, W, 0, t)
+        expected_utility(mech, env, (found,) + W[1:], 0, t)
+        - expected_utility(mech, env, W, 0, t)
         for t in env.type_vectors()
     ]
     assert min(diffs) >= -dm.ABS_TOL and max(diffs) > dm.ABS_TOL
