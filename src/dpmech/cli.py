@@ -338,8 +338,8 @@ def run_verify(config: dict) -> tuple[dict, dict]:
         mech = build_combined(env, F, P, gap.gamma, eps, q)
     else:
         mech = commitment_mechanism(P, env)
-    # in the table env holds, every expected utility ex-post Nash needs strict
-    # dominance needs too; the implementation gap reads the distributions
+    # the checks share the table env holds: strict dominance and the
+    # implementation gap read the distributions ex-post Nash built
     reports["expost_nash"] = check_expost_nash_truthful(
         mech, env, budget=budget
     )

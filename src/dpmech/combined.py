@@ -147,7 +147,7 @@ def build_combined(
     q,
 ) -> Mechanism:
     """Convenience constructor wiring both branches from the environment."""
-    return combined_mechanism(
+    mech = combined_mechanism(
         exponential_mechanism(F, env, eps),
         commitment_mechanism(P, env),
         q,
@@ -155,3 +155,6 @@ def build_combined(
         P.p_tilde,
         gamma,
     )
+    if env.reduces(F):  # marked where both branches are built: a wrapper drops marks
+        mech.symmetric_on = env
+    return mech

@@ -97,6 +97,7 @@ def commitment_mechanism(P: CommitmentDistribution, env: Environment) -> Mechani
         ]
         return OutcomeDistribution(outcomes, P.probs)
 
+    mech.symmetric_on = env  # each reaction reads its own group's announced row
     return mech
 
 

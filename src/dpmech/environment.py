@@ -59,6 +59,8 @@ class Environment:
     vectors is held.
     """
 
+    group_size: int | None = None  # of interchangeable agents, by HistogramInstance.env
+
     def __init__(
         self,
         type_spaces,
@@ -94,15 +96,52 @@ class Environment:
         """Iterate over the full product type space in canonical order."""
         return itertools.product(*self.type_spaces)
 
-    def num_type_vectors(self) -> int:
+    def num_type_vectors(self, reduced: bool = False) -> int:
+        """N, or reduced the representatives ``walk(True)`` visits."""
+        if reduced:
+            C, G, _ = self._groups
+            return math.comb(C + G - 1, G)
         # one power per distinct size: a product over a million agents'
         # sizes is quadratic in the result's digits
         return math.prod(k ** count for k, count in Counter(self.sizes).items())
 
-    def num_deviations(self) -> int:
+    def num_deviations(self, reduced: bool = False) -> int:
         """Ordered unilateral pairs (t, t_hat), t_hat differing from t in one
-        agent's type: N * sum_i (|T_i| - 1) over the N type vectors."""
+        agent's type: N * sum_i (|T_i| - 1); reduced, ``walk(True)``'s, each
+        charged G, the number of groups, as it reads vectors of n agents."""
+        if reduced:
+            C, G, D = self._groups
+            return C * math.comb(C + G - 2, G - 1) * G * sum(m - 1 for m in self.sizes[:D])
         return self.num_type_vectors() * sum(len(t) - 1 for t in self.type_spaces)
+
+    def reduces(self, *marked) -> bool:
+        """Whether a check may walk one vector per orbit (``walk(True)``): the
+        groups are interchangeable, and each of ``marked`` is marked
+        ``symmetric_on`` this environment or is an anonymous objective."""
+        return self.group_size is not None and all(
+            getattr(x, "symmetric_on", None) is self
+            or isinstance(x, HistogramObjective) and len(x.member_types) == self.group_size
+            for x in marked)
+
+    @property
+    def _groups(self) -> tuple:
+        """(C cells per group, G groups, D agents per group); no stride is
+        read, so budgets are counted before ``strides`` is built."""
+        D = self.group_size
+        return math.prod(self.sizes[:D]), self.n // D, D
+
+    def walk(self, reduced: bool = False) -> Iterator[tuple]:
+        """(vector, agents), ascending: all, or reduced each orbit's least
+        vector (group cells not decreasing) with the first group of each run
+        of equal cells, where the full walk's first worst slack lies."""
+        if not reduced:
+            return zip(range(self.num_type_vectors()), itertools.repeat(self.agents))
+        C, G, D = self._groups
+        places = self.strides[D - 1::D]
+        return ((sum(map(operator.mul, cells, places)),
+                 [c * D + j for c, x in enumerate(cells) if not c or x != cells[c - 1]
+                  for j in range(D)])
+                for cells in itertools.combinations_with_replacement(range(C), G))
 
     # Vector k is its mixed-radix index in canonical order, ``strides`` the
     # place values: agent i's deviation from type index t_i to b_i moves
@@ -121,53 +160,63 @@ class Environment:
         return tuple([ts[k // s % m]
                       for ts, s, m in zip(self.type_spaces, self.strides, self.sizes)])
 
-    def digits(self) -> Iterator[tuple]:
-        """Per-agent type indices of every vector, in vector order."""
-        return itertools.product(*(range(k) for k in self.sizes))
+    def profiles(self, i: int, reduced: bool = False) -> list:
+        """Agent i's opponent profiles, ascending: the vectors whose agent-i
+        type index is 0 (add t_i * strides[i] for type index t_i); reduced,
+        those whose groups other than i's have nondecreasing cells."""
+        m, s = self.sizes[i], self.strides[i]
+        if not reduced:
+            return [hi + lo for hi in range(0, self.num_type_vectors(), m * s) for lo in range(s)]
+        C, _, D = self._groups
+        g, places = i // D, self.strides[D - 1::D]
+        rest = places[:g] + places[g + 1:]
+        return sorted(x * places[g] + sum(map(operator.mul, cells, rest))
+                      for x in range(C) if x // (s // places[g]) % m == 0
+                      for cells in itertools.combinations_with_replacement(range(C), len(rest)))
 
-    @cached_property
-    def bases(self) -> list:
-        """Per agent i, the vectors whose agent-i type index is 0, in the
-        canonical order of the other agents' types; add t_i * strides[i] for
-        type index t_i.  Increasing, each hi + lo: hi a multiple of sizes[i] *
-        strides[i] (earlier agents' digits), lo below strides[i] (later)."""
-        N = self.num_type_vectors()
-        return [
-            [hi + lo for hi in range(0, N, k * s) for lo in range(s)]
-            for k, s in zip(self.sizes, self.strides)
-        ]
-
-    def pairs(self) -> Iterator[tuple]:
+    def pairs(self, reduced: bool = False) -> Iterator[tuple]:
         """Every unordered unilateral pair as (agent i, vector ka, vector
         kb), agent i's type index lower at ka: by agent, then opponent
-        profile in the order of ``bases[i]``, then type-index pair in
-        ``itertools.combinations`` order."""
-        for i, (m, stride) in enumerate(zip(self.sizes, self.strides)):
+        profile (``profiles(i)``), then type-index pair in
+        ``itertools.combinations`` order; reduced, the first group's only."""
+        for i in range(self.group_size) if reduced else self.agents:
+            stride = self.strides[i]
             steps = [(a * stride, b * stride)
-                     for a, b in itertools.combinations(range(m), 2)]
-            for k in self.bases[i]:
+                     for a, b in itertools.combinations(range(self.sizes[i]), 2)]
+            for k in self.profiles(i, reduced):
                 for a, b in steps:
                     yield i, k + a, k + b
 
-    def scores(self, F) -> list:
+    def scores(self, F, reduced: bool = False) -> list | dict:
         """The exact F.eval(t, s) of every vector t, in canonical order, as
-        one row per vector in alternative order.  Built on first use, so
-        after a check has compared its enumeration with its budget, and kept
-        per objective as long as the environment: every check that reads it
-        shares one evaluation per (vector, alternative)."""
+        one row per vector in alternative order (reduced, a dict by
+        ``walk(True)``'s vectors).  Built on first use, so after a check has
+        compared its enumeration with its budget, and kept per objective as
+        long as the environment: every check that reads it shares one
+        evaluation per (vector, alternative)."""
         memo = self.__dict__.setdefault("_scores", {})
-        rows = memo.get(F)
+        rows = memo.get((F, reduced))
         if rows is None:
-            rows = memo[F] = [[F.eval(t, s) for s in self.alternatives]
-                              for t in self.type_vectors()]
+            rows = memo[F, reduced] = {k: [F.eval(self.vector(k), s) for s in self.alternatives]
+                                       for k, _ in self.walk(True)} if reduced else [
+                [F.eval(t, s) for s in self.alternatives] for t in self.type_vectors()]
         return rows
 
+    def score(self, F, k: int) -> list:
+        """F's row at vector k, read at its orbit's when F ``reduces``."""
+        if not self.reduces(F):
+            return self.scores(F)[k]
+        C, _, D = self._groups
+        places = self.strides[D - 1::D]
+        cells = sorted(k // p % C for p in places)
+        return self.scores(F, True)[sum(map(operator.mul, cells, places))]
+
     def _held_scores(self, F, t: tuple) -> list | None:
-        """The row of ``scores(F)`` at type vector t when a check has built
-        it; None before that, or when t is not a vector of this environment."""
-        rows = self.__dict__.get("_scores", {}).get(F)
+        """F's ``score`` at type vector t when a check has built it; None
+        before that, or when t is not a vector of this environment."""
+        held = (F, self.reduces(F)) in self.__dict__.get("_scores", {})
         try:
-            return None if rows is None else rows[self.index(t)]
+            return self.score(F, self.index(t)) if held else None
         except ValueError:
             return None
 
@@ -346,13 +395,15 @@ class HistogramInstance:
             c, j = divmod(i, D)
             return utility(t[c * D:(c + 1) * D], j, s, r)
 
-        return Environment(
+        env = Environment(
             type_spaces=member_types * self.F.units,
             alternatives=self.F.alternatives,
             reaction_spaces=(self.reactions,) * self.n,
             utility=agent_utility,
             values_kind=PRIVATE_VALUES if D == 1 else INTERDEPENDENT,
         )
+        env.group_size = D
+        return env
 
 
 class Gap(NamedTuple):
@@ -421,13 +472,13 @@ def verify_sensitivity(
     Returns n * max |F(t,s) - F(t_hat,s)| over all neighbor pairs and s,
     and whether it is bounded by the declared d (absolute slack 1e-12).
     """
-    check_budget(env.num_deviations() // 2 * len(env.alternatives), budget)
+    reduced = env.reduces(F)
+    check_budget(env.num_deviations(reduced) // 2 * len(env.alternatives), budget)
 
-    scores = env.scores(F)
     worst = 0.0
     witness = None
-    for i, ka, kb in env.pairs():
-        for s, fa, fb in zip(env.alternatives, scores[ka], scores[kb]):
+    for i, ka, kb in env.pairs(reduced):
+        for s, fa, fb in zip(env.alternatives, env.score(F, ka), env.score(F, kb)):
             delta = abs(fa - fb)
             if delta > worst:
                 worst = delta
@@ -450,18 +501,19 @@ def compute_gap(env: Environment, budget: int = DEFAULT_BUDGET) -> Gap:
     held rows ``env.utilities`` once per opponent profile; the gap is the
     outer minimum, with the argmin witness.  Only the opponent profiles that
     are their own key (``env.keys``) are walked: under private values the
-    first alone.
+    first alone; on interchangeable groups, only the first group's.
     """
-    check_budget(env.num_deviations() * len(env.alternatives), budget)
+    reduced = env.reduces()
+    check_budget(env.num_deviations(reduced) * len(env.alternatives), budget)
 
     gamma = None
     witness = None
     alternatives = range(len(env.alternatives))
-    for i in env.agents:
+    for i in range(env.group_size) if reduced else env.agents:
         types_i, stride = env.type_spaces[i], env.strides[i]
         if len(types_i) < 2:
             continue  # no misreport, and no row to read
-        for k in env.bases[i]:
+        for k in env.profiles(i, reduced):
             if env.own(i, k) != k:
                 continue  # its advantages repeat those at its key
             # (row, optimum) per own type, then alternative
@@ -525,7 +577,7 @@ def check_environment(env: Environment, budget: int = DEFAULT_BUDGET) -> None:
     """Verify the declared invariants by enumeration.
 
     One walk, by agent, own type, alternative, then opponent profile
-    (``bases[i]`` order), evaluates each utility once: it checks the [0, 1]
+    (``profiles(i)`` order), evaluates each utility once: it checks the [0, 1]
     range and, when a private kind is declared, that optimal reactions (and
     for private values the utilities) equal those at the first opponent
     profile.  Raises ValueError at the first violation.
@@ -539,9 +591,9 @@ def check_environment(env: Environment, budget: int = DEFAULT_BUDGET) -> None:
 
     private = env.private_reactions
     for i, stride in enumerate(env.strides):
-        reactions = env.reaction_spaces[i]
+        reactions, profiles = env.reaction_spaces[i], env.profiles(i)
         for b, t_i in enumerate(env.type_spaces[i]):
-            vectors = [env.vector(k + b * stride) for k in env.bases[i]]
+            vectors = [env.vector(k + b * stride) for k in profiles]
             for s in env.alternatives:
                 ref = None
                 for t in vectors:

@@ -84,6 +84,8 @@ def exponential_mechanism(
     # for the audits; in the function's __dict__, which functools.wraps
     # copies, so a wrapped mechanism is audited the same way
     mech.exp_mech = (F, env, rate)
+    if env.reduces(F):  # an anonymous F: permuting groups permutes the rows
+        mech.symmetric_on = env
     return mech
 
 
@@ -209,9 +211,9 @@ def _axis(env: Environment, table, i: int):
 
 def _first_pair(env: Environment, table, i: int, p, hit) -> tuple:
     """(i, t, t_hat, alternative): agent i's first pair at opponent profile
-    p (``bases[i]`` order), in ``Environment.pairs()`` order, and alternative
+    p (``profiles(i)`` order), in ``Environment.pairs()`` order, and alternative
     at which ``hit`` holds between the two sides' entries of ``table``."""
-    stride, k = env.strides[i], env.bases[i][p]
+    stride, k = env.strides[i], env.profiles(i)[p]
     block = _axis(env, table, i)[p // stride, :, p % stride].tolist()
     for a, b in itertools.combinations(range(env.sizes[i]), 2):
         for s, (x, y) in enumerate(zip(block[a], block[b])):

@@ -96,14 +96,17 @@ class PayoffTable:
             )
         return v
 
-    def unilateral(self) -> Iterator[tuple]:
+    def unilateral(self, reduced: bool = False) -> Iterator[tuple]:
         """(true vector, agent, misreport index, truthful EU, deviation EU)
         for every unilateral misreport against truthful opponents, by true
-        vector, then agent, then misreport in type-space order."""
-        for kt, digits in enumerate(self.env.digits()):
-            for i, (t_i, stride) in enumerate(zip(digits, self.env.strides)):
-                base = self.eu(kt, i, kt)
-                for b_i in range(self.env.sizes[i]):
+        vector, then agent, then misreport in type-space order; reduced, at
+        the vectors and agents of ``Environment.walk(True)``."""
+        env = self.env
+        for kt, agents in env.walk(reduced):
+            for i in agents:
+                stride, m = env.strides[i], env.sizes[i]
+                t_i, base = kt // stride % m, self.eu(kt, i, kt)
+                for b_i in range(m):
                     if b_i != t_i:
                         yield kt, i, b_i, base, self.eu(kt + (b_i - t_i) * stride, i, kt)
 

@@ -12,6 +12,7 @@ read opponents' true types off their announcements.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -20,6 +21,7 @@ from typing import NamedTuple, Optional
 from .environment import (
     ABS_TOL,
     DEFAULT_BUDGET,
+    PRIVATE_VALUES,
     Environment,
     HistogramObjective,
     ObjectiveFunction,
@@ -64,15 +66,17 @@ def check_expost_nash_truthful(
 
     Margin is the minimum slack over all (t, i, b_i); a failing report
     carries the witness (i, t, b_i, truthful EU, deviation EU), reading
-    the table ``env`` holds for ``mech`` (``PayoffTable.of``).
+    the table ``env`` holds for ``mech`` (``PayoffTable.of``), one vector
+    per orbit for a symmetric mechanism (``Environment.reduces``).
     """
+    reduced = env.reduces(mech)
     table = payoff_table(
-        mech, env, EXPOST_NASH, max(env.num_deviations(), 1), budget
+        mech, env, EXPOST_NASH, max(env.num_deviations(reduced), 1), budget
     )
     margin = math.inf
     witness = None
     passed = True
-    for kt, i, b_i, base, dev in table.unilateral():
+    for kt, i, b_i, base, dev in table.unilateral(reduced):
         slack = base - dev
         if slack < margin:
             margin = slack
@@ -95,20 +99,28 @@ def check_strictly_dominant_truthful(
     (``env.keys(i)``), every other one repeating those at its key, by true
     vector, then agent: the budget counts the slacks evaluated,
     sum_i keys(i) * (|T_i| - 1) * |T_-i|.  Reads the table ``env`` holds for
-    ``mech``.
+    ``mech``.  A symmetric mechanism under private values walks each (own
+    type, member) at its first agent, against reduced ``profiles``.
     """
     if not env.private_reactions:
         raise WrongValuesKind(env.values_kind)
+    reduced = env.reduces(mech) and env.values_kind == PRIVATE_VALUES
     N = env.num_type_vectors()
-    needed = sum(env.num_keys(i) * (m - 1) * (N // m) for i, m in enumerate(env.sizes))
+    needed = env.num_deviations(True) if reduced else sum(
+        env.num_keys(i) * (m - 1) * (N // m) for i, m in enumerate(env.sizes))
     table = payoff_table(mech, env, STRICTLY_DOMINANT, max(needed, 1), budget)
     margin = math.inf
     witness = None
     passed = True
+    seen, profiles = set(), functools.cache(lambda i: env.profiles(i, reduced))
     for kt, i in sorted((kt, i) for i in env.agents for kt in env.keys(i)):
         stride, m = env.strides[i], env.sizes[i]
         t_i = kt // stride % m
-        for k in env.bases[i]:
+        key = (t_i, i % env.group_size) if reduced else (kt, i)
+        if key in seen:
+            continue  # an (own type, member) walked at an earlier agent
+        seen.add(key)
+        for k in profiles(i):
             base = table.eu(k + t_i * stride, i, kt)
             for b_i in range(m):
                 if b_i == t_i:
@@ -144,7 +156,7 @@ def find_dominating_strategy(
     needed = map_count * env.num_keys(i) * (env.num_type_vectors() // len(types_i))
     table = payoff_table(mech, env, "dominating_strategy", needed, budget)
     old = tuple(env.type_index[i][W_i[t]] for t in types_i)
-    stride, m = env.strides[i], env.sizes[i]
+    stride, m, profiles = env.strides[i], env.sizes[i], env.profiles(i)
     for images in itertools.product(range(len(types_i)), repeat=len(types_i)):
         if images == old:
             continue
@@ -155,7 +167,7 @@ def find_dominating_strategy(
                 break
             t_i = kt // stride % m
             b_old, b_new = old[t_i] * stride, images[t_i] * stride
-            for k in env.bases[i]:
+            for k in profiles:
                 diff = table.eu(k + b_new, i, kt) - table.eu(k + b_old, i, kt)
                 if diff < -ABS_TOL:
                     dominates = False
@@ -175,22 +187,25 @@ def implementation_gap(
 ):
     """Worst shortfall of E[F] under truthful play from the pointwise optimum.
 
-    Enumerates the full type space, reading each truthful announcement's
-    outcome distribution from the table ``env`` holds for ``mech`` and F
-    from ``env.scores``.  Returns (beta_measured, worst type vector).
+    Enumerates the type space (``Environment.walk``, reduced when mech and
+    F are symmetric), reading each truthful announcement's outcome
+    distribution from the table ``env`` holds for ``mech`` and F from
+    ``env.score``.  Returns (beta_measured, worst type vector).
     """
+    reduced = env.reduces(mech, F)
     table = payoff_table(
-        mech, env, "implementation_gap", env.num_type_vectors() * len(env.alternatives),
-        budget,
+        mech, env, "implementation_gap",
+        env.num_type_vectors(reduced) * len(env.alternatives), budget,
     )
     worst = -math.inf
     worst_t = None
-    for k, (t, scores) in enumerate(zip(env.type_vectors(), env.scores(F))):
+    for k, _ in env.walk(reduced):
+        scores = env.score(F, k)
         expected = left_sum(p * scores[a] for p, _, a, _ in table.dist(k))
         gap = max(scores) - expected
         if gap > worst:
             worst = gap
-            worst_t = t
+            worst_t = env.vector(k)
     return float(worst), worst_t
 
 

@@ -143,7 +143,8 @@ def test_expost_nash_witness_on_failure():
 # CSV and sidecar witnesses of the benchmark's two verify configs, as the
 # checkers computed them before they shared a payoff table, and of the
 # larger facility (n=5) and pricing (7 cohorts) instances, as the checkers
-# computed them before the table keyed private-value payoffs by own type
+# computed them before the table keyed private-value payoffs by own type;
+# the work counts are those of the walks over one vector per orbit
 PINNED_VERIFY = [
     (
         {"facility": {"n": 3, "m": 2, "K": 2, "mechanism": "loc2"}},
@@ -160,7 +161,7 @@ PINNED_VERIFY = [
             "0.8917743648200944, 0.7657145007674057)",
         },
         # distributions built, utility evaluations, EU lookups, EU hits
-        (27, 243, 486, 243),
+        (26, 201, 108, 30),
     ),
     (
         {"pricing": {"cohorts": 5, "cohort_size": 1, "grid_m": 4}},
@@ -173,7 +174,7 @@ PINNED_VERIFY = [
             "strictly_dominant": "(0, (0, 0, 0, 0, 0), 1, (1, 1, 1, 1), "
             "0.5472770320864261, 0.4998857718967166)",
         },
-        (32, 100, 640, 320),
+        (14, 100, 40, 12),
     ),
     (
         {"facility": {"n": 5, "m": 2, "K": 2, "mechanism": "loc2"}},
@@ -191,7 +192,7 @@ PINNED_VERIFY = [
             "Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), "
             "0.8936881488501582, 0.767632833259176)",
         },
-        (243, 405, 7290, 3645),
+        (79, 321, 270, 63),
     ),
     (
         {"pricing": {"cohorts": 7, "cohort_size": 1, "grid_m": 4}},
@@ -205,7 +206,7 @@ PINNED_VERIFY = [
             "strictly_dominant": "(0, (0, 0, 0, 0, 0, 0, 0), 1, (1, 1, 1, 1, 1, 1), "
             "0.5472313573781351, 0.49984010448238875)",
         },
-        (128, 140, 3584, 1792),
+        (20, 140, 56, 16),
     ),
     (
         # cohorts of 2: interdependent values, so payoffs and reactions are
@@ -217,7 +218,7 @@ PINNED_VERIFY = [
             "sensitivity": "(0, (0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), Fraction(5, 6))",
             "expost_nash": "None",
         },
-        (8, 672, 72, 0),
+        (6, 504, 18, 0),
     ),
 ]
 
@@ -240,14 +241,12 @@ def test_verify_outputs_pinned(tmp_path, app, row, witnesses, counts):
     assert side["witnesses"] == witnesses
     # work counters live in the sidecar only; each utility the environment's
     # rows hold, one per (agent, own type, alternative, reaction), is
-    # evaluated once, and every expected utility strict dominance looks up,
-    # ex-post Nash has computed
+    # evaluated once
     table = side["payoff_table"]
     assert (table["distributions_built"], table["utility_evaluations"],
             table["eu_lookups"], table["eu_hits"]) == counts
     checks = {"expost_nash", "implementation_gap"}
     if "strictly_dominant" in witnesses:
-        assert table["eu_hits"] == table["eu_lookups"] // 2
         checks.add("strictly_dominant")
     assert set(table["enumerated"]) == checks
     assert "implementation_gap" not in out.read_text()
@@ -275,17 +274,18 @@ def _count_utility_calls(monkeypatch, calls):
 
 
 @pytest.mark.parametrize("app,f_evals,utilities", [
-    ({"facility": {"n": 3, "m": 2, "K": 2, "mechanism": "loc2"}}, 27 * 9, 243),
-    ({"pricing": {"cohorts": 5, "cohort_size": 1, "grid_m": 4}}, 32 * 5, 100),
+    ({"facility": {"n": 3, "m": 2, "K": 2, "mechanism": "loc2"}}, 10 * 9, 201),
+    ({"pricing": {"cohorts": 5, "cohort_size": 1, "grid_m": 4}}, 6 * 5, 100),
 ], ids=["facility", "pricing"])
 def test_verify_lottery_reuses_scores_and_imposed_reactions(monkeypatch, app, f_evals,
                                                             utilities):
     """On the benchmark's verify configs the lottery's exponential branch
     reads the objective from ``env.scores``, so F is evaluated once per
-    (vector, alternative), and under private values the gap, the payoffs
-    and the commitment branch's imposed reactions read one held utility row
-    per (agent, own type, alternative): 3 x 3 x 9 rows of 3 reactions for
-    the facility, 5 x 2 x 5 rows of 2 for the pricing."""
+    (representative, alternative): 10 of 27 facility vectors, 6 of 32
+    pricing ones.  Under private values the gap, the payoffs and the
+    commitment branch's imposed reactions read one held utility row per
+    (agent, own type, alternative) they reach: at most 3 x 3 x 9 rows of 3
+    reactions for the facility, 5 x 2 x 5 rows of 2 for the pricing."""
     from collections import Counter
 
     from dpmech import cli, environment
@@ -307,15 +307,19 @@ def test_verify_lottery_reuses_scores_and_imposed_reactions(monkeypatch, app, f_
 
 def test_compute_gap_reads_held_utility_rows(monkeypatch):
     """compute_gap evaluates each (agent, own type, alternative, reaction)
-    utility once: 3 agents x 3 types x 9 alternatives x 3 reactions."""
+    utility once: 3 agents x 3 types x 9 alternatives x 3 reactions on a
+    plain environment, the first agent's alone on the symmetric family."""
     from collections import Counter
 
     calls = Counter()
+    symmetric = dm.build_grid_env(3, 2, 2).env  # its utility is counted once, below
     _count_utility_calls(monkeypatch, calls)
-    env = dm.build_grid_env(3, 2, 2).env
-    gap = dm.compute_gap(env)
-    assert calls == {"utility": 243}
-    assert gap == _naive_gap(env)
+    for env, utilities in ((replaced_env(symmetric), 243),
+                           (dm.build_grid_env(3, 2, 2).env, 81)):
+        calls.clear()
+        gap = dm.compute_gap(env)
+        assert calls == {"utility": utilities}
+        assert gap == _naive_gap(env)
 
 
 def test_compute_gap_reads_each_held_row_once():
@@ -339,8 +343,10 @@ def test_compute_gap_reads_each_held_row_once():
         env.utilities = counted
         gap = dm.compute_gap(env)
         assert (gap.gamma, gap.argmin_witness) == _naive_gap(env)
-        profiles = [1 if env.values_kind == dm.PRIVATE_VALUES else len(env.bases[i])
-                    for i in env.agents]
+        # the symmetric family walks the first group's agents, at opponent
+        # profiles whose other groups are sorted
+        profiles = [1 if env.values_kind == dm.PRIVATE_VALUES else len(env.profiles(i, True))
+                    for i in range(env.group_size)]
         assert calls["utilities"] == sum(
             keys * m * len(env.alternatives)
             for keys, m in zip(profiles, env.sizes) if m > 1)
@@ -355,7 +361,9 @@ def test_find_separating_set_reads_held_utility_rows(monkeypatch):
     _count_utility_calls(monkeypatch, calls)
     alone = dm.find_separating_set(dm.build_grid_env(3, 2, 2).env)
     assert 0 < calls["utility"] <= 243
-    env = dm.build_grid_env(3, 2, 2).env
+    # a plain environment: on the symmetric family compute_gap holds only
+    # the first agent's rows, which find_separating_set's full walk outgrows
+    env = replaced_env(dm.build_grid_env(3, 2, 2).env)
     dm.compute_gap(env)
     calls.clear()
     assert dm.find_separating_set(env) == alone
@@ -648,7 +656,8 @@ def test_budget_checks_report_needed_and_budget():
         (162, lambda: dm.verify_sensitivity(F, env, budget=1)),
         (162, lambda: dm.find_separating_set(env, budget=1)),
         (486, lambda: dm.check_environment(env, budget=1)),
-        (81, lambda: dm.implementation_gap(mech, env, F, budget=1)),
+        # one vector per orbit: 6 of the 9
+        (54, lambda: dm.implementation_gap(mech, env, F, budget=1)),
     ]
     for needed, check in checks:
         with pytest.raises(dm.EnumerationBudgetExceeded) as e:
@@ -699,9 +708,11 @@ def test_dominating_strategy_budgets_every_true_vector_beyond_private_values():
 
 
 def test_shared_table_checks_budget_before_listing_vectors(monkeypatch):
-    # 3^40 type vectors: walking them would never finish
+    # 3^40 type vectors: walking them would never finish; the wrapper
+    # carries no symmetry mark, so the checks count the full walk
     inst = dm.build_grid_env(40, 2, 1)
-    mech = dm.commitment_mechanism(dm.uniform_histogram_commitment(inst), inst.env)
+    commitment = dm.commitment_mechanism(dm.uniform_histogram_commitment(inst), inst.env)
+    mech = lambda b: commitment(b)  # noqa: E731
     table = dm.PayoffTable.of(mech, inst.env)
 
     def no_walk(self):
