@@ -155,6 +155,6 @@ def build_combined(
         P.p_tilde,
         gamma,
     )
-    if env.reduces(F):  # marked where both branches are built: a wrapper drops marks
+    if env.group(F) == env.group_size:  # both branches built here: a wrapper drops marks
         mech.symmetric_on = env
     return mech

@@ -55,8 +55,8 @@ class Environment:
     alternative, reaction) -> value in [0, 1].  ``values_kind`` is declared by
     the constructor; use :func:`check_environment` to verify the declaration
     by enumeration.  A type vector is addressed by its index alone (``index``,
-    ``vector``): full walks iterate ``type_vectors()``, and no list of the
-    vectors is held.
+    ``vector``): the checks walk indices (``walk``, ``profiles``), and no
+    list of the vectors is held.
     """
 
     group_size: int | None = None  # of interchangeable agents, by HistogramInstance.env
@@ -96,47 +96,42 @@ class Environment:
         """Iterate over the full product type space in canonical order."""
         return itertools.product(*self.type_spaces)
 
-    def num_type_vectors(self, reduced: bool = False) -> int:
-        """N, or reduced the representatives ``walk(True)`` visits."""
-        if reduced:
-            C, G, _ = self._groups
-            return math.comb(C + G - 1, G)
+    def num_type_vectors(self, D: int | None = None) -> int:
+        """The vectors ``walk(D)`` visits: N for the full walk."""
+        C, G, _ = self._groups(D)
+        return math.comb(C + G - 1, G)
+
+    def num_deviations(self, D: int | None = None) -> int:
+        """The ordered unilateral pairs ``walk(D)`` reads, each charged G
+        groups: N * sum_i (|T_i| - 1) for the full walk."""
+        C, G, D = self._groups(D)
+        return C * math.comb(C + G - 2, G - 1) * G * sum(m - 1 for m in self.sizes[:D])
+
+    def group(self, *marked) -> int:
+        """The size of the groups a check may treat as interchangeable:
+        ``group_size`` when each of ``marked`` is marked ``symmetric_on`` this
+        environment or is an anonymous objective, else n (the full walk)."""
+        D = self.group_size
+        return D if D is not None and all(
+            getattr(x, "symmetric_on", None) is self
+            or isinstance(x, HistogramObjective) and len(x.member_types) == D
+            for x in marked) else self.n
+
+    def _groups(self, D: int | None = None) -> tuple:
+        """(C cells per group, G groups, D) for groups of D agents, by default
+        one group of all n; no stride is read, so budgets precede ``strides``."""
+        D = D or self.n
         # one power per distinct size: a product over a million agents'
         # sizes is quadratic in the result's digits
-        return math.prod(k ** count for k, count in Counter(self.sizes).items())
+        C = math.prod(k ** count for k, count in Counter(self.sizes[:D]).items())
+        return C, self.n // D, D
 
-    def num_deviations(self, reduced: bool = False) -> int:
-        """Ordered unilateral pairs (t, t_hat), t_hat differing from t in one
-        agent's type: N * sum_i (|T_i| - 1); reduced, ``walk(True)``'s, each
-        charged G, the number of groups, as it reads vectors of n agents."""
-        if reduced:
-            C, G, D = self._groups
-            return C * math.comb(C + G - 2, G - 1) * G * sum(m - 1 for m in self.sizes[:D])
-        return self.num_type_vectors() * sum(len(t) - 1 for t in self.type_spaces)
-
-    def reduces(self, *marked) -> bool:
-        """Whether a check may walk one vector per orbit (``walk(True)``): the
-        groups are interchangeable, and each of ``marked`` is marked
-        ``symmetric_on`` this environment or is an anonymous objective."""
-        return self.group_size is not None and all(
-            getattr(x, "symmetric_on", None) is self
-            or isinstance(x, HistogramObjective) and len(x.member_types) == self.group_size
-            for x in marked)
-
-    @property
-    def _groups(self) -> tuple:
-        """(C cells per group, G groups, D agents per group); no stride is
-        read, so budgets are counted before ``strides`` is built."""
-        D = self.group_size
-        return math.prod(self.sizes[:D]), self.n // D, D
-
-    def walk(self, reduced: bool = False) -> Iterator[tuple]:
-        """(vector, agents), ascending: all, or reduced each orbit's least
-        vector (group cells not decreasing) with the first group of each run
-        of equal cells, where the full walk's first worst slack lies."""
-        if not reduced:
-            return zip(range(self.num_type_vectors()), itertools.repeat(self.agents))
-        C, G, D = self._groups
+    def walk(self, D: int | None = None) -> Iterator[tuple]:
+        """(vector, agents), ascending: on groups of D agents (by default one
+        group: every vector and agent), each orbit's least vector (group cells
+        not decreasing) with the first group of each run of equal cells,
+        where the full walk's first worst slack lies."""
+        C, G, D = self._groups(D)
         places = self.strides[D - 1::D]
         return ((sum(map(operator.mul, cells, places)),
                  [c * D + j for c, x in enumerate(cells) if not c or x != cells[c - 1]
@@ -160,61 +155,61 @@ class Environment:
         return tuple([ts[k // s % m]
                       for ts, s, m in zip(self.type_spaces, self.strides, self.sizes)])
 
-    def profiles(self, i: int, reduced: bool = False) -> list:
+    def profiles(self, i: int, D: int | None = None) -> list:
         """Agent i's opponent profiles, ascending: the vectors whose agent-i
-        type index is 0 (add t_i * strides[i] for type index t_i); reduced,
-        those whose groups other than i's have nondecreasing cells."""
-        m, s = self.sizes[i], self.strides[i]
-        if not reduced:
-            return [hi + lo for hi in range(0, self.num_type_vectors(), m * s) for lo in range(s)]
-        C, _, D = self._groups
+        type index is 0 (add t_i * strides[i] for type index t_i) and whose
+        groups of D agents other than i's have nondecreasing cells; by
+        default every one."""
+        C, G, D = self._groups(D)
         g, places = i // D, self.strides[D - 1::D]
-        rest = places[:g] + places[g + 1:]
-        return sorted(x * places[g] + sum(map(operator.mul, cells, rest))
-                      for x in range(C) if x // (s // places[g]) % m == 0
-                      for cells in itertools.combinations_with_replacement(range(C), len(rest)))
+        p, rest, m = places[g], places[:g] + places[g + 1:], self.sizes[i]
+        s = self.strides[i] // p  # agent i's place within its group's cell
+        tails = [sum(map(operator.mul, cells, rest))
+                 for cells in itertools.combinations_with_replacement(range(C), G - 1)]
+        return sorted([x * p + tail for tail in tails
+                       for hi in range(0, C, m * s) for x in range(hi, hi + s)])
 
-    def pairs(self, reduced: bool = False) -> Iterator[tuple]:
+    def pairs(self, D: int | None = None) -> Iterator[tuple]:
         """Every unordered unilateral pair as (agent i, vector ka, vector
-        kb), agent i's type index lower at ka: by agent, then opponent
-        profile (``profiles(i)``), then type-index pair in
-        ``itertools.combinations`` order; reduced, the first group's only."""
-        for i in range(self.group_size) if reduced else self.agents:
+        kb), agent i's type index lower at ka: by agent of the first group
+        of D (by default all), then opponent profile (``profiles(i, D)``),
+        then type-index pair in ``itertools.combinations`` order."""
+        for i in range(D or self.n):
             stride = self.strides[i]
             steps = [(a * stride, b * stride)
                      for a, b in itertools.combinations(range(self.sizes[i]), 2)]
-            for k in self.profiles(i, reduced):
+            for k in self.profiles(i, D):
                 for a, b in steps:
                     yield i, k + a, k + b
 
-    def scores(self, F, reduced: bool = False) -> list | dict:
-        """The exact F.eval(t, s) of every vector t, in canonical order, as
-        one row per vector in alternative order (reduced, a dict by
-        ``walk(True)``'s vectors).  Built on first use, so after a check has
-        compared its enumeration with its budget, and kept per objective as
-        long as the environment: every check that reads it shares one
-        evaluation per (vector, alternative)."""
+    def scores(self, F, D: int | None = None) -> dict:
+        """The exact F.eval(t, s) at each vector t ``walk(D)`` visits, keyed
+        by t's index, as a row in alternative order.  Built on first use, so
+        after a check has compared its enumeration with its budget, and kept
+        per objective as long as the environment: every check that reads it
+        shares one evaluation per (vector, alternative)."""
+        D = D or self.n
         memo = self.__dict__.setdefault("_scores", {})
-        rows = memo.get((F, reduced))
+        rows = memo.get((F, D))
         if rows is None:
-            rows = memo[F, reduced] = {k: [F.eval(self.vector(k), s) for s in self.alternatives]
-                                       for k, _ in self.walk(True)} if reduced else [
-                [F.eval(t, s) for s in self.alternatives] for t in self.type_vectors()]
+            # one group walks every vector in canonical order, as the product lists them
+            visits = enumerate(self.type_vectors()) if D == self.n else (
+                (k, self.vector(k)) for k, _ in self.walk(D))
+            rows = memo[F, D] = {k: [F.eval(t, s) for s in self.alternatives] for k, t in visits}
         return rows
 
     def score(self, F, k: int) -> list:
-        """F's row at vector k, read at its orbit's when F ``reduces``."""
-        if not self.reduces(F):
-            return self.scores(F)[k]
-        C, _, D = self._groups
+        """F's row at vector k, read at its orbit's on F's groups (``group(F)``)."""
+        D = self.group(F)
         places = self.strides[D - 1::D]
-        cells = sorted(k // p % C for p in places)
-        return self.scores(F, True)[sum(map(operator.mul, cells, places))]
+        C = self.sizes[0] * self.strides[0] // places[0]  # cells per group
+        cells = sorted(k // p % C for p in places)  # at D = n, k's own
+        return self.scores(F, D)[sum(map(operator.mul, cells, places))]
 
     def _held_scores(self, F, t: tuple) -> list | None:
         """F's ``score`` at type vector t when a check has built it; None
         before that, or when t is not a vector of this environment."""
-        held = (F, self.reduces(F)) in self.__dict__.get("_scores", {})
+        held = (F, self.group(F)) in self.__dict__.get("_scores", {})
         try:
             return self.score(F, self.index(t)) if held else None
         except ValueError:
@@ -472,12 +467,12 @@ def verify_sensitivity(
     Returns n * max |F(t,s) - F(t_hat,s)| over all neighbor pairs and s,
     and whether it is bounded by the declared d (absolute slack 1e-12).
     """
-    reduced = env.reduces(F)
-    check_budget(env.num_deviations(reduced) // 2 * len(env.alternatives), budget)
+    D = env.group(F)
+    check_budget(env.num_deviations(D) // 2 * len(env.alternatives), budget)
 
     worst = 0.0
     witness = None
-    for i, ka, kb in env.pairs(reduced):
+    for i, ka, kb in env.pairs(D):
         for s, fa, fb in zip(env.alternatives, env.score(F, ka), env.score(F, kb)):
             delta = abs(fa - fb)
             if delta > worst:
@@ -501,19 +496,20 @@ def compute_gap(env: Environment, budget: int = DEFAULT_BUDGET) -> Gap:
     held rows ``env.utilities`` once per opponent profile; the gap is the
     outer minimum, with the argmin witness.  Only the opponent profiles that
     are their own key (``env.keys``) are walked: under private values the
-    first alone; on interchangeable groups, only the first group's.
+    first alone; on interchangeable groups (``env.group()``), only the
+    first group's.
     """
-    reduced = env.reduces()
-    check_budget(env.num_deviations(reduced) * len(env.alternatives), budget)
+    D = env.group()
+    check_budget(env.num_deviations(D) * len(env.alternatives), budget)
 
     gamma = None
     witness = None
     alternatives = range(len(env.alternatives))
-    for i in range(env.group_size) if reduced else env.agents:
+    for i in range(D):
         types_i, stride = env.type_spaces[i], env.strides[i]
         if len(types_i) < 2:
             continue  # no misreport, and no row to read
-        for k in env.profiles(i, reduced):
+        for k in env.profiles(i, D):
             if env.own(i, k) != k:
                 continue  # its advantages repeat those at its key
             # (row, optimum) per own type, then alternative

@@ -84,7 +84,7 @@ def exponential_mechanism(
     # for the audits; in the function's __dict__, which functools.wraps
     # copies, so a wrapped mechanism is audited the same way
     mech.exp_mech = (F, env, rate)
-    if env.reduces(F):  # an anonymous F: permuting groups permutes the rows
+    if env.group(F) == env.group_size:  # an anonymous F: permuting groups permutes the rows
         mech.symmetric_on = env
     return mech
 
@@ -107,7 +107,7 @@ def probability_table(F: ObjectiveFunction, env: Environment, rate: float):
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        x = np.array(env.scores(F), float) * float(rate)
+        x = np.array(list(env.scores(F).values()), float) * float(rate)
         x -= x.max(axis=1, keepdims=True)
     weights = np.fromiter(map(math.exp, x.ravel().tolist()), float,
                           x.size).reshape(x.shape)
@@ -213,13 +213,14 @@ def _first_pair(env: Environment, table, i: int, p, hit) -> tuple:
     """(i, t, t_hat, alternative): agent i's first pair at opponent profile
     p (``profiles(i)`` order), in ``Environment.pairs()`` order, and alternative
     at which ``hit`` holds between the two sides' entries of ``table``."""
-    stride, k = env.strides[i], env.profiles(i)[p]
-    block = _axis(env, table, i)[p // stride, :, p % stride].tolist()
-    for a, b in itertools.combinations(range(env.sizes[i]), 2):
+    stride, m = env.strides[i], env.sizes[i]
+    h, lo = divmod(p, stride)  # _axis's layout
+    block = _axis(env, table, i)[h, :, lo].tolist()
+    for a, b in itertools.combinations(range(m), 2):
         for s, (x, y) in enumerate(zip(block[a], block[b])):
             if hit(x, y):
-                return (i, env.vector(k + a * stride), env.vector(k + b * stride),
-                        env.alternatives[s])
+                return (i, env.vector((h * m + a) * stride + lo),
+                        env.vector((h * m + b) * stride + lo), env.alternatives[s])
 
 
 def near_indifference_bound_check(
@@ -313,7 +314,7 @@ def accuracy_bound_check(
     check_budget(env.num_type_vectors() * s_count, budget)
 
     bound = (4 * d / (n * eps)) * math.log(n * eps * s_count / (2 * d))
-    scores = np.array(env.scores(F), float)
+    scores = np.array(list(env.scores(F).values()), float)
     expected = _left_sums(probability_table(F, env, exp_mech_rate(n, eps, d)), scores)
     best = scores.max(axis=1)
     slack = expected - (best - bound)

@@ -96,13 +96,13 @@ class PayoffTable:
             )
         return v
 
-    def unilateral(self, reduced: bool = False) -> Iterator[tuple]:
+    def unilateral(self, D: int | None = None) -> Iterator[tuple]:
         """(true vector, agent, misreport index, truthful EU, deviation EU)
-        for every unilateral misreport against truthful opponents, by true
-        vector, then agent, then misreport in type-space order; reduced, at
-        the vectors and agents of ``Environment.walk(True)``."""
+        for every unilateral misreport against truthful opponents at the
+        vectors and agents of ``Environment.walk(D)`` (by default every
+        one), by true vector, then agent, then misreport in type-space order."""
         env = self.env
-        for kt, agents in env.walk(reduced):
+        for kt, agents in env.walk(D):
             for i in agents:
                 stride, m = env.strides[i], env.sizes[i]
                 t_i, base = kt // stride % m, self.eu(kt, i, kt)

@@ -67,16 +67,14 @@ def check_expost_nash_truthful(
     Margin is the minimum slack over all (t, i, b_i); a failing report
     carries the witness (i, t, b_i, truthful EU, deviation EU), reading
     the table ``env`` holds for ``mech`` (``PayoffTable.of``), one vector
-    per orbit for a symmetric mechanism (``Environment.reduces``).
+    per orbit of a symmetric mechanism's groups (``Environment.group``).
     """
-    reduced = env.reduces(mech)
-    table = payoff_table(
-        mech, env, EXPOST_NASH, max(env.num_deviations(reduced), 1), budget
-    )
+    D = env.group(mech)
+    table = payoff_table(mech, env, EXPOST_NASH, max(env.num_deviations(D), 1), budget)
     margin = math.inf
     witness = None
     passed = True
-    for kt, i, b_i, base, dev in table.unilateral(reduced):
+    for kt, i, b_i, base, dev in table.unilateral(D):
         slack = base - dev
         if slack < margin:
             margin = slack
@@ -99,24 +97,26 @@ def check_strictly_dominant_truthful(
     (``env.keys(i)``), every other one repeating those at its key, by true
     vector, then agent: the budget counts the slacks evaluated,
     sum_i keys(i) * (|T_i| - 1) * |T_-i|.  Reads the table ``env`` holds for
-    ``mech``.  A symmetric mechanism under private values walks each (own
-    type, member) at its first agent, against reduced ``profiles``.
+    ``mech``.  Under private values, where that sum is
+    ``env.num_deviations()``, a symmetric mechanism walks each (own type,
+    member) at its first agent, against the ``profiles`` of its groups.
     """
     if not env.private_reactions:
         raise WrongValuesKind(env.values_kind)
-    reduced = env.reduces(mech) and env.values_kind == PRIVATE_VALUES
+    private_values = env.values_kind == PRIVATE_VALUES
+    D = env.group(mech) if private_values else env.n
     N = env.num_type_vectors()
-    needed = env.num_deviations(True) if reduced else sum(
+    needed = env.num_deviations(D) if private_values else sum(
         env.num_keys(i) * (m - 1) * (N // m) for i, m in enumerate(env.sizes))
     table = payoff_table(mech, env, STRICTLY_DOMINANT, max(needed, 1), budget)
     margin = math.inf
     witness = None
     passed = True
-    seen, profiles = set(), functools.cache(lambda i: env.profiles(i, reduced))
+    seen, profiles = set(), functools.cache(lambda i: env.profiles(i, D))
     for kt, i in sorted((kt, i) for i in env.agents for kt in env.keys(i)):
         stride, m = env.strides[i], env.sizes[i]
         t_i = kt // stride % m
-        key = (t_i, i % env.group_size) if reduced else (kt, i)
+        key = (t_i, i % D) if private_values else (kt, i)
         if key in seen:
             continue  # an (own type, member) walked at an earlier agent
         seen.add(key)
@@ -187,19 +187,18 @@ def implementation_gap(
 ):
     """Worst shortfall of E[F] under truthful play from the pointwise optimum.
 
-    Enumerates the type space (``Environment.walk``, reduced when mech and
-    F are symmetric), reading each truthful announcement's outcome
-    distribution from the table ``env`` holds for ``mech`` and F from
-    ``env.score``.  Returns (beta_measured, worst type vector).
+    Enumerates the type space (``Environment.walk``, one vector per orbit
+    when mech and F are symmetric), reading each truthful announcement's
+    outcome distribution from the table ``env`` holds for ``mech`` and F
+    from ``env.score``.  Returns (beta_measured, worst type vector).
     """
-    reduced = env.reduces(mech, F)
+    D = env.group(mech, F)
     table = payoff_table(
-        mech, env, "implementation_gap",
-        env.num_type_vectors(reduced) * len(env.alternatives), budget,
+        mech, env, "implementation_gap", env.num_type_vectors(D) * len(env.alternatives), budget
     )
     worst = -math.inf
     worst_t = None
-    for k, _ in env.walk(reduced):
+    for k, _ in env.walk(D):
         scores = env.score(F, k)
         expected = left_sum(p * scores[a] for p, _, a, _ in table.dist(k))
         gap = max(scores) - expected

@@ -515,11 +515,12 @@ def test_example3_reads_vectors_without_listing_them(monkeypatch):
         tables.append(build(*args))
         return tables[-1]
 
-    def no_walk(self):
+    def no_walk(self, *args):
         raise AssertionError("example3 walked every type vector")
 
     monkeypatch.setattr(cli, "payoff_table", recording)
-    monkeypatch.setattr(Environment, "type_vectors", no_walk)
+    for walk in ("walk", "profiles", "type_vectors"):
+        monkeypatch.setattr(Environment, walk, no_walk)
     rows, _ = cli.run_config({"experiment": "example3", "seed": 0, "example": {"n": 19}})
     assert rows[0]["n"] == 19
     assert "fail" not in rows[0]["properties"]

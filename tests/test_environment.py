@@ -338,13 +338,19 @@ def test_keys_are_the_own_filter(random_instances):
 
 def test_pairs_walk_in_naive_order():
     """The walk lists every unordered pair once, in the naive tuple order,
-    on seeded shapes (single-type agents and n=1 included)."""
+    on seeded shapes (single-type agents and n=1 included).  A plain
+    environment is one group of all n agents: its orbit walk visits every
+    vector with every agent."""
     rng = random.Random(20261018)
     shapes = [(1,), (3,), (1, 3), (2, 1, 3)] + [
         tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 5))) for _ in range(30)
     ]
     for sizes in shapes:
         env = _sized_env(sizes)
+        assert env.group() == env.n
+        vectors = list(env.walk())
+        assert vectors == [(k, list(env.agents)) for k in range(math.prod(sizes))]
+        assert env.num_type_vectors() == len(vectors)
         walk = list(env.pairs())
         assert len(walk) == env.num_deviations() // 2
         assert [(i, env.vector(ka), env.vector(kb)) for i, ka, kb in walk] == [

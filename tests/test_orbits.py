@@ -8,6 +8,7 @@ a plain copy of the environment.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ def _walks(inst, mech, checks=None) -> dict:
     """Each check's report on the symmetric ``mech``, ``env`` and ``F``,
     paired with the full walk's."""
     env, F = inst.env, inst.F
-    assert env.reduces(mech, F)
+    assert env.group(mech, F) == env.group_size
     full = lambda b: mech(b)  # noqa: E731
     plain = dm.ObjectiveFunction(F.eval, F.sensitivity_d)
     walks = {
@@ -85,7 +86,7 @@ def _grid_walks(cfg: dict) -> dict:
         return _walks(inst, mech, {"expost_nash", "implementation_gap"})
     inst = dm.example3_env(cfg["example"]["n"])
     # the bad profile's mechanism carries no mark: its walks are full
-    assert not inst.env.reduces(dm.example3_mechanism(inst))
+    assert inst.env.group(dm.example3_mechanism(inst)) == inst.n
     return {}
 
 
@@ -169,12 +170,12 @@ def test_an_unmarked_mechanism_on_a_symmetric_environment_gets_the_full_walk():
                 [dm.Outcome((locs[0], locs[2]), imposed=(locs[2], locs[0], locs[0]))], [1])
         return commitment(b)
 
-    assert env.reduces(commitment) and not env.reduces(tempting)
+    assert env.group(commitment) == 1 and env.group(tempting) == env.n
     report = dm.check_expost_nash_truthful(tempting, env)
     assert not report.passed and report.margin == -0.25
     assert report.witness == (0, target, locs[0], Fraction(1, 2), Fraction(3, 4))
     # the failing (vector, agent) is one the orbit walk skips
-    visited = {(k, i) for k, agents in env.walk(True) for i in agents}
+    visited = {(k, i) for k, agents in env.walk(1) for i in agents}
     assert (env.index(target), 0) not in visited
     tempting.symmetric_on = env  # a false mark is a wrong pass
     assert dm.check_expost_nash_truthful(tempting, env).passed
@@ -229,12 +230,13 @@ def test_orbit_budgets_count_what_the_walks_visit(make):
 def test_orbit_walk_visits_the_representatives_in_ascending_order():
     # cohorts of 2 two-signal members: 4 cells per group, 3 groups
     env = two_signal_pricing_instance(3).env
-    walk = list(env.walk(True))
-    C, G, D = env._groups
+    D = env.group()
+    walk = list(env.walk(D))
+    C, G = math.prod(env.sizes[:D]), env.n // D
     assert (C, G, D) == (4, 3, 2)
     assert [k for k, _ in walk] == sorted(
         env.index(t) for t in env.type_vectors() if _sorted_cells(env, t))
-    assert len(walk) == env.num_type_vectors(True) == 20
+    assert len(walk) == env.num_type_vectors(D) == 20
     # the agents of the first group of each run of equal cells
     for k, agents in walk:
         cells = [k // p % C for p in env.strides[1::2]]
@@ -252,8 +254,8 @@ def test_orbit_walk_visits_the_representatives_in_ascending_order():
 def test_scores_hold_one_row_per_representative():
     inst = dm.build_grid_env(4, 2, 2)
     env, F = inst.env, inst.F
-    rows = env.scores(F, True)
-    assert len(rows) == env.num_type_vectors(True) == 15
+    rows = env.scores(F, env.group(F))
+    assert len(rows) == env.num_type_vectors(1) == 15
     for k, t in enumerate(env.type_vectors()):
         assert env.score(F, k) == [F.eval(t, s) for s in env.alternatives]
 

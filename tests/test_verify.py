@@ -345,8 +345,9 @@ def test_compute_gap_reads_each_held_row_once():
         assert (gap.gamma, gap.argmin_witness) == _naive_gap(env)
         # the symmetric family walks the first group's agents, at opponent
         # profiles whose other groups are sorted
-        profiles = [1 if env.values_kind == dm.PRIVATE_VALUES else len(env.profiles(i, True))
-                    for i in range(env.group_size)]
+        D = env.group_size
+        profiles = [1 if env.values_kind == dm.PRIVATE_VALUES else len(env.profiles(i, D))
+                    for i in range(D)]
         assert calls["utilities"] == sum(
             keys * m * len(env.alternatives)
             for keys, m in zip(profiles, env.sizes) if m > 1)
@@ -715,10 +716,11 @@ def test_shared_table_checks_budget_before_listing_vectors(monkeypatch):
     mech = lambda b: commitment(b)  # noqa: E731
     table = dm.PayoffTable.of(mech, inst.env)
 
-    def no_walk(self):
+    def no_walk(self, *args):
         raise AssertionError("type vectors walked before the budget check")
 
-    monkeypatch.setattr(dm.Environment, "type_vectors", no_walk)
+    for walk in ("walk", "profiles", "type_vectors"):
+        monkeypatch.setattr(dm.Environment, walk, no_walk)
     with pytest.raises(dm.EnumerationBudgetExceeded):
         dm.check_expost_nash_truthful(mech, inst.env)
     with pytest.raises(dm.EnumerationBudgetExceeded):
